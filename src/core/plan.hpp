@@ -93,11 +93,78 @@ class SchedulingPlan {
   std::vector<std::uint64_t> step_req_;
 };
 
+/// Algorithm 1 prepared for one workflow and job order. The constructor
+/// validates the spec and builds the dependents lists and the job order;
+/// each run() then simulates one cap in reused buffers, so a cap search pays
+/// for the preparation once per workflow rather than once per probe. run()
+/// mutates those buffers: one PlanSimulator belongs to one thread.
+class PlanSimulator {
+ public:
+  /// Throws std::invalid_argument for an invalid spec or a job_rank that is
+  /// not a permutation of 0..jobs-1.
+  PlanSimulator(const wf::WorkflowSpec& spec, const std::vector<std::uint32_t>& job_rank);
+
+  /// Algorithm 1 on `resource_cap` (>= 1) slots. `peak_busy`, when given,
+  /// receives the most slots the run held at once. A run whose peak is below
+  /// its cap never ran out of slots, so every cap >= that peak replays it
+  /// step for step.
+  [[nodiscard]] SchedulingPlan run(std::uint32_t resource_cap,
+                                   std::uint32_t* peak_busy = nullptr);
+
+ private:
+  struct Job {
+    std::uint32_t maps;
+    std::uint32_t reduces;
+    std::uint32_t prereqs;
+    Duration map_duration;
+    Duration reduce_duration;
+  };
+  /// Remaining counters of one job during a run.
+  struct JobState {
+    std::uint32_t maps_left;
+    std::uint32_t reduces_left;
+    std::uint32_t unfinished_prereqs;
+    /// Max completion time among prerequisites whose final wave has been
+    /// scheduled. A dependent activates at this instant once every
+    /// prerequisite has committed — NOT at the completion time of the
+    /// last-*scheduled* prerequisite, which can finish earlier than one
+    /// scheduled before it (shorter reduce phase).
+    SimTime ready_time;
+  };
+  struct Event {
+    SimTime time;
+    std::uint32_t value;  ///< slot count (FREE) or job index (ADD)
+    bool add;
+  };
+
+  void activate(std::uint32_t job);
+  void finish(std::uint32_t job, SimTime done);
+  void push(Event e);
+
+  std::vector<Job> jobs_;
+  std::vector<std::uint32_t> job_rank_;
+  std::vector<std::uint32_t> job_order_;
+  /// Dependents of job j: deps_[dep_begin_[j] .. dep_begin_[j + 1]).
+  std::vector<std::uint32_t> dep_begin_;
+  std::vector<std::uint32_t> deps_;
+
+  // Per-run buffers.
+  std::vector<JobState> state_;
+  /// Active job queue A as a bitset over ranks; bits below word
+  /// active_low_ are all clear.
+  std::vector<std::uint64_t> active_;
+  std::size_t active_low_ = 0;
+  std::vector<Event> events_;  ///< min-heap on time
+  /// (time, tasks scheduled at that instant), appended in time order.
+  std::vector<std::pair<SimTime, std::uint64_t>> schedule_;
+};
+
 /// Algorithm 1: simulate W_i on `resource_cap` slots, jobs picked by
 /// ascending `job_rank` (rank 0 first), maps before reduces within a job,
 /// reduces gated on map-phase completion, and record every scheduling
 /// instant. `resource_cap` must be >= 1. The spec is not required to have a
 /// deadline (ttd anchoring is relative to the simulated makespan).
+/// Equivalent to PlanSimulator(spec, job_rank).run(resource_cap).
 ///
 /// Deviation from the paper's pseudo-code, documented in DESIGN.md: the
 /// printed Algorithm 1 never returns slots to the pool (no FREE events are

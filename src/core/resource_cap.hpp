@@ -4,7 +4,7 @@
 // A plan generated with the full cluster as cap assumes W_i monopolizes the
 // cluster; anchored at the deadline, such a plan demands nothing early and a
 // burst of resources right before the deadline — too late under contention
-// (paper Fig. 2(a)). The fix: binary-search the *minimum* cap whose simulated
+// (paper Fig. 2(a)). The fix: binary-search a small cap whose simulated
 // makespan still meets the relative deadline, which pulls the requirements as
 // early as possible without being infeasible (Fig. 2(b)).
 #pragma once
@@ -19,16 +19,21 @@ namespace woha::core {
 
 enum class CapPolicy : std::uint8_t {
   kFullCluster,  ///< cap = total cluster slots (the naive generator)
-  kMinFeasible,  ///< binary search for the smallest deadline-meeting cap
+  kMinFeasible,  ///< binary search for a deadline-meeting cap (min_feasible_cap)
   kFixed,        ///< a caller-specified constant cap
 };
 
 [[nodiscard]] const char* to_string(CapPolicy policy);
 
-/// Smallest cap in [1, max_cap] such that the plan's simulated makespan is
-/// <= relative_deadline, or nullopt when even max_cap is infeasible.
-/// Uses the fact that the simulated makespan is non-increasing in the cap.
-/// Cost: O(log max_cap) plan generations, all client-side.
+/// A deadline-meeting cap found by binary search over [1, max_cap], or
+/// nullopt when max_cap itself is infeasible. The probe sequence is fixed
+/// by lo/hi: the returned cap is feasible and cap - 1 is infeasible (or cap
+/// is 1). The simulated makespan is NOT monotone in the cap (Graham
+/// anomalies), so a smaller feasible cap can exist below an infeasible one;
+/// the search does not look for it. Each probe is answered exactly, by
+/// bounds or a kept run where one applies and by Algorithm 1 otherwise
+/// (DESIGN.md §3b). Cost: at most O(log max_cap) plan generations, all
+/// client-side.
 [[nodiscard]] std::optional<std::uint32_t> min_feasible_cap(
     const wf::WorkflowSpec& spec, const std::vector<std::uint32_t>& job_rank,
     Duration relative_deadline, std::uint32_t max_cap);

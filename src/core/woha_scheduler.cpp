@@ -65,15 +65,15 @@ void WohaScheduler::on_pending_submissions(
 
   // Plan generation is pure in (spec, slots, knobs): every worker reads
   // only immutable inputs and writes its own slot, so no synchronization
-  // beyond wait_idle is needed. The bulk wall time lands in the same
-  // plan-generation histogram the serial path feeds.
+  // beyond wait_idle is needed. The batch is not timed: the
+  // plan-generation histogram takes one sample per submission, in
+  // on_workflow_submitted, whether the plan was prewarmed or not.
   std::vector<std::shared_ptr<const SchedulingPlan>> plans(unique.size());
   std::vector<std::exception_ptr> errors(unique.size());
   // Touchpoint instances for the per-plan output slots: workers write their
   // own slot, the install loop reads them only after wait_idle's HB edge.
   const std::uint64_t slot_base = analysis::new_instance_block(unique.size());
   {
-    const obs::ScopedTimer plan_timer(plan_ns_);
     ThreadPool pool(ThreadPool::resolve(config_.plan_jobs));
     for (std::size_t i = 0; i < unique.size(); ++i) {
       pool.submit([this, &plans, &errors, &unique, i, total_slots, slot_base]() {

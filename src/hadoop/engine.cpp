@@ -924,40 +924,46 @@ bool Engine::try_speculate(SlotType type, std::size_t tracker_index) {
     }
     if (blacklisted(a.ref, tracker_index)) continue;
 
-    // Launch the backup. It occupies a slot and burns budget metrics but
-    // is NOT new task progress: no job/rho accounting, no select_task.
+    // Launch the backup. Copies, not references: `id` lives in the
+    // candidate-set node erased below, and attempts_.emplace can reallocate
+    // the table `a` points into.
+    const std::uint64_t original_id = id;
+    const Attempt original = a;
+    // The backup occupies a slot and burns budget metrics but is NOT new
+    // task progress: no job/rho accounting, no select_task.
     cluster_.occupy(tracker_index, type);
     ++tasks_executed_;
     ++speculative_launched_;
     if (handles_.tasks_started) handles_.tasks_started->add();
     if (handles_.speculative_launched) handles_.speculative_launched->add();
     bool will_fail = false;
-    const Duration dur = draw_attempt(a.ref, type, tracker_index, will_fail);
+    const Duration dur = draw_attempt(original.ref, type, tracker_index, will_fail);
     busy_ms_[static_cast<std::size_t>(type)] += static_cast<double>(dur);
     const std::uint64_t backup_id = next_attempt_id_++;
     if (events_.active()) {
-      events_.publish(now, obs::SpeculativeLaunched{backup_id, id,
-                                                    a.ref.workflow, a.ref.job,
-                                                    type, tracker_index});
-      events_.publish(now, obs::TaskStarted{backup_id, a.ref.workflow,
-                                            a.ref.job, type, tracker_index,
-                                            dur, true});
+      events_.publish(now, obs::SpeculativeLaunched{backup_id, original_id,
+                                                    original.ref.workflow,
+                                                    original.ref.job, type,
+                                                    tracker_index});
+      events_.publish(now, obs::TaskStarted{backup_id, original.ref.workflow,
+                                            original.ref.job, type,
+                                            tracker_index, dur, true});
     }
-    Attempt backup{a.ref,         type,      tracker_index, now, dur,
-                   a.retry_level, will_fail, true,          id,  {}};
+    Attempt backup{original.ref,         type,      tracker_index, now,         dur,
+                   original.retry_level, will_fail, true,          original_id, {}};
     backup.finish_event =
         sim_.schedule_after(dur, [this, backup_id]() { finish_attempt(backup_id); });
     index_attempt_add(backup_id, backup);
     attempts_.emplace(backup_id, std::move(backup));
     tracker_attempts_[tracker_index].push_back(backup_id);
     WOHA_LOG(LogLevel::kDebug, "engine")
-        << "t=" << now << " speculative backup for w" << a.ref.workflow << "/j"
-        << a.ref.job << " on tracker " << tracker_index;
+        << "t=" << now << " speculative backup for w" << original.ref.workflow
+        << "/j" << original.ref.job << " on tracker " << tracker_index;
     // The original now has a rival: retire it from the candidate set. We
     // return immediately, so the invalidated loop iterator is never
     // advanced.
-    spec_candidate_remove(id, a);
-    attempts_.at(id).rival = backup_id;
+    spec_candidate_remove(original_id, original);
+    attempts_.at(original_id).rival = backup_id;
     return true;
   }
   return false;

@@ -68,17 +68,4 @@ Duration total_work(const WorkflowSpec& spec) {
   return w;
 }
 
-std::uint64_t max_parallel_tasks(const WorkflowSpec& spec) {
-  // Upper bound: the largest single-phase task count across jobs summed over
-  // an antichain is at most the total of per-job maxima; a cheap safe bound
-  // is the max over jobs of max(m, r) summed over all jobs that could run
-  // concurrently. We use the simple safe bound: sum over all jobs of
-  // max(maps, reduces) — never an underestimate.
-  std::uint64_t n = 0;
-  for (const auto& job : spec.jobs) {
-    n += std::max<std::uint64_t>(job.num_maps, job.num_reduces);
-  }
-  return std::max<std::uint64_t>(n, 1);
-}
-
 }  // namespace woha::wf

@@ -38,8 +38,4 @@ namespace woha::wf {
 /// concurrent slots needs at least total_work/c time (second lower bound).
 [[nodiscard]] Duration total_work(const WorkflowSpec& spec);
 
-/// Maximum width of the DAG in tasks: an upper bound on how many slots the
-/// workflow can ever use at once (used to clamp the resource-cap search).
-[[nodiscard]] std::uint64_t max_parallel_tasks(const WorkflowSpec& spec);
-
 }  // namespace woha::wf

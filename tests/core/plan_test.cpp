@@ -161,6 +161,9 @@ TEST(Plan, RejectsBadArguments) {
   const auto spec = wf::chain(2);
   EXPECT_THROW((void)generate_plan(spec, 0, identity_rank(2)), std::invalid_argument);
   EXPECT_THROW((void)generate_plan(spec, 2, identity_rank(3)), std::invalid_argument);
+  // job_rank must be a permutation of 0..jobs-1.
+  EXPECT_THROW((void)generate_plan(spec, 2, {0, 0}), std::invalid_argument);
+  EXPECT_THROW((void)generate_plan(spec, 2, {0, 2}), std::invalid_argument);
 }
 
 TEST(Plan, ReduceOnlyJobSupported) {

@@ -9,6 +9,8 @@
 #include "core/woha_scheduler.hpp"
 #include "hadoop/engine.hpp"
 #include "sched/fifo_scheduler.hpp"
+#include "trace/arrivals.hpp"
+#include "trace/scale_workload.hpp"
 #include "workflow/topology.hpp"
 
 namespace woha::hadoop {
@@ -239,6 +241,47 @@ TEST(Speculation, StragglersGetBackupsAndAccountingBalances) {
             spec.total_tasks() + summary.tasks_failed + summary.attempts_killed);
   // Without node churn every race resolves by killing exactly one rival.
   EXPECT_EQ(summary.attempts_killed, summary.speculative_launched);
+  EXPECT_LE(summary.speculative_won, summary.speculative_launched);
+}
+
+TEST(Speculation, BackupsUnderChurnAndSheddingRunCleanly) {
+  // The benchmark's churn recipe (crashes, task failures, one-strike
+  // blacklisting, jitter, shedding at rho 1.3) on 20 trackers, with
+  // speculation on. Each backup launch retires the original from the
+  // candidate set and grows the attempt table; it must not read the
+  // candidate id or the original attempt through a dangling reference
+  // afterwards (AddressSanitizer builds check this on the first launch).
+  constexpr std::uint32_t kTrackers = 20;
+  constexpr std::uint64_t kSeed = 4;
+  EngineConfig config;
+  config.cluster.num_trackers = kTrackers;
+  config.cluster.map_slots_per_tracker = 2;
+  config.cluster.reduce_slots_per_tracker = 1;
+  config.seed = kSeed;
+  config.duration_jitter_sigma = 0.3;
+  config.task_failure_prob = 0.01;
+  config.faults.seed = kSeed + 1;
+  config.faults.tracker_mtbf = static_cast<double>(hours(6));
+  config.faults.max_attempts = 4;
+  config.faults.blacklist_task_failures = 1;
+  config.faults.speculative_execution = true;
+  config.horizon = minutes(120);
+  config.admission.policy = AdmissionPolicy::kShedLatestDeadlineFirst;
+  config.admission.max_pending_workflows = kTrackers / 4;
+  auto specs = trace::scale_workload(kTrackers, kSeed);
+  trace::ArrivalConfig arrivals;
+  arrivals.shape = trace::ArrivalShape::kPoisson;
+  arrivals.rho = 1.3;
+  arrivals.cluster_slots = config.cluster.total_slots();
+  trace::assign_open_loop_arrivals(specs, kSeed, arrivals);
+
+  core::WohaConfig woha;
+  woha.job_priority = core::JobPriorityPolicy::kLpf;
+  Engine engine(config, std::make_unique<core::WohaScheduler>(woha));
+  for (const auto& spec : specs) engine.submit(spec);
+  engine.run();
+  const auto summary = engine.summarize();
+  EXPECT_GT(summary.speculative_launched, 0u);
   EXPECT_LE(summary.speculative_won, summary.speculative_launched);
 }
 

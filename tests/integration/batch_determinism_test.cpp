@@ -14,6 +14,7 @@
 #include "hadoop/engine.hpp"
 #include "metrics/grid.hpp"
 #include "metrics/metrics.hpp"
+#include "obs/metrics_registry.hpp"
 #include "overload_scenario.hpp"
 #include "trace/paper_workloads.hpp"
 #include "trace/scale_workload.hpp"
@@ -131,6 +132,28 @@ TEST(BatchDeterminism, PrewarmKeepsPlanCacheTalliesSerial) {
   EXPECT_EQ(warm_misses, serial_misses);
   EXPECT_GT(warm_misses, 0u);  // the prewarmed plans were actually claimed
   EXPECT_EQ(warm_makespan, serial_makespan);
+}
+
+TEST(BatchDeterminism, PlanGenerationHistogramSamplesEverySubmissionOnce) {
+  // woha.plan_generation_ns is a per-plan latency: one sample per
+  // submission, whether the plan was computed at submission or claimed from
+  // the prewarm. A sample for the whole prewarm batch would swamp it.
+  const auto workload = trace::fig11_scenario();
+  for (const unsigned plan_jobs : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "plan_jobs " << plan_jobs);
+    core::WohaConfig wc;
+    wc.plan_jobs = plan_jobs;
+    hadoop::EngineConfig config;
+    config.cluster = hadoop::ClusterConfig::paper_32_slaves();
+    obs::MetricsRegistry registry;
+    hadoop::Engine engine(config, std::make_unique<core::WohaScheduler>(wc));
+    engine.set_metrics_registry(&registry);
+    for (const auto& spec : workload) engine.submit(spec);
+    engine.run();
+    const obs::Histogram* plans = registry.find_histogram("woha.plan_generation_ns");
+    ASSERT_NE(plans, nullptr);
+    EXPECT_EQ(plans->count(), workload.size());
+  }
 }
 
 }  // namespace

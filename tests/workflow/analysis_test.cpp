@@ -108,16 +108,6 @@ TEST(Analysis, TotalWork) {
   EXPECT_EQ(total_work(spec), 2 * (4 * 10 + 2 * 100));
 }
 
-TEST(Analysis, MaxParallelTasksIsUpperBound) {
-  JobShape s;
-  s.num_maps = 7;
-  s.num_reduces = 2;
-  const auto spec = diamond(3, s);
-  // Never less than the widest single job, never less than 1.
-  EXPECT_GE(max_parallel_tasks(spec), 7u);
-  EXPECT_GE(max_parallel_tasks(chain(1, s)), 7u);
-}
-
 TEST(Analysis, CyclicGraphThrows) {
   WorkflowSpec spec;
   spec.jobs.resize(2);
