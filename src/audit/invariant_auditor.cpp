@@ -219,6 +219,8 @@ void InvariantAuditor::on_event(const obs::Event& event) {
     draining_.push_back(false);
     retired_.push_back(false);
     check_tracker_slots(joined->tracker, t);
+  } else if (const auto* activated = std::get_if<obs::JobActivated>(&event.payload)) {
+    activated_.push_back(hadoop::JobRef{activated->workflow, activated->job});
   } else if (const auto* plan = std::get_if<obs::PlanGenerated>(&event.payload)) {
     check_plan(plan->workflow, t);
   } else if (const auto* reorder =
@@ -407,6 +409,48 @@ void InvariantAuditor::full_sweep() {
   check_cluster(t);
   check_scheduler(t);
   check_admission(t);
+  check_runnable_index(t);
+}
+
+void InvariantAuditor::check_runnable_index(SimTime t) {
+  const auto& tracker = engine_.job_tracker();
+  std::erase_if(activated_, [&tracker](hadoop::JobRef ref) {
+    const hadoop::JobState state = tracker.job(ref).state();
+    return state == hadoop::JobState::kComplete || state == hadoop::JobState::kFailed;
+  });
+  const auto label = [](hadoop::JobRef ref) {
+    return "w" + std::to_string(ref.workflow) + "/j" + std::to_string(ref.job);
+  };
+  for (const SlotType s : {SlotType::kMap, SlotType::kReduce}) {
+    const std::string type = s == SlotType::kMap ? "map" : "reduce";
+    std::vector<hadoop::JobRef> expected;
+    for (const hadoop::JobRef ref : activated_) {
+      if (tracker.job(ref).has_available(s)) expected.push_back(ref);
+    }
+    std::vector<hadoop::JobRef> indexed;
+    tracker.visit_runnable_jobs(s, [&indexed](hadoop::JobRef ref) {
+      indexed.push_back(ref);
+      return true;
+    });
+    const auto [e, i] =
+        std::mismatch(expected.begin(), expected.end(), indexed.begin(), indexed.end());
+    if (e != expected.end() || i != indexed.end()) {
+      fail("runnable-index-order", t,
+           e == expected.end() ? std::int64_t{-1} : std::int64_t{e->job},
+           i == indexed.end() ? std::int64_t{-1} : std::int64_t{i->job},
+           type + " runnable job " + std::to_string(e - expected.begin()) +
+               " in activation order is " +
+               (e == expected.end() ? std::string("none") : label(*e)) +
+               ", the tracker's index has " +
+               (i == indexed.end() ? std::string("none") : label(*i)),
+           e == expected.end() ? i->workflow : e->workflow);
+    }
+    if (expected.size() != tracker.available_jobs(s)) {
+      fail("runnable-index-count", t, static_cast<std::int64_t>(expected.size()),
+           static_cast<std::int64_t>(tracker.available_jobs(s)),
+           type + " available_jobs disagrees with the recomputed runnable jobs");
+    }
+  }
 }
 
 void InvariantAuditor::check_admission(SimTime t) const {

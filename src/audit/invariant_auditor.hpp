@@ -22,7 +22,10 @@
 //  * scheduler queue structure via SchedulerQueue::check_structure():
 //    DSL/BST cached keys in sync with trackers, both internal orderings
 //    sorted, and ct/priority lists in head-to-tail agreement over the same
-//    id set.
+//    id set,
+//  * the JobTracker's runnable-job index (what FIFO and Fair schedule
+//    from): per slot type, exactly the jobs with has_available, in the
+//    activation order the JobActivated events gave, and its count.
 //
 // Violations throw InvariantViolation with a structured dump (sim time,
 // invariant name, workflow, expected/actual) so a CI failure pinpoints the
@@ -41,6 +44,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "hadoop/job.hpp"
 #include "obs/event_bus.hpp"
 
 namespace woha::hadoop {
@@ -124,6 +128,10 @@ class InvariantAuditor {
   /// Admission conservation (submitted == admitted + rejected, shed <=
   /// admitted) and the pending-budget bound under enforcing policies.
   void check_admission(SimTime t) const;
+  /// Recompute each slot type's runnable jobs from activated_ and compare
+  /// them, in order, and their count with the JobTracker's index. Drops
+  /// completed and failed jobs from activated_ (they never run again).
+  void check_runnable_index(SimTime t);
 
   [[noreturn]] static void fail(const std::string& invariant, SimTime t,
                                 std::int64_t expected, std::int64_t actual,
@@ -157,6 +165,9 @@ class InvariantAuditor {
   std::uint64_t admitted_seen_ = 0;
   std::uint64_t rejected_seen_ = 0;
   std::uint64_t shed_seen_ = 0;
+
+  /// Activated jobs not yet seen complete or failed, in JobActivated order.
+  std::vector<hadoop::JobRef> activated_;
 
   std::uint64_t events_seen_ = 0;
   std::uint64_t heartbeats_seen_ = 0;

@@ -10,7 +10,7 @@ void JobInProgress::sync_avail() {
     const bool now_avail = has_available(t);
     if (now_avail != avail_cached_[s]) {
       avail_cached_[s] = now_avail;
-      if (owner_) owner_->on_job_avail_changed(t, now_avail ? +1 : -1);
+      if (owner_) owner_->on_job_avail_changed(*this, t, now_avail);
     }
   }
 }
@@ -183,13 +183,18 @@ std::vector<std::uint32_t> WorkflowRuntime::on_job_complete(std::uint32_t j,
   return unlocked;
 }
 
-void WorkflowRuntime::on_job_avail_changed(SlotType t, int delta) {
+void WorkflowRuntime::on_job_avail_changed(JobInProgress& job, SlotType t,
+                                           bool available) {
   auto& count = avail_jobs_[static_cast<std::size_t>(t)];
-  if (delta < 0 && count == 0) {
-    throw std::logic_error("WorkflowRuntime: availability count underflow");
+  if (available) {
+    ++count;
+  } else {
+    if (count == 0) {
+      throw std::logic_error("WorkflowRuntime: availability count underflow");
+    }
+    --count;
   }
-  count += static_cast<std::uint32_t>(delta);
-  if (listener_) listener_->on_available_jobs_changed(id_, t, delta);
+  if (listener_) listener_->on_job_availability_changed(job, t, available);
 }
 
 void WorkflowRuntime::mark_failed(SimTime now) {

@@ -25,17 +25,21 @@ struct JobRef {
   friend constexpr auto operator<=>(const JobRef&, const JobRef&) = default;
 };
 
+class JobInProgress;
 class WorkflowRuntime;
 
-/// Receives incremental availability deltas from every workflow (the
-/// JobTracker implements this to maintain cluster-global per-slot-type
-/// counts of schedulable jobs, so schedulers can answer "is anything at all
-/// runnable?" in O(1) instead of scanning their queues).
+/// Receives every has_available flip of every job of a workflow, after the
+/// workflow's own available_jobs count has absorbed it. The JobTracker
+/// implements this to keep its per-slot-type runnable-job index (jobs with
+/// an assignable task, in activation order) and to report each workflow's
+/// available_jobs crossing zero, so schedulers read who can use a slot
+/// instead of scanning their queues.
 class AvailabilityListener {
  public:
   virtual ~AvailabilityListener() = default;
-  /// `delta` is +1 (a job of `wf` became schedulable for type `t`) or -1.
-  virtual void on_available_jobs_changed(WorkflowId wf, SlotType t, int delta) = 0;
+  /// `job` gained (`available`) or lost its last assignable task of type `t`.
+  virtual void on_job_availability_changed(JobInProgress& job, SlotType t,
+                                           bool available) = 0;
 };
 
 enum class JobState : std::uint8_t {
@@ -122,6 +126,9 @@ class JobInProgress {
 
  private:
   friend class WorkflowRuntime;
+  friend class JobTracker;  // assigns activation_seq_
+
+  static constexpr std::uint32_t kNoSeq = 0xffffffffu;
 
   /// Re-derive both has_available flags and push deltas to the owning
   /// workflow when one flipped. Every mutator ends with this call, so the
@@ -132,6 +139,10 @@ class JobInProgress {
   const wf::JobSpec* spec_;
   WorkflowRuntime* owner_ = nullptr;  ///< set by WorkflowRuntime; never reseated
   bool avail_cached_[2] = {false, false};
+  /// Cluster-wide activation sequence number, the job's place in the
+  /// JobTracker's runnable index. Assigned when the job first gains an
+  /// assignable task, which happens inside mark_active.
+  std::uint32_t activation_seq_ = kNoSeq;
   JobState state_ = JobState::kWaiting;
   std::uint32_t pending_maps_;
   std::uint32_t running_maps_ = 0;
@@ -196,7 +207,7 @@ class WorkflowRuntime {
   [[nodiscard]] std::uint32_t available_jobs(SlotType t) const {
     return avail_jobs_[static_cast<std::size_t>(t)];
   }
-  /// Forward availability deltas (typically to the owning JobTracker).
+  /// Forward every job's availability flip (to the owning JobTracker).
   void set_availability_listener(AvailabilityListener* listener) {
     listener_ = listener;
   }
@@ -218,7 +229,7 @@ class WorkflowRuntime {
 
  private:
   friend class JobInProgress;
-  void on_job_avail_changed(SlotType t, int delta);
+  void on_job_avail_changed(JobInProgress& job, SlotType t, bool available);
 
   WorkflowId id_;
   wf::WorkflowSpec spec_;

@@ -3,6 +3,8 @@
 // this class owns the state.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -15,6 +17,16 @@ class EventBus;
 }  // namespace woha::obs
 
 namespace woha::hadoop {
+
+/// Receives each workflow's available_jobs(t) crossing zero (Fair keeps
+/// its ordering of runnable workflows with it).
+class RunnableWorkflowListener {
+ public:
+  virtual ~RunnableWorkflowListener() = default;
+  /// available_jobs(t) of `wf` went 0 -> 1 (`runnable`) or 1 -> 0.
+  virtual void on_workflow_runnable_changed(WorkflowId wf, SlotType t,
+                                            bool runnable) = 0;
+};
 
 class JobTracker : public AvailabilityListener {
  public:
@@ -49,22 +61,55 @@ class JobTracker : public AvailabilityListener {
   [[nodiscard]] std::uint32_t active_workflows() const { return active_workflows_; }
   void count_workflow_finished() { --active_workflows_; }
 
-  /// Cluster-global count of jobs with has_available(t), across every
-  /// workflow. Maintained incrementally by the per-job availability index;
-  /// lets the heartbeat path answer "could ANY task use this slot?" in O(1)
-  /// before consulting the scheduler's queue.
+  /// Cluster-global count of jobs with has_available(t): the size of the
+  /// runnable index, so "could ANY task use this slot?" is one read.
   [[nodiscard]] std::uint64_t available_jobs(SlotType t) const {
-    return available_jobs_[static_cast<std::size_t>(t)];
+    return runnable_[static_cast<std::size_t>(t)].count;
   }
 
-  void on_available_jobs_changed(WorkflowId wf, SlotType t, int delta) override;
+  /// Visit every job with has_available(t) in activation order (the order
+  /// in which mark_active ran) until `visit` returns false. The oldest is a
+  /// word read; the walk skips non-runnable jobs 64 at a time.
+  template <class Visit>
+  void visit_runnable_jobs(SlotType t, Visit&& visit) const {
+    const RunnableIndex& index = runnable_[static_cast<std::size_t>(t)];
+    for (std::size_t w = index.low; w < index.words.size(); ++w) {
+      for (std::uint64_t bits = index.words[w]; bits != 0; bits &= bits - 1) {
+        const auto seq = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        if (!visit(activated_[seq])) return;
+      }
+    }
+  }
+
+  /// Report every workflow's available_jobs(t) crossing zero to `listener`
+  /// (nullptr stops the reports). One listener at a time. Registering does
+  /// not change tracker state, so a scheduler may do it through the const
+  /// tracker that WorkflowScheduler::attach hands it.
+  void watch_runnable_workflows(RunnableWorkflowListener* listener) const {
+    workflow_listener_ = listener;
+  }
+
+  void on_job_availability_changed(JobInProgress& job, SlotType t,
+                                   bool available) override;
 
  private:
+  /// One slot type's runnable jobs: bit s is set iff the job with
+  /// activation sequence s has an assignable task. `low` is the first
+  /// non-zero word (words.size() when none is), and moves back when an
+  /// older job becomes runnable again (a retry, lost map outputs).
+  struct RunnableIndex {
+    std::vector<std::uint64_t> words;
+    std::size_t low = 0;
+    std::uint64_t count = 0;
+  };
+
   // unique_ptr: WorkflowRuntime addresses must stay stable across
   // submissions because schedulers hold references between calls.
   std::vector<std::unique_ptr<WorkflowRuntime>> workflows_;
   std::uint32_t active_workflows_ = 0;
-  std::uint64_t available_jobs_[2] = {0, 0};
+  std::vector<JobRef> activated_;  ///< by activation sequence number
+  RunnableIndex runnable_[2];
+  mutable RunnableWorkflowListener* workflow_listener_ = nullptr;
   obs::EventBus* bus_ = nullptr;
 };
 

@@ -214,8 +214,10 @@ struct QueueReordered {
 ///   WOHA-*  — requirement = F_i(ttd), rho = rho_i, score = lag (descending);
 ///   EDF     — score = absolute workflow deadline (ascending);
 ///   EDF-JOB — score = virtual job deadline (ascending), job is set;
-///   Fair    — score = running task count (ascending);
-///   FIFO    — score = queue position (ascending), job is set.
+///   Fair    — workflows runnable for the slot type, score = running task
+///             count (ascending, ties by id);
+///   FIFO    — jobs runnable for the slot type, score = position in
+///             activation order (ascending), job is set.
 struct SchedulerDecision {
   static constexpr std::uint32_t kNoJob = 0xffffffffu;
 

@@ -1,92 +1,114 @@
 #include "sched/fair_scheduler.hpp"
 
-#include <algorithm>
-#include <limits>
-
 #include "obs/event_bus.hpp"
 
 namespace woha::sched {
 
+FairScheduler::~FairScheduler() {
+  if (tracker_ != nullptr) tracker_->watch_runnable_workflows(nullptr);
+}
+
+void FairScheduler::attach(const hadoop::JobTracker* tracker) {
+  WorkflowScheduler::attach(tracker);
+  tracker_->watch_runnable_workflows(this);
+}
+
 void FairScheduler::on_workflow_submitted(WorkflowId wf, SimTime now) {
   (void)now;
-  workflows_.push_back(WorkflowShare{wf, 0});
+  // No job is active yet: the workflow joins an ordering on its first
+  // runnable report.
+  if (shares_.size() <= wf.value()) shares_.resize(wf.value() + 1);
+  shares_[wf.value()].live = true;
 }
 
 void FairScheduler::on_job_activated(hadoop::JobRef job, SimTime now) {
   (void)now;
-  active_jobs_[job.workflow].push_back(job.job);
+  shares_[job.workflow].jobs.push_back(job.job);
+}
+
+void FairScheduler::on_workflow_runnable_changed(WorkflowId wf, SlotType t,
+                                                 bool runnable) {
+  // Teardown (mark_failed / mark_shed) may report flips for a workflow this
+  // scheduler has already dropped.
+  if (!shares_[wf.value()].live) return;
+  const std::uint64_t k = key(shares_[wf.value()].running_tasks, wf.value());
+  auto& order = runnable_[static_cast<std::size_t>(t)];
+  if (runnable) {
+    order.insert(k);
+  } else {
+    order.erase(k);
+  }
+}
+
+void FairScheduler::set_running(std::uint32_t wf, std::uint32_t running_tasks) {
+  Share& share = shares_[wf];
+  for (auto& order : runnable_) {
+    // Re-key in place: the extracted node is reused, so nothing allocates.
+    auto node = order.extract(key(share.running_tasks, wf));
+    if (node.empty()) continue;
+    node.value() = key(running_tasks, wf);
+    order.insert(std::move(node));
+  }
+  share.running_tasks = running_tasks;
 }
 
 void FairScheduler::on_task_finished(hadoop::JobRef job, SlotType t, SimTime now) {
   (void)t;
   (void)now;
-  for (auto& share : workflows_) {
-    if (share.id.value() == job.workflow) {
-      --share.running_tasks;
-      return;
-    }
-  }
+  if (!shares_[job.workflow].live) return;
+  // Unsigned on purpose: finishes of attempts Fair never picked (speculative
+  // backups) can wrap the count, and a wrapped count sorts last.
+  set_running(job.workflow, shares_[job.workflow].running_tasks - 1);
 }
 
 void FairScheduler::on_workflow_completed(WorkflowId wf, SimTime now) {
   (void)now;
-  std::erase_if(workflows_, [wf](const WorkflowShare& s) { return s.id == wf; });
-  active_jobs_.erase(wf.value());
+  Share& share = shares_[wf.value()];
+  for (auto& order : runnable_) order.erase(key(share.running_tasks, wf.value()));
+  share = Share{};
 }
 
 std::optional<hadoop::JobRef> FairScheduler::select_task(const hadoop::SlotOffer& slot,
                                                          SimTime now) {
-  if (nothing_available(slot.type)) return std::nullopt;
-  // Most-starved workflow first: fewest running tasks, ties by workflow id
-  // (submission order) for determinism.
-  WorkflowShare* best = nullptr;
-  hadoop::JobRef best_job;
-  for (auto& share : workflows_) {
-    if (best && share.running_tasks >= best->running_tasks) continue;
-    // A workflow with zero available jobs of this type can never win;
-    // skipping it here avoids the per-job scan (same predicate, O(1)).
-    if (tracker_->workflow(share.id).available_jobs(slot.type) == 0) continue;
-    const auto it = active_jobs_.find(share.id.value());
-    if (it == active_jobs_.end()) continue;
-    for (std::uint32_t j : it->second) {
-      const hadoop::JobRef ref{share.id.value(), j};
+  // Most-starved runnable workflow first; the first one whose job the offer
+  // allows wins, its jobs tried in activation order. Unfiltered, that is the
+  // head of the ordering.
+  const auto& order = runnable_[static_cast<std::size_t>(slot.type)];
+  std::optional<hadoop::JobRef> choice;
+  for (const std::uint64_t k : order) {
+    const auto wf = static_cast<std::uint32_t>(k);
+    for (const std::uint32_t j : shares_[wf].jobs) {
+      const hadoop::JobRef ref{wf, j};
       if (tracker_->job(ref).has_available(slot.type) && slot.allows(ref)) {
-        best = &share;
-        best_job = ref;
+        choice = ref;
         break;
       }
     }
+    if (choice) break;
   }
   if (bus_ && bus_->active()) {
     obs::SchedulerDecision d;
     d.scheduler = name();
     d.slot = slot.type;
     d.tracker = slot.tracker;
-    d.assigned = best != nullptr;
-    if (best) {
-      d.workflow = best_job.workflow;
-      d.job = best_job.job;
+    d.assigned = choice.has_value();
+    if (choice) {
+      d.workflow = choice->workflow;
+      d.job = choice->job;
     }
-    // Ranking = workflows by ascending running-task count (pre-decision
-    // counts), ties by id — the fairness order this pick was made under.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> order;
-    order.reserve(workflows_.size());
-    for (const auto& share : workflows_) {
-      order.emplace_back(share.running_tasks, share.id.value());
-    }
-    std::sort(order.begin(), order.end());
-    const std::size_t k = std::min(order.size(), obs::kMaxRankedCandidates);
-    d.ranking.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) {
+    // Ranking = the runnable workflows for this slot type in fairness order
+    // (pre-decision counts), score = running tasks.
+    for (const std::uint64_t k : order) {
+      if (d.ranking.size() == obs::kMaxRankedCandidates) break;
       d.ranking.push_back(obs::SchedulerDecision::Candidate{
-          order[i].second, obs::SchedulerDecision::kNoJob,
-          static_cast<std::int64_t>(order[i].first), 0, 0});
+          static_cast<std::uint32_t>(k), obs::SchedulerDecision::kNoJob,
+          static_cast<std::int64_t>(k >> 32), 0, 0});
     }
     bus_->publish(now, std::move(d));
   }
-  if (!best) return std::nullopt;
-  ++best->running_tasks;
-  return best_job;
+  if (!choice) return std::nullopt;
+  set_running(choice->workflow, shares_[choice->workflow].running_tasks + 1);
+  return choice;
 }
 
 }  // namespace woha::sched

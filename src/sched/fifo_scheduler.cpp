@@ -1,41 +1,16 @@
 #include "sched/fifo_scheduler.hpp"
 
-#include <algorithm>
-
 #include "obs/event_bus.hpp"
 
 namespace woha::sched {
 
-void FifoScheduler::on_job_activated(hadoop::JobRef job, SimTime now) {
-  (void)now;
-  // Activation order == Hadoop submission order: the engine activates jobs
-  // in event order, so appending preserves FIFO semantics (ties broken by
-  // the deterministic event sequence).
-  queue_.push_back(job);
-}
-
-void FifoScheduler::on_job_completed(hadoop::JobRef job, SimTime now) {
-  (void)now;
-  queue_.erase(std::remove(queue_.begin(), queue_.end(), job), queue_.end());
-}
-
-void FifoScheduler::on_workflow_failed(WorkflowId wf, SimTime now) {
-  (void)now;
-  std::erase_if(queue_, [wf](const hadoop::JobRef& ref) {
-    return ref.workflow == wf.value();
-  });
-}
-
 std::optional<hadoop::JobRef> FifoScheduler::select_task(const hadoop::SlotOffer& slot,
                                                          SimTime now) {
-  if (nothing_available(slot.type)) return std::nullopt;
   std::optional<hadoop::JobRef> choice;
-  for (const hadoop::JobRef ref : queue_) {
-    if (tracker_->job(ref).has_available(slot.type) && slot.allows(ref)) {
-      choice = ref;
-      break;
-    }
-  }
+  tracker_->visit_runnable_jobs(slot.type, [&](hadoop::JobRef ref) {
+    if (slot.allows(ref)) choice = ref;
+    return !choice;
+  });
   if (bus_ && bus_->active()) {
     obs::SchedulerDecision d;
     d.scheduler = name();
@@ -46,13 +21,13 @@ std::optional<hadoop::JobRef> FifoScheduler::select_task(const hadoop::SlotOffer
       d.workflow = choice->workflow;
       d.job = choice->job;
     }
-    // Ranking = queue head in FIFO order; score is the queue position.
-    const std::size_t k = std::min(queue_.size(), obs::kMaxRankedCandidates);
-    d.ranking.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) {
+    // Ranking = the runnable jobs for this slot type in FIFO order; score is
+    // the position. Unfiltered, the pick is the first of them.
+    tracker_->visit_runnable_jobs(slot.type, [&d](hadoop::JobRef ref) {
       d.ranking.push_back(obs::SchedulerDecision::Candidate{
-          queue_[i].workflow, queue_[i].job, static_cast<std::int64_t>(i), 0, 0});
-    }
+          ref.workflow, ref.job, static_cast<std::int64_t>(d.ranking.size()), 0, 0});
+      return d.ranking.size() < obs::kMaxRankedCandidates;
+    });
     bus_->publish(now, std::move(d));
   }
   return choice;

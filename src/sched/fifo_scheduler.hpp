@@ -7,28 +7,23 @@
 // deadlines — exactly the information separation the paper criticizes.
 #pragma once
 
-#include <vector>
-
 #include "hadoop/job_tracker.hpp"
 #include "hadoop/scheduler.hpp"
 
 namespace woha::sched {
 
+/// Activation order is Hadoop submission order, and the JobTracker already
+/// keeps the jobs that have an assignable task in that order, so the
+/// scheduler holds no state: a pick is the first runnable job the offer
+/// allows.
 class FifoScheduler final : public hadoop::WorkflowScheduler {
  public:
   [[nodiscard]] std::string name() const override { return "FIFO"; }
 
   void on_workflow_submitted(WorkflowId, SimTime) override {}
-  void on_job_activated(hadoop::JobRef job, SimTime now) override;
-  void on_job_completed(hadoop::JobRef job, SimTime now) override;
-  void on_workflow_failed(WorkflowId wf, SimTime now) override;
+  void on_job_activated(hadoop::JobRef, SimTime) override {}
   std::optional<hadoop::JobRef> select_task(const hadoop::SlotOffer& slot,
                                             SimTime now) override;
-
- private:
-  // Jobs in Hadoop submission (activation) order. Completed jobs are removed
-  // lazily in select_task and eagerly in on_job_completed.
-  std::vector<hadoop::JobRef> queue_;
 };
 
 }  // namespace woha::sched

@@ -141,6 +141,34 @@ TEST(InvariantAuditor, SlotCorruptionThrowsStructuredViolation) {
   EXPECT_TRUE(corrupted);
 }
 
+TEST(InvariantAuditor, RunnableIndexDisagreementThrows) {
+  hadoop::Engine engine(small_cluster(), make_woha());
+  // Subscribed before the auditor: the first JobActivated is announced
+  // twice, so the auditor's activation order holds that job twice while
+  // the tracker's runnable index (rightly) holds it once.
+  bool duplicated = false;
+  engine.events().subscribe([&](const obs::Event& event) {
+    const auto* activated = std::get_if<obs::JobActivated>(&event.payload);
+    if (activated == nullptr || duplicated) return;
+    duplicated = true;
+    engine.events().publish(event.time, *activated);
+  });
+  AuditConfig audit_config;
+  audit_config.full_sweep_period = 1;
+  InvariantAuditor auditor(engine, audit_config);
+  auto spec = deadline_chain(hours(2));
+  for (auto& job : spec.jobs) job.num_maps = 40;  // outlasts one heartbeat
+  engine.submit(spec);
+  try {
+    engine.run();
+    FAIL() << "the runnable-index disagreement was not detected";
+  } catch (const InvariantViolation& violation) {
+    EXPECT_EQ(violation.invariant(), "runnable-index-order");
+    EXPECT_EQ(violation.workflow(), 0u);
+  }
+  EXPECT_TRUE(duplicated);
+}
+
 TEST(InvariantAuditor, EventTimeRegressionThrows) {
   hadoop::Engine engine(small_cluster(), make_woha());
   InvariantAuditor auditor(engine, AuditConfig{});

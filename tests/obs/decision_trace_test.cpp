@@ -75,6 +75,16 @@ TEST_P(DecisionTrace, EverySchedulerExplainsItsDecisions) {
       if (entry.label == "FIFO" || entry.label == "EDF-JOB") {
         EXPECT_NE(d.job, obs::SchedulerDecision::kNoJob);
       }
+      // FIFO and Fair rank the candidates that are runnable for the offered
+      // slot type, so an offer without a blacklist filter (this run has
+      // none) goes to the first of them.
+      if (entry.label == "FIFO" || entry.label == "Fair") {
+        ASSERT_FALSE(d.ranking.empty()) << entry.label;
+        EXPECT_EQ(d.ranking.front().workflow, d.workflow) << entry.label;
+        EXPECT_EQ(d.ranking.front().job,
+                  entry.label == "FIFO" ? d.job : obs::SchedulerDecision::kNoJob)
+            << entry.label;
+      }
     } else {
       // An idle decision must still explain itself: either the queue was
       // empty or every ranked candidate was ineligible for the slot.
