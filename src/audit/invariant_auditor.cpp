@@ -309,16 +309,32 @@ void InvariantAuditor::check_scheduler(SimTime t) const {
       dynamic_cast<const core::WohaScheduler*>(&engine_.scheduler());
   if (woha == nullptr) return;
 
+  const auto& job_tracker = engine_.job_tracker();
+  // Each slot type's ordering holds a queued workflow iff it is runnable
+  // for that type.
+  const auto runnable = [&job_tracker](std::uint32_t id, SlotType type) {
+    return job_tracker.workflow(WorkflowId(id)).available_jobs(type) > 0;
+  };
   try {
-    woha->queue().check_structure();
+    woha->queue().check_structure(runnable);
   } catch (const InvariantViolation&) {
     throw;
   } catch (const std::logic_error& e) {
     fail("queue-structure", t, 0, 1, e.what());
   }
 
-  std::vector<core::SchedulerQueue::QueueEntry> entries;
-  woha->queue().top(config_.max_sampled_workflows, entries);
+  for (const SlotType type : {SlotType::kMap, SlotType::kReduce}) {
+    std::vector<core::SchedulerQueue::QueueEntry> entries;
+    woha->queue().top(
+        type, config_.max_sampled_workflows,
+        [&runnable, type](std::uint32_t id) { return runnable(id, type); }, entries);
+    check_queue_entries(entries, *woha, t);
+  }
+}
+
+void InvariantAuditor::check_queue_entries(
+    const std::vector<core::SchedulerQueue::QueueEntry>& entries,
+    const core::WohaScheduler& woha, SimTime t) const {
   const auto& job_tracker = engine_.job_tracker();
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const auto& entry = entries[i];
@@ -359,7 +375,7 @@ void InvariantAuditor::check_scheduler(SimTime t) const {
            "task was never counted as scheduled",
            entry.id);
     }
-    if (const auto* plan = woha->plan_of(WorkflowId(entry.id))) {
+    if (const auto* plan = woha.plan_of(WorkflowId(entry.id))) {
       if (entry.requirement > plan->total_tasks()) {
         fail("requirement-ceiling", t,
              static_cast<std::int64_t>(plan->total_tasks()),

@@ -5,7 +5,7 @@
 // breaks: it rides the obs event bus (so it can never perturb the run — the
 // bus is synchronous, consumes no RNG draws, and publishes after state
 // transitions complete) and cross-checks the engine's visible state against
-// an independently maintained shadow after each heartbeat batch:
+// an independently maintained shadow after each heartbeat:
 //
 //  * event-stream time monotonicity (the discrete-event core must hand
 //    events out in nondecreasing sim-time order),
@@ -20,9 +20,9 @@
 //  * plan monotonicity: every F_i strictly decreases in ttd with
 //    non-decreasing cumulative requirements — re-checked after rollbacks,
 //  * scheduler queue structure via SchedulerQueue::check_structure():
-//    DSL/BST cached keys in sync with trackers, both internal orderings
-//    sorted, and ct/priority lists in head-to-tail agreement over the same
-//    id set,
+//    cached keys in sync with trackers, every ordering sorted, the ct
+//    ordering covering the queued workflows, and each slot type's ordering
+//    holding a queued workflow iff available_jobs(type) > 0,
 //  * the JobTracker's runnable-job index (what FIFO and Fair schedule
 //    from): per slot type, exactly the jobs with has_available, in the
 //    activation order the JobActivated events gave, and its count.
@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "core/scheduler_queue.hpp"
 #include "hadoop/job.hpp"
 #include "obs/event_bus.hpp"
 
@@ -86,8 +87,9 @@ struct AuditConfig {
   /// freelist walks, queue structure, workflow progress sampling). Per-event
   /// shadow updates and per-tracker heartbeat checks always run.
   std::uint64_t full_sweep_period = 64;
-  /// Queue entries examined per progress-accounting pass (head-first, i.e.
-  /// the workflows actually steering decisions).
+  /// Queue entries examined per slot type and progress-accounting pass
+  /// (head-first in that type's ordering, i.e. the workflows actually
+  /// steering decisions).
   std::size_t max_sampled_workflows = 64;
 };
 
@@ -120,8 +122,13 @@ class InvariantAuditor {
   void check_tracker_slots(std::size_t tracker, SimTime t) const;
   /// Aggregate free-slot totals and freelist shape across every tracker.
   void check_cluster(SimTime t) const;
-  /// Queue structure + head-sampled per-workflow progress accounting.
+  /// Queue structure (each slot type's ordering holding exactly the
+  /// workflows runnable for it) + head-sampled per-workflow progress
+  /// accounting.
   void check_scheduler(SimTime t) const;
+  /// Priority order and progress accounting of one top() sample.
+  void check_queue_entries(const std::vector<core::SchedulerQueue::QueueEntry>& entries,
+                           const core::WohaScheduler& woha, SimTime t) const;
   /// F_i shape for one workflow's plan (no-op for non-WOHA schedulers or
   /// already-dequeued workflows).
   void check_plan(std::uint32_t workflow, SimTime t) const;

@@ -1,5 +1,5 @@
 // Arena-backed AVL tree — the cache-friendly replacement for the std::map
-// orderings in BstQueue (paper Fig. 13(a), "WOHA-BST").
+// orderings of the BST queue kinds (paper Fig. 13(a), "WOHA-BST").
 //
 // std::map's red-black nodes are ~56-byte individual heap allocations, so a
 // root-to-leaf descent at 100k queued workflows is a chain of cold cache
@@ -9,7 +9,7 @@
 // pattern (erase + insert per AssignTask) runs allocation-free, and index
 // links survive vector growth (no pointer fixups).
 //
-// The ablation semantics BstQueue needs are preserved explicitly:
+// The ablation semantics the BST queue kinds need are preserved explicitly:
 //   * min_node()    — O(1) cached leftmost (std::map's begin(), "BST"), and
 //   * min_descend() — a root-to-leftmost walk (the textbook balanced BST of
 //                     the paper's comparison, "BSTplain").
@@ -69,28 +69,16 @@ class FlatTree {
   /// In-order (ascending-key) walk; the visitor returns false to stop.
   template <class Visitor>
   void for_each(Visitor&& visit) const {
-    walk(root_, visit);
-  }
-
-  /// In-order walk over keys >= `from` (lower_bound + forward iteration).
-  /// The visitor returns false to stop.
-  template <class Visitor>
-  void for_each_from(const Key& from, Visitor&& visit) const {
-    // Seed the explicit stack with the path to the first key >= from: at
-    // each node either descend right (node too small — not on the path) or
-    // record it and descend left.
     std::uint32_t stack[kMaxHeight];
     int top = 0;
-    std::uint32_t n = root_;
-    while (n != kNil) {
-      if (nodes_[n].key < from) {
-        n = nodes_[n].right;
-      } else {
-        stack[top++] = n;
-        n = nodes_[n].left;
+    for (std::uint32_t n = root_; n != kNil; n = nodes_[n].left) stack[top++] = n;
+    while (top > 0) {
+      const std::uint32_t n = stack[--top];
+      if (!visit(nodes_[n].key, nodes_[n].value)) return;
+      for (std::uint32_t r = nodes_[n].right; r != kNil; r = nodes_[r].left) {
+        stack[top++] = r;
       }
     }
-    resume_walk(stack, top, visit);
   }
 
   /// Structural audit: ordering, AVL balance, cached heights, size and the
@@ -124,31 +112,6 @@ class FlatTree {
 
   // AVL height is < 1.45 * log2(n); 64 covers any 32-bit-indexed arena.
   static constexpr int kMaxHeight = 64;
-
-  template <class Visitor>
-  void walk(std::uint32_t from, Visitor& visit) const {
-    std::uint32_t stack[kMaxHeight];
-    int top = 0;
-    std::uint32_t n = from;
-    while (n != kNil) {
-      stack[top++] = n;
-      n = nodes_[n].left;
-    }
-    resume_walk(stack, top, visit);
-  }
-
-  template <class Visitor>
-  void resume_walk(std::uint32_t* stack, int top, Visitor& visit) const {
-    while (top > 0) {
-      const std::uint32_t n = stack[--top];
-      if (!visit(nodes_[n].key, nodes_[n].value)) return;
-      std::uint32_t r = nodes_[n].right;
-      while (r != kNil) {
-        stack[top++] = r;
-        r = nodes_[r].left;
-      }
-    }
-  }
 
   [[nodiscard]] std::uint32_t leftmost(std::uint32_t n) const {
     if (n == kNil) return kNil;

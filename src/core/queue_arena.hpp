@@ -1,16 +1,15 @@
-// Flat SoA arena for queued-workflow state, shared by DslQueue and
-// BstQueue.
+// Flat SoA arena for queued-workflow state, behind IndexedQueue.
 //
 // The previous layout — unordered_map<id, unique_ptr<WfState>> with the
 // orderings holding WfState* — made every AssignTask probe a pointer chase
 // into an individually heap-allocated record. Here each queued workflow
 // occupies one 32-bit slot in parallel arrays: the hot ordering keys
-// (ct_key, pri_key) and the probe stamps live in their own contiguous
-// columns, the (colder) ProgressTracker in another, and the orderings store
-// slot indices instead of pointers. Slots are recycled through a free list,
-// so the id -> slot map is consulted only on the cold paths (insert,
-// remove, progress loss, availability notes) — assign() carries slot
-// indices end to end.
+// (ct_key, pri_key) and the per-type runnable flags live in their own
+// contiguous columns, the (colder) ProgressTracker in another, and the
+// orderings store slot indices instead of pointers. Slots are recycled
+// through a free list, so the id -> slot map is consulted only on the cold
+// paths (insert, remove, progress loss, runnable reports) — assign()
+// carries slot indices end to end.
 //
 // Ids may be reused after removal (a workflow that finishes can, in tests
 // and fuzzing, be re-queued under the same id), so the id -> slot map is a
@@ -31,9 +30,6 @@ namespace woha::core {
 class WfStateArena {
  public:
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
-  /// Probe-stamp domains: one per SlotType (can_use answers differ between
-  /// map and reduce offers, so rejections memoize per type).
-  static constexpr std::size_t kDomains = 2;
 
   /// Slot of `id`; kNilSlot when the workflow is not queued.
   [[nodiscard]] std::uint32_t slot_of(std::uint32_t id) const {
@@ -42,7 +38,7 @@ class WfStateArena {
   }
 
   /// Claim a slot for a new workflow. Throws on duplicate id. Fresh slots
-  /// start with cleared probe stamps; ordering keys are the caller's to set.
+  /// start runnable for no type; ordering keys are the caller's to set.
   std::uint32_t allocate(std::uint32_t id, ProgressTracker tracker) {
     std::uint32_t slot;
     if (!free_.empty()) {
@@ -50,14 +46,14 @@ class WfStateArena {
       free_.pop_back();
       trackers_[slot] = std::move(tracker);
       ids_[slot] = id;
-      for (auto& stamp : probe_stamp_) stamp[slot] = 0;
+      runnable_[slot] = 0;
     } else {
       slot = static_cast<std::uint32_t>(trackers_.size());
       trackers_.push_back(std::move(tracker));
       ids_.push_back(id);
       ct_keys_.push_back(0);
       pri_keys_.push_back(0);
-      for (auto& stamp : probe_stamp_) stamp.push_back(0);
+      runnable_.push_back(0);
     }
     if (!index_.emplace(id, slot).second) {
       free_.push_back(slot);
@@ -89,13 +85,14 @@ class WfStateArena {
   [[nodiscard]] std::int64_t pri_key(std::uint32_t slot) const {
     return pri_keys_[slot];
   }
-  /// Rejection-memo stamp: `stamp(d, slot) == epoch` means "can_use was
-  /// probed false under epoch and no event since could have flipped it".
-  [[nodiscard]] std::uint64_t& stamp(std::size_t domain, std::uint32_t slot) {
-    return probe_stamp_[domain][slot];
+  /// Whether the workflow sits in slot type t's runnable ordering.
+  [[nodiscard]] bool runnable(std::uint32_t slot, SlotType t) const {
+    return ((runnable_[slot] >> static_cast<unsigned>(t)) & 1u) != 0;
   }
-  [[nodiscard]] std::uint64_t stamp(std::size_t domain, std::uint32_t slot) const {
-    return probe_stamp_[domain][slot];
+  void set_runnable(std::uint32_t slot, SlotType t, bool runnable) {
+    const auto bit = static_cast<std::uint8_t>(1u << static_cast<unsigned>(t));
+    runnable_[slot] = static_cast<std::uint8_t>(runnable ? runnable_[slot] | bit
+                                                         : runnable_[slot] & ~bit);
   }
 
   /// Arena invariants (audit support): the id map is a bijection onto live
@@ -105,7 +102,7 @@ class WfStateArena {
   void check(const char* who) const {
     const std::size_t cap = trackers_.size();
     if (ids_.size() != cap || ct_keys_.size() != cap || pri_keys_.size() != cap ||
-        probe_stamp_[0].size() != cap || probe_stamp_[1].size() != cap) {
+        runnable_.size() != cap) {
       throw std::logic_error(std::string(who) + ": arena column sizes diverged");
     }
     if (index_.size() + free_.size() != cap) {
@@ -133,7 +130,7 @@ class WfStateArena {
   std::vector<std::uint32_t> ids_;
   std::vector<SimTime> ct_keys_;
   std::vector<std::int64_t> pri_keys_;
-  std::vector<std::uint64_t> probe_stamp_[kDomains];
+  std::vector<std::uint8_t> runnable_;  ///< bit t: in slot type t's ordering
   std::vector<std::uint32_t> free_;
   std::unordered_map<std::uint32_t, std::uint32_t> index_;
 };

@@ -12,8 +12,9 @@ void NaiveQueue::insert(std::uint32_t id, ProgressTracker tracker) {
 
 void NaiveQueue::remove(std::uint32_t id) { states_.erase(id); }
 
-std::uint32_t NaiveQueue::assign(SimTime now,
+std::uint32_t NaiveQueue::assign(SimTime now, SlotType t,
                                  const std::function<bool(std::uint32_t)>& can_use) {
+  (void)t;  // can_use answers for the offered type
   // "Update all workflows' progress lags and then reorder them."
   std::vector<std::pair<std::int64_t, std::uint32_t>> order;  // (-lag, id)
   order.reserve(states_.size());
@@ -31,7 +32,10 @@ std::uint32_t NaiveQueue::assign(SimTime now,
   return kNone;
 }
 
-void NaiveQueue::top(std::size_t k, std::vector<QueueEntry>& out) const {
+void NaiveQueue::top(SlotType t, std::size_t k,
+                     const std::function<bool(std::uint32_t)>& runnable,
+                     std::vector<QueueEntry>& out) const {
+  (void)t;  // runnable answers for the offered type
   // No cached ordering: rank by the trackers' current (last-advanced) state,
   // exactly what assign() would sort by without the advance_to refresh.
   std::vector<std::pair<std::int64_t, std::uint32_t>> order;  // (-lag, id)
@@ -41,6 +45,7 @@ void NaiveQueue::top(std::size_t k, std::vector<QueueEntry>& out) const {
   }
   std::sort(order.begin(), order.end());
   for (std::size_t i = 0; i < order.size() && out.size() < k; ++i) {
+    if (!runnable(order[i].second)) continue;
     const WfState& st = states_.at(order[i].second);
     out.push_back(QueueEntry{st.id, st.tracker.lag(),
                              st.tracker.current_requirement(),

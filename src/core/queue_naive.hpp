@@ -2,6 +2,10 @@
 // on every AssignTask call, recompute every queued workflow's progress lag
 // and re-sort the whole set before serving the head. O(n log n) per call —
 // the strawman the paper shows collapsing around 10^4 workflows.
+//
+// It keeps no runnable state: it ignores runnable reports and probes every
+// queued workflow, which also makes it the index-free reference the
+// indexed queues are tested against.
 #pragma once
 
 #include <cstdint>
@@ -17,11 +21,13 @@ class NaiveQueue final : public SchedulerQueue {
   [[nodiscard]] std::string name() const override { return "Naive"; }
   void insert(std::uint32_t id, ProgressTracker tracker) override;
   void remove(std::uint32_t id) override;
-  std::uint32_t assign(SimTime now,
+  void set_runnable(std::uint32_t, SlotType, bool) override {}
+  std::uint32_t assign(SimTime now, SlotType t,
                        const std::function<bool(std::uint32_t)>& can_use) override;
   void on_progress_lost(std::uint32_t id, std::uint64_t count) override;
   [[nodiscard]] std::size_t size() const override { return states_.size(); }
-  void top(std::size_t k, std::vector<QueueEntry>& out) const override;
+  void top(SlotType t, std::size_t k, const std::function<bool(std::uint32_t)>& runnable,
+           std::vector<QueueEntry>& out) const override;
 
  private:
   struct WfState {

@@ -2,26 +2,10 @@
 
 #include <stdexcept>
 
-#include "core/queue_bst.hpp"
-#include "core/queue_dsl.hpp"
+#include "core/indexed_queue.hpp"
 #include "core/queue_naive.hpp"
 
 namespace woha::core {
-
-std::uint32_t SchedulerQueue::assign_batch(
-    SimTime now, std::size_t domain, std::uint32_t k,
-    const std::function<bool(std::uint32_t)>& can_use,
-    const std::function<void(std::uint32_t)>& on_assign) {
-  (void)domain;
-  std::uint32_t n = 0;
-  while (n < k) {
-    const std::uint32_t id = assign(now, can_use);
-    if (id == kNone) break;
-    ++n;
-    on_assign(id);
-  }
-  return n;
-}
 
 const char* to_string(QueueKind kind) {
   switch (kind) {
@@ -36,8 +20,8 @@ const char* to_string(QueueKind kind) {
 std::unique_ptr<SchedulerQueue> make_queue(QueueKind kind) {
   switch (kind) {
     case QueueKind::kDsl: return std::make_unique<DslQueue>();
-    case QueueKind::kBst: return std::make_unique<BstQueue>(/*cached_min=*/true);
-    case QueueKind::kBstPlain: return std::make_unique<BstQueue>(/*cached_min=*/false);
+    case QueueKind::kBst: return std::make_unique<BstQueue>();
+    case QueueKind::kBstPlain: return std::make_unique<BstPlainQueue>();
     case QueueKind::kNaive: return std::make_unique<NaiveQueue>();
   }
   throw std::invalid_argument("make_queue: unknown kind");

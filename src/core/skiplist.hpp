@@ -141,21 +141,6 @@ class SkipList {
     }
   }
 
-  /// Forward iteration starting at the first key >= `from` (an O(log n)
-  /// tower descent, then the level-0 chain). The visitor returns false to
-  /// stop early. This is what lets AssignTask resume a priority walk past
-  /// an already-probed prefix instead of re-walking it node by node.
-  template <class Visitor>
-  void for_each_from(const Key& from, Visitor&& visit) const {
-    const Node* n = head_;
-    for (int i = level_ - 1; i >= 0; --i) {
-      while (n->next[i] && cmp_(n->next[i]->key, from)) n = n->next[i];
-    }
-    for (n = n->next[0]; n; n = n->next[0]) {
-      if (!visit(n->key, n->value)) return;
-    }
-  }
-
  private:
   struct Node {
     Key key;

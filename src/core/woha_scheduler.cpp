@@ -22,6 +22,22 @@ WohaScheduler::WohaScheduler(WohaConfig config)
   plan_cache_.set_capacity(config.plan_cache_capacity);
 }
 
+WohaScheduler::~WohaScheduler() {
+  if (tracker_ != nullptr) tracker_->watch_runnable_workflows(nullptr);
+}
+
+void WohaScheduler::attach(const hadoop::JobTracker* tracker) {
+  WorkflowScheduler::attach(tracker);
+  tracker_->watch_runnable_workflows(this);
+}
+
+void WohaScheduler::on_workflow_runnable_changed(WorkflowId wf, SlotType t,
+                                                 bool runnable) {
+  // Reports arrive synchronously with each flip, before the select call
+  // that could observe it; the queue ignores workflows it no longer holds.
+  queue_->set_runnable(wf.value(), t, runnable);
+}
+
 void WohaScheduler::observe(obs::EventBus* bus, obs::MetricsRegistry* registry) {
   WorkflowScheduler::observe(bus, registry);
   assign_ns_ = registry ? &registry->histogram(
@@ -166,22 +182,6 @@ void WohaScheduler::on_job_activated(hadoop::JobRef job, SimTime now) {
       st.active_jobs.begin(), st.active_jobs.end(), job.job,
       [&rank](std::uint32_t a, std::uint32_t b) { return rank[a] < rank[b]; });
   st.active_jobs.insert(pos, job.job);
-  // A job with pending tasks just became schedulable: any memoized "this
-  // workflow has nothing assignable" probe answer may have flipped.
-  queue_->note_can_use_changed(job.workflow);
-}
-
-void WohaScheduler::on_task_finished(hadoop::JobRef job, SlotType t, SimTime now) {
-  (void)now;
-  (void)t;
-  // Two false -> true probe flips can hide behind this callback. A finished
-  // map can complete a job's map phase, which is what gates its pending
-  // reduces (Job::has_available(kReduce) requires map_phase_done). And the
-  // engine reports *failed* attempts through the same hook after requeueing
-  // the task (fail_task), which restores availability of the task's own
-  // type. A successful reduce flips nothing, but the callback cannot tell
-  // success from retry, and a spurious note only costs one re-probe.
-  queue_->note_can_use_changed(job.workflow);
 }
 
 void WohaScheduler::on_job_completed(hadoop::JobRef job, SimTime now) {
@@ -210,10 +210,8 @@ void WohaScheduler::on_tasks_lost(hadoop::JobRef job, SlotType t,
 
 std::optional<std::uint32_t> WohaScheduler::pick_job(
     std::uint32_t wf, const hadoop::SlotOffer& slot) const {
-  // O(1) fast-fail: the per-workflow availability count tells us whether
-  // the scan below could possibly find anything. With hundreds of active
-  // workflows, assign() probes pick_job once per queue candidate — this
-  // check is what keeps that probe cheap on saturated clusters.
+  // O(1) fast-fail: NaiveQueue probes every queued workflow, and this count
+  // is what keeps that probe cheap for the ones with nothing to run.
   if (tracker_->workflow(WorkflowId(wf)).available_jobs(slot.type) == 0) {
     return std::nullopt;
   }
@@ -229,40 +227,29 @@ std::optional<hadoop::JobRef> WohaScheduler::select_task(
     const hadoop::SlotOffer& slot, SimTime now) {
   std::chrono::steady_clock::time_point t0;
   if (assign_ns_) t0 = std::chrono::steady_clock::now();
-  // Cluster-wide availability early-out: when no workflow has an assignable
-  // task of this type, assign() would refresh orderings and probe every
-  // candidate only to return kNone. Skipping it is decision-identical (the
-  // refresh is deferred to the next assign; orderings depend only on `now`)
-  // and keeps the empty-offer heartbeat storm O(1). nothing_available is
-  // false while tracing, so published decision snapshots are unchanged.
-  std::uint32_t wf = SchedulerQueue::kNone;
-  if (!nothing_available(slot.type)) {
-    wf = queue_->assign(
-        now, [this, &slot](std::uint32_t id) { return pick_job(id, slot).has_value(); });
-  }
+  const std::uint32_t wf =
+      queue_->assign(now, slot.type, [this, &slot](std::uint32_t id) {
+        const std::optional<std::uint32_t> j = pick_job(id, slot);
+        if (j) probed_job_ = *j;
+        return j.has_value();
+      });
   if (assign_ns_) {
     assign_ns_->observe(std::chrono::duration<double, std::nano>(
                             std::chrono::steady_clock::now() - t0)
                             .count());
   }
   std::optional<hadoop::JobRef> choice;
-  if (wf != SchedulerQueue::kNone) {
-    const auto j = pick_job(wf, slot);
-    if (!j) {
-      throw std::logic_error("WohaScheduler: queue accepted a workflow without tasks");
-    }
-    choice = hadoop::JobRef{wf, *j};
-  }
+  if (wf != SchedulerQueue::kNone) choice = hadoop::JobRef{wf, probed_job_};
 
   if (bus_ && bus_->active()) {
-    // Explainability snapshot: the queue head as left by this decision (the
-    // orderings were refreshed inside assign; the winner's rho is already
-    // bumped). Read-only — tracing can never perturb the next decision.
+    // Explainability snapshot: the workflows runnable for this slot type as
+    // the queue ranks them after this decision (the orderings were
+    // refreshed inside assign; the winner's rho is already bumped).
+    // Read-only — tracing can never perturb the next decision.
     //
     // The event object is long-lived and published borrowed: its ranking
     // vector and scheduler-name string keep their buffers, so a traced run
-    // makes no per-decision allocations (the old code rebuilt both on every
-    // consult — measurable at heartbeat-storm rates).
+    // makes no per-decision allocations.
     if (!std::holds_alternative<obs::SchedulerDecision>(trace_event_.payload)) {
       trace_event_.payload.emplace<obs::SchedulerDecision>();
       std::get<obs::SchedulerDecision>(trace_event_.payload).scheduler = name();
@@ -275,7 +262,12 @@ std::optional<hadoop::JobRef> WohaScheduler::select_task(
     d.workflow = choice ? choice->workflow : 0;
     d.job = choice ? choice->job : obs::SchedulerDecision::kNoJob;
     top_scratch_.clear();
-    queue_->top(obs::kMaxRankedCandidates, top_scratch_);
+    queue_->top(
+        slot.type, obs::kMaxRankedCandidates,
+        [this, &slot](std::uint32_t id) {
+          return tracker_->workflow(WorkflowId(id)).available_jobs(slot.type) > 0;
+        },
+        top_scratch_);
     d.ranking.clear();
     for (const SchedulerQueue::QueueEntry& e : top_scratch_) {
       d.ranking.push_back(obs::SchedulerDecision::Candidate{
@@ -284,65 +276,6 @@ std::optional<hadoop::JobRef> WohaScheduler::select_task(
     bus_->publish_borrowed(trace_event_);
   }
   return choice;
-}
-
-std::uint32_t WohaScheduler::select_tasks(
-    const hadoop::SlotOffer& slot, std::uint32_t limit,
-    const std::function<void(hadoop::JobRef)>& start, SimTime now) {
-  // Traced runs keep the historical one-decision-per-consult cadence (and
-  // its per-decision SchedulerDecision events) by falling back to the base
-  // sequential loop.
-  if (bus_ && bus_->active()) {
-    return WorkflowScheduler::select_tasks(slot, limit, start, now);
-  }
-
-  // A per-tracker eligibility filter makes can_use depend on the offering
-  // tracker, which is outside the rejection memo's (id, domain) contract —
-  // drop the memo before the filtered consult, and again on the first
-  // unfiltered consult after it (stamps written under a filter do not imply
-  // rejection without it).
-  const bool filtered = slot.eligible != nullptr;
-  if (filtered || last_offer_filtered_) queue_->invalidate_probe_memo();
-  last_offer_filtered_ = filtered;
-
-  std::chrono::steady_clock::time_point t0;
-  if (assign_ns_) t0 = std::chrono::steady_clock::now();
-  std::uint32_t started = 0;
-  // Cluster-wide availability early-out, checked once per batch: with
-  // nothing assignable the whole batch would come up empty. Mid-batch
-  // exhaustion is caught by the queue walk itself (and memoized).
-  if (!nothing_available(slot.type)) {
-    // One stack pointer per closure keeps both inside std::function's
-    // small-buffer storage — no per-consult allocation.
-    struct ProbeContext {
-      WohaScheduler* self;
-      const hadoop::SlotOffer* slot;
-      const std::function<void(hadoop::JobRef)>* start;
-    };
-    ProbeContext ctx{this, &slot, &start};
-    ProbeContext* const pc = &ctx;
-    const std::function<bool(std::uint32_t)> can_use = [pc](std::uint32_t id) {
-      return pc->self->pick_job(id, *pc->slot).has_value();
-    };
-    const std::function<void(std::uint32_t)> on_assign = [pc](std::uint32_t wf) {
-      const auto j = pc->self->pick_job(wf, *pc->slot);
-      if (!j) {
-        throw std::logic_error(
-            "WohaScheduler: queue accepted a workflow without tasks");
-      }
-      (*pc->start)(hadoop::JobRef{wf, *j});
-    };
-    started = queue_->assign_batch(now, static_cast<std::size_t>(slot.type),
-                                   limit, can_use, on_assign);
-  }
-  if (assign_ns_) {
-    // One latency sample per batch: the histogram then measures the cost of
-    // a consult as the engine experiences it, whatever the batch width.
-    assign_ns_->observe(std::chrono::duration<double, std::nano>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count());
-  }
-  return started;
 }
 
 const SchedulingPlan* WohaScheduler::plan_of(WorkflowId wf) const {

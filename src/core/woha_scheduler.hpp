@@ -7,7 +7,8 @@
 // Algorithm 1, and hand the resulting plan to the master.
 //
 // Master side: a SchedulerQueue (Double Skip List by default) orders
-// workflows by progress lag F(ttd) - rho; per idle slot, the most lagging
+// workflows by progress lag F(ttd) - rho, per slot type over the workflows
+// the JobTracker reports runnable for it; per idle slot, the most lagging
 // workflow with an assignable task wins, and within it the highest
 // plan-ranked active job.
 #pragma once
@@ -74,9 +75,13 @@ struct WohaConfig {
   std::size_t plan_cache_capacity = 0;
 };
 
-class WohaScheduler final : public hadoop::WorkflowScheduler {
+class WohaScheduler final : public hadoop::WorkflowScheduler,
+                            private hadoop::RunnableWorkflowListener {
  public:
   explicit WohaScheduler(WohaConfig config = {});
+  WohaScheduler(const WohaScheduler&) = delete;
+  WohaScheduler& operator=(const WohaScheduler&) = delete;
+  ~WohaScheduler() override;
 
   [[nodiscard]] std::string name() const override;
 
@@ -89,19 +94,17 @@ class WohaScheduler final : public hadoop::WorkflowScheduler {
     set_cluster_slots(total_map_slots + total_reduce_slots);
   }
 
+  /// Also registers for the tracker's runnable-workflow reports.
+  void attach(const hadoop::JobTracker* tracker) override;
   void on_pending_submissions(const std::vector<wf::WorkflowSpec>& specs) override;
   void on_workflow_submitted(WorkflowId wf, SimTime now) override;
   void on_job_activated(hadoop::JobRef job, SimTime now) override;
-  void on_task_finished(hadoop::JobRef job, SlotType t, SimTime now) override;
   void on_job_completed(hadoop::JobRef job, SimTime now) override;
   void on_workflow_completed(WorkflowId wf, SimTime now) override;
   void on_tasks_lost(hadoop::JobRef job, SlotType t, std::uint32_t count,
                      SimTime now) override;
   std::optional<hadoop::JobRef> select_task(const hadoop::SlotOffer& slot,
                                             SimTime now) override;
-  std::uint32_t select_tasks(const hadoop::SlotOffer& slot, std::uint32_t limit,
-                             const std::function<void(hadoop::JobRef)>& start,
-                             SimTime now) override;
 
   /// Resolves the decision-latency histogram once; select_task then records
   /// into a raw pointer (no registry lookups on the hot path).
@@ -120,6 +123,8 @@ class WohaScheduler final : public hadoop::WorkflowScheduler {
     /// Active (schedulable) jobs sorted by ascending plan rank.
     std::vector<std::uint32_t> active_jobs;
   };
+
+  void on_workflow_runnable_changed(WorkflowId wf, SlotType t, bool runnable) override;
 
   /// Highest-ranked active job of `wf` with an available task the offered
   /// slot may run (type match + not blacklisted for the offering tracker).
@@ -143,11 +148,9 @@ class WohaScheduler final : public hadoop::WorkflowScheduler {
   /// publishes via EventBus::publish_borrowed, so a traced run makes no
   /// per-decision allocations.
   obs::Event trace_event_;
-  /// True when the previous consult carried a per-tracker eligibility
-  /// filter: such can_use answers are outside the queue's rejection-memo
-  /// contract, so the memo is dropped before the filtered consult and
-  /// again before the first unfiltered one after it.
-  bool last_offer_filtered_ = false;
+  /// The job the queue's last accepted probe found (select_task reads it
+  /// instead of scanning the winner's jobs a second time).
+  std::uint32_t probed_job_ = 0;
 };
 
 }  // namespace woha::core

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <variant>
 
 #include "common/log.hpp"
 #include "obs/scoped_timer.hpp"
@@ -33,9 +34,6 @@ Engine::Engine(EngineConfig config, std::unique_ptr<WorkflowScheduler> scheduler
   }
   if (config_.cluster.heartbeat_period <= 0) {
     throw std::invalid_argument("Engine: heartbeat_period must be positive");
-  }
-  if (config_.heartbeat_batch == 0) {
-    throw std::invalid_argument("Engine: heartbeat_batch must be >= 1");
   }
   config_.faults.validate(cluster_.tracker_count());
   config_.admission.validate();
@@ -244,7 +242,6 @@ void Engine::run() {
 }
 
 void Engine::do_submit(wf::WorkflowSpec spec) {
-  ++avail_version_;  // a new workflow can make empty select answers stale
   ++workflows_submitted_;
   if (admission_) {
     const AdmissionDecision decision = admission_->decide(spec, sim_.now());
@@ -346,7 +343,6 @@ void Engine::shed_workflow(std::uint32_t workflow, SimTime now) {
 void Engine::activate_job(JobRef ref) {
   // The workflow may have failed while the submitter task was loading.
   if (job_tracker_.workflow(WorkflowId(ref.workflow)).failed()) return;
-  ++avail_version_;  // the job's tasks become schedulable
   JobInProgress& job = job_tracker_.job(ref);
   job.mark_active(sim_.now());
   WOHA_LOG(LogLevel::kDebug, "engine")
@@ -389,45 +385,32 @@ void Engine::heartbeat(std::size_t tracker_index) {
     };
   }
 
-  // Same-tick batching: an empty select answer is a function of the instant
-  // and the availability state, never of the asking tracker (no baseline or
-  // WOHA scheduler reads the tracker index before deciding it has nothing
-  // to hand out, and an empty answer mutates no scheduler state). Serving
-  // sibling heartbeats of the same tick from the memo skips the scheduler
-  // walk and the clock reads; a filtered offer or an active tracing bus
-  // (skipped consults would drop SchedulerDecision events) disables it.
-  const bool memo_enabled =
-      config_.heartbeat_batch > 1 && filter == nullptr && !events_.active();
-
   // Offer every idle slot on this tracker; maps first (Hadoop-1's
   // assignTasks fills map slots before reduce slots). All same-type slots
-  // go out as ONE batched consult: select_tasks is contractually
-  // decision-equivalent to the sequential consult-start loop this replaces,
-  // and the start sink runs start_task between picks exactly where the old
-  // loop did.
+  // go out as ONE consult: select_tasks is contractually decision-equivalent
+  // to the sequential consult-start loop, and the start sink runs
+  // start_task between picks.
   std::uint32_t assigned[2] = {0, 0};
   for (const SlotType type : {SlotType::kMap, SlotType::kReduce}) {
     const auto ti = static_cast<std::size_t>(type);
     const std::uint32_t limit = tracker.free_slots(type);
     if (limit > 0) {
-      if (memo_enabled && memo_empty_[ti] && memo_tick_ == sim_.now() &&
-          memo_version_[ti] == avail_version_ &&
-          memo_uses_[ti] < config_.heartbeat_batch - 1) {
-        // Served from the batch memo. The master still answered this offer,
-        // so it counts as a select call — summaries stay bit-identical to
-        // an unbatched run.
-        ++memo_uses_[ti];
+      const SlotOffer offer{type, tracker_index, filter};
+      if (job_tracker_.available_jobs(type) == 0) {
+        // No job anywhere has a task of this type, and select_task may only
+        // return a job that has one: the master's answer is "nothing"
+        // whichever scheduler runs, so the engine gives it itself. It is
+        // still one select call.
         ++select_calls_;
+        if (events_.active()) publish_empty_decision(offer);
       } else {
         heartbeat_slot_type_ = type;  // retargets start_sink_
-        const SlotOffer offer{type, tracker_index, filter};
         const auto t0 = std::chrono::steady_clock::now();
         const std::uint32_t started =
             scheduler_->select_tasks(offer, limit, start_sink_, sim_.now());
         const auto t1 = std::chrono::steady_clock::now();
-        // One batched consult stands for `started` successful sequential
-        // consults plus, when the batch under-filled, the final empty one —
-        // the select_calls tally stays bit-identical to an unbatched run.
+        // One consult stands for `started` successful sequential consults
+        // plus, when it under-filled, the final empty one.
         select_calls_ += started + (started < limit ? 1 : 0);
         select_wall_ms_ +=
             std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -436,12 +419,6 @@ void Engine::heartbeat(std::size_t tracker_index) {
               std::chrono::duration<double, std::nano>(t1 - t0).count());
         }
         assigned[ti] += started;
-        if (started < limit && memo_enabled) {
-          memo_tick_ = sim_.now();
-          memo_version_[ti] = avail_version_;
-          memo_empty_[ti] = true;
-          memo_uses_[ti] = 0;
-        }
       }
     }
     // Slots no pending task wants may still host speculative backups.
@@ -459,6 +436,20 @@ void Engine::heartbeat(std::size_t tracker_index) {
                                          tracker.free_slots(SlotType::kMap),
                                          tracker.free_slots(SlotType::kReduce)});
   }
+}
+
+void Engine::publish_empty_decision(const SlotOffer& offer) {
+  // Long-lived and published borrowed, like WOHA's decision event: the
+  // scheduler-name string is built once, so tracing allocates nothing here.
+  if (!std::holds_alternative<obs::SchedulerDecision>(empty_decision_.payload)) {
+    empty_decision_.payload.emplace<obs::SchedulerDecision>().scheduler =
+        scheduler_->name();
+  }
+  auto& d = std::get<obs::SchedulerDecision>(empty_decision_.payload);
+  d.slot = offer.type;
+  d.tracker = offer.tracker;
+  empty_decision_.time = sim_.now();
+  events_.publish_borrowed(empty_decision_);
 }
 
 bool Engine::map_is_local(JobRef ref, std::size_t tracker_index) {
@@ -573,8 +564,6 @@ void Engine::finish_attempt(std::uint64_t attempt_id) {
   if (!attempts_.contains(attempt_id)) {
     throw std::logic_error("Engine: finish event for unknown attempt");
   }
-  // Retries, unlocked dependents, and rho changes can all create work.
-  ++avail_version_;
   const Attempt a = attempts_.take(attempt_id);
   index_attempt_remove(attempt_id, a);
   std::erase(tracker_attempts_[a.tracker], attempt_id);
@@ -679,7 +668,6 @@ void Engine::finish_attempt(std::uint64_t attempt_id) {
 
 Engine::Attempt Engine::kill_attempt(std::uint64_t attempt_id, SimTime stop_time,
                                      obs::KillCause cause) {
-  ++avail_version_;  // the killed attempt's task may re-enter the pool
   Attempt a = attempts_.take(attempt_id);
   a.finish_event.cancel();
   index_attempt_remove(attempt_id, a);
@@ -782,7 +770,6 @@ void Engine::detect_tracker_loss(std::size_t tracker_index) {
   TrackerFaultState& fs = fault_state_[tracker_index];
   if (!fs.dead || fs.detected) return;
   fs.detected = true;
-  ++avail_version_;  // re-queued tasks and invalidated map outputs
   WOHA_LOG(LogLevel::kInfo, "engine")
       << "t=" << sim_.now() << " tracker " << tracker_index
       << " declared lost (crashed at " << fs.crash_time << ")";
@@ -1060,7 +1047,6 @@ std::uint32_t Engine::migrate_off(std::size_t tracker_index,
 
 void Engine::retire_tracker(std::size_t tracker_index, std::uint32_t migrated,
                             bool preempted) {
-  ++avail_version_;  // invalidated map outputs re-enter the pending pool
   // Map outputs stranded on the node's local disk leave with it, exactly as
   // in Hadoop's decommission: completed maps of in-flight jobs re-execute.
   for (const auto& [ref, count] : map_outputs_[tracker_index]) {

@@ -118,17 +118,6 @@ struct EngineConfig {
   /// Off means no bus subscription, so publish sites reduce to one branch
   /// and the run is bit- and wall-clock-identical to an unaudited one.
   bool audit = false;
-
-  /// Same-tick heartbeat batching. When > 1, an empty scheduler answer
-  /// ("no pending task wants this slot type") is memoized for the current
-  /// simulation instant and served to up to heartbeat_batch - 1 sibling
-  /// heartbeats of the same tick without re-consulting the scheduler — the
-  /// answer is a function of the instant and of the availability state, not
-  /// of which tracker asked, and any event that could create work
-  /// invalidates the memo. Served offers still count as select calls, so
-  /// summaries and golden digests are bit-identical to heartbeat_batch = 1.
-  /// 1 disables batching; 0 is invalid.
-  std::uint32_t heartbeat_batch = 64;
 };
 
 /// One task start/finish observation, for slot-allocation timelines
@@ -327,6 +316,9 @@ class Engine {
 
   void do_submit(wf::WorkflowSpec spec);
   void heartbeat(std::size_t tracker_index);
+  /// Publish the SchedulerDecision of an offer the engine answered itself
+  /// (nothing of its slot type is runnable): unassigned, nothing ranked.
+  void publish_empty_decision(const SlotOffer& offer);
   void activate_job(JobRef ref);
   void start_task(JobRef ref, SlotType type, std::size_t tracker_index);
   void finish_attempt(std::uint64_t attempt_id);
@@ -460,15 +452,6 @@ class Engine {
   std::vector<std::vector<std::uint64_t>> tracker_attempts_;
   std::uint64_t next_attempt_id_ = 1;
 
-  // Tick-scoped empty-select memoization (heartbeat batching). memo_empty_
-  // for a slot type is valid while the simulation instant and the
-  // availability version both still match; avail_version_ is bumped by
-  // every event that can change which jobs have runnable tasks.
-  SimTime memo_tick_ = -1;
-  std::uint64_t avail_version_ = 0;
-  std::uint64_t memo_version_[2] = {0, 0};
-  std::uint32_t memo_uses_[2] = {0, 0};
-  bool memo_empty_[2] = {false, false};
   // Blacklist eligibility callable, built once and retargeted per heartbeat
   // through heartbeat_tracker_ so churn-heavy runs do not heap-allocate a
   // std::function per heartbeat.
@@ -480,6 +463,8 @@ class Engine {
   // blacklist_filter_).
   std::function<void(JobRef)> start_sink_;
   SlotType heartbeat_slot_type_ = SlotType::kMap;
+  /// Decision-trace event for the offers the engine answers itself.
+  obs::Event empty_decision_;
 
   // Hot-path attempt indices. Both are ordered sets so their iteration
   // reproduces, bit for bit, the (tracker ascending, launch order within

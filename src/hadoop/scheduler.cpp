@@ -1,14 +1,6 @@
 #include "hadoop/scheduler.hpp"
 
-#include "hadoop/job_tracker.hpp"
-#include "obs/event_bus.hpp"
-
 namespace woha::hadoop {
-
-bool WorkflowScheduler::nothing_available(SlotType t) const {
-  if (bus_ && bus_->active()) return false;
-  return tracker_ != nullptr && tracker_->available_jobs(t) == 0;
-}
 
 std::uint32_t WorkflowScheduler::select_tasks(
     const SlotOffer& slot, std::uint32_t limit,

@@ -133,7 +133,9 @@ class WorkflowScheduler {
   /// slot.allows(ref); the engine WILL start exactly one task of it (so
   /// implementations may update their progress accounting before
   /// returning). Return nullopt to leave the slot idle until the next
-  /// heartbeat.
+  /// heartbeat. The engine answers an offer itself, without a consult, when
+  /// no job anywhere has a task of the slot's type
+  /// (JobTracker::available_jobs(type) == 0).
   virtual std::optional<JobRef> select_task(const SlotOffer& slot, SimTime now) = 0;
 
   /// Fill up to `limit` identical slots in one consult. Must be
@@ -141,24 +143,14 @@ class WorkflowScheduler {
   /// the engine starting one task after each: `start(ref)` is invoked per
   /// pick (the engine's callback starts the task on slot.tracker, which may
   /// change what is available for the next pick). Returns the number of
-  /// tasks started; a return < limit means the final consult came up empty,
-  /// which the engine may memoize for the rest of the heartbeat batch. The
-  /// default simply loops select_task — baselines inherit it unchanged;
-  /// WOHA overrides it to amortize queue-ordering maintenance and probe
-  /// rejections across the batch.
+  /// tasks started; a return < limit means the final consult came up empty.
+  /// The default simply loops select_task; a forwarding decorator (a
+  /// recorder, a timer) overrides it to see the picks.
   virtual std::uint32_t select_tasks(const SlotOffer& slot, std::uint32_t limit,
                                      const std::function<void(JobRef)>& start,
                                      SimTime now);
 
  protected:
-  /// O(1) hot-path guard: true when no job anywhere in the cluster has an
-  /// assignable task of this slot type, so a queue scan cannot possibly
-  /// return one. Disabled while decision tracing is on — the trace records
-  /// the considered ranking even for empty offers, and skipping the scan
-  /// would drop those records. Implemented in scheduler.cpp (needs the full
-  /// JobTracker definition).
-  [[nodiscard]] bool nothing_available(SlotType t) const;
-
   const JobTracker* tracker_ = nullptr;
   obs::EventBus* bus_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;

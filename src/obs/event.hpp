@@ -210,14 +210,18 @@ struct QueueReordered {
 /// One scheduling decision, with the ranking the scheduler consulted —
 /// enough to *explain* every prioritization after the fact.
 ///
-/// Candidate semantics per scheduler:
-///   WOHA-*  — requirement = F_i(ttd), rho = rho_i, score = lag (descending);
-///   EDF     — score = absolute workflow deadline (ascending);
-///   EDF-JOB — score = virtual job deadline (ascending), job is set;
-///   Fair    — workflows runnable for the slot type, score = running task
-///             count (ascending, ties by id);
-///   FIFO    — jobs runnable for the slot type, score = position in
-///             activation order (ascending), job is set.
+/// Every scheduler ranks only candidates runnable for the offered slot
+/// type. Candidate semantics per scheduler:
+///   WOHA-*  — workflows, requirement = F_i(ttd), rho = rho_i, score = lag
+///             (descending);
+///   EDF     — workflows, score = absolute deadline (ascending);
+///   EDF-JOB — jobs, score = virtual job deadline (ascending), job is set;
+///   Fair    — workflows, score = running task count (ascending, ties by
+///             id);
+///   FIFO    — jobs, score = position in activation order (ascending), job
+///             is set.
+/// An offer of a slot type with nothing runnable anywhere is answered by
+/// the engine without a consult: unassigned, with an empty ranking.
 struct SchedulerDecision {
   static constexpr std::uint32_t kNoJob = 0xffffffffu;
 

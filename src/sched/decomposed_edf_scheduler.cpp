@@ -46,7 +46,6 @@ void DecomposedEdfScheduler::on_workflow_failed(WorkflowId wf, SimTime now) {
 
 std::optional<hadoop::JobRef> DecomposedEdfScheduler::select_task(
     const hadoop::SlotOffer& slot, SimTime now) {
-  if (nothing_available(slot.type)) return std::nullopt;
   std::optional<hadoop::JobRef> choice;
   for (const auto& [key, ref] : active_) {
     if (tracker_->job(ref).has_available(slot.type) && slot.allows(ref)) {
@@ -64,10 +63,11 @@ std::optional<hadoop::JobRef> DecomposedEdfScheduler::select_task(
       d.workflow = choice->workflow;
       d.job = choice->job;
     }
-    // Ranking = active jobs by ascending virtual deadline; score is the
-    // decomposed per-job deadline.
+    // Ranking = the active jobs runnable for this slot type by ascending
+    // virtual deadline; score is the decomposed per-job deadline.
     for (const auto& [key, ref] : active_) {
       if (d.ranking.size() >= obs::kMaxRankedCandidates) break;
+      if (!tracker_->job(ref).has_available(slot.type)) continue;
       d.ranking.push_back(obs::SchedulerDecision::Candidate{
           ref.workflow, ref.job, static_cast<std::int64_t>(std::get<0>(key)), 0,
           0});

@@ -30,7 +30,6 @@ void EdfScheduler::on_workflow_completed(WorkflowId wf, SimTime now) {
 
 std::optional<hadoop::JobRef> EdfScheduler::select_task(const hadoop::SlotOffer& slot,
                                                         SimTime now) {
-  if (nothing_available(slot.type)) return std::nullopt;
   std::optional<hadoop::JobRef> choice;
   for (const WorkflowId wf : by_deadline_) {
     // O(1) skip of workflows with nothing assignable for this slot type.
@@ -56,15 +55,15 @@ std::optional<hadoop::JobRef> EdfScheduler::select_task(const hadoop::SlotOffer&
       d.workflow = choice->workflow;
       d.job = choice->job;
     }
-    // Ranking = workflows by ascending absolute deadline; score is the
-    // deadline itself.
-    const std::size_t k = std::min(by_deadline_.size(), obs::kMaxRankedCandidates);
-    d.ranking.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) {
+    // Ranking = the workflows runnable for this slot type by ascending
+    // absolute deadline; score is the deadline itself.
+    for (const WorkflowId wf : by_deadline_) {
+      if (d.ranking.size() == obs::kMaxRankedCandidates) break;
+      const hadoop::WorkflowRuntime& rt = tracker_->workflow(wf);
+      if (rt.available_jobs(slot.type) == 0) continue;
       d.ranking.push_back(obs::SchedulerDecision::Candidate{
-          by_deadline_[i].value(), obs::SchedulerDecision::kNoJob,
-          static_cast<std::int64_t>(tracker_->workflow(by_deadline_[i]).deadline()),
-          0, 0});
+          wf.value(), obs::SchedulerDecision::kNoJob,
+          static_cast<std::int64_t>(rt.deadline()), 0, 0});
     }
     bus_->publish(now, std::move(d));
   }

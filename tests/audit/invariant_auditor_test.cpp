@@ -6,8 +6,7 @@
 #include <variant>
 
 #include "audit/invariant_auditor.hpp"
-#include "core/queue_bst.hpp"
-#include "core/queue_dsl.hpp"
+#include "core/indexed_queue.hpp"
 #include "core/woha_scheduler.hpp"
 #include "hadoop/engine.hpp"
 #include "metrics/report.hpp"
@@ -15,14 +14,12 @@
 
 namespace woha::core {
 
-// Defined here, befriended by DslQueue/BstQueue: bump a tracker's rho
-// without the repositioning every production mutation performs, leaving the
-// cached pri_key stale — exactly the corruption check_structure exists for.
+// Defined here, befriended by IndexedQueue: bump a tracker's rho without
+// the repositioning every production mutation performs, leaving the cached
+// pri_key stale — exactly the corruption check_structure exists for.
 struct QueueTestPeer {
-  static void desync_rho(DslQueue& queue, std::uint32_t id) {
-    queue.arena_.tracker(queue.arena_.slot_of(id)).count_scheduled();
-  }
-  static void desync_rho(BstQueue& queue, std::uint32_t id) {
+  template <class Order>
+  static void desync_rho(IndexedQueue<Order>& queue, std::uint32_t id) {
     queue.arena_.tracker(queue.arena_.slot_of(id)).count_scheduled();
   }
 };
@@ -216,6 +213,29 @@ TEST(QueueStructure, DslDetectsStalePriorityKey) {
 
 TEST(QueueStructure, BstDetectsStalePriorityKey) {
   expect_desync_detected<core::BstQueue>();
+  expect_desync_detected<core::BstPlainQueue>();
+}
+
+TEST(QueueStructure, RunnableOrderingMustMatchTheTracker) {
+  core::SchedulingPlan plan;
+  plan.append_step(minutes(10), 2);
+  plan.resource_cap = 2;
+  core::DslQueue queue;
+  queue.insert(7, core::ProgressTracker(&plan, minutes(20)));
+  queue.set_runnable(7, SlotType::kMap, true);
+  const auto map_only = [](std::uint32_t, SlotType t) { return t == SlotType::kMap; };
+  ASSERT_NO_THROW(queue.check_structure(map_only));
+  // The tracker says reduce is runnable too, but no report arrived.
+  try {
+    queue.check_structure([](std::uint32_t, SlotType) { return true; });
+    FAIL() << "missing runnable report was not detected";
+  } catch (const std::logic_error& error) {
+    EXPECT_NE(std::string(error.what()).find("missing from the reduce ordering"),
+              std::string::npos)
+        << error.what();
+  }
+  queue.set_runnable(7, SlotType::kMap, false);
+  EXPECT_THROW(queue.check_structure(map_only), std::logic_error);
 }
 
 }  // namespace

@@ -1,15 +1,14 @@
-// Parameterized over the three SchedulerQueue implementations: all must
-// implement Algorithm 2 identically; DSL/BST/naive only differ in cost.
+// Parameterized over the SchedulerQueue implementations: all must implement
+// Algorithm 2 identically; DSL/BST/BSTplain/naive only differ in cost. Every
+// workflow here is runnable for map slots, and every offer is a map offer.
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/queue_bst.hpp"
-#include "core/queue_dsl.hpp"
-#include "core/queue_naive.hpp"
 #include "core/scheduler_queue.hpp"
 
 namespace woha::core {
@@ -32,11 +31,18 @@ class QueueTest : public ::testing::TestWithParam<QueueKind> {
     plan.simulated_makespan = steps.empty() ? 0 : steps.front().first;
     plans_.push_back(std::move(plan));
     queue_->insert(id, ProgressTracker(&plans_.back(), deadline));
+    queue_->set_runnable(id, SlotType::kMap, true);
+  }
+
+  /// Offer one map slot.
+  std::uint32_t assign(SimTime now,
+                       const std::function<bool(std::uint32_t)>& can_use = kAll) {
+    return queue_->assign(now, SlotType::kMap, can_use);
   }
 };
 
 TEST_P(QueueTest, EmptyQueueReturnsNone) {
-  EXPECT_EQ(queue_->assign(0, kAll), SchedulerQueue::kNone);
+  EXPECT_EQ(assign(0), SchedulerQueue::kNone);
   EXPECT_EQ(queue_->size(), 0u);
 }
 
@@ -44,7 +50,7 @@ TEST_P(QueueTest, MostLaggingWorkflowWins) {
   // At t=0 (deadline 100): wf 1 requires 5 tasks, wf 2 requires 2.
   add(1, 100, {{100, 5}});
   add(2, 100, {{100, 2}});
-  EXPECT_EQ(queue_->assign(0, kAll), 1u);
+  EXPECT_EQ(assign(0), 1u);
 }
 
 TEST_P(QueueTest, RhoReducesPriorityAfterEachAssignment) {
@@ -53,7 +59,7 @@ TEST_P(QueueTest, RhoReducesPriorityAfterEachAssignment) {
   // lags: wf1=3, wf2=2 -> serve 1 (lag 2), tie with 2 -> smaller id wins,
   // serve 1 (lag 1), then 2 (lag 2)... full sequence:
   std::vector<std::uint32_t> sequence;
-  for (int i = 0; i < 5; ++i) sequence.push_back(queue_->assign(0, kAll));
+  for (int i = 0; i < 5; ++i) sequence.push_back(assign(0));
   EXPECT_EQ(sequence, (std::vector<std::uint32_t>{1, 1, 2, 1, 2}));
 }
 
@@ -62,10 +68,10 @@ TEST_P(QueueTest, RequirementChangeReordersOverTime) {
   // wf 2: requires 10 tasks from t=50 (ttd=50).
   add(1, 100, {{100, 1}});
   add(2, 100, {{50, 10}});
-  EXPECT_EQ(queue_->assign(0, kAll), 1u);   // wf2 requirement not fired yet
-  EXPECT_EQ(queue_->assign(49, kAll), 1u);  // still lag(1)=0 > lag(2)=0? ...
+  EXPECT_EQ(assign(0), 1u);   // wf2 requirement not fired yet
+  EXPECT_EQ(assign(49), 1u);  // still lag(1)=0 > lag(2)=0? ...
   // At t=50, wf2's requirement fires: lag jumps to 10.
-  EXPECT_EQ(queue_->assign(50, kAll), 2u);
+  EXPECT_EQ(assign(50), 2u);
 }
 
 TEST_P(QueueTest, CanUseFilterSkipsToNextWorkflow) {
@@ -73,18 +79,18 @@ TEST_P(QueueTest, CanUseFilterSkipsToNextWorkflow) {
   add(2, 100, {{100, 4}});
   add(3, 100, {{100, 6}});
   const auto not_1 = [](std::uint32_t id) { return id != 1; };
-  EXPECT_EQ(queue_->assign(0, not_1), 3u);  // 1 is most lagging but unusable
+  EXPECT_EQ(assign(0, not_1), 3u);  // 1 is most lagging but unusable
   const auto none = [](std::uint32_t) { return false; };
-  EXPECT_EQ(queue_->assign(0, none), SchedulerQueue::kNone);
+  EXPECT_EQ(assign(0, none), SchedulerQueue::kNone);
 }
 
 TEST_P(QueueTest, AssignRejectionDoesNotChangeState) {
   add(1, 100, {{100, 5}});
   const auto none = [](std::uint32_t) { return false; };
-  EXPECT_EQ(queue_->assign(0, none), SchedulerQueue::kNone);
+  EXPECT_EQ(assign(0, none), SchedulerQueue::kNone);
   // rho must not have been bumped by the rejected pass.
-  EXPECT_EQ(queue_->assign(0, kAll), 1u);
-  EXPECT_EQ(queue_->assign(0, kAll), 1u);  // lag was 5, still winning
+  EXPECT_EQ(assign(0), 1u);
+  EXPECT_EQ(assign(0), 1u);  // lag was 5, still winning
 }
 
 TEST_P(QueueTest, RemoveWorkflow) {
@@ -92,7 +98,7 @@ TEST_P(QueueTest, RemoveWorkflow) {
   add(2, 100, {{100, 1}});
   queue_->remove(1);
   EXPECT_EQ(queue_->size(), 1u);
-  EXPECT_EQ(queue_->assign(0, kAll), 2u);
+  EXPECT_EQ(assign(0), 2u);
   queue_->remove(99);  // absent: no-op
   EXPECT_EQ(queue_->size(), 1u);
 }
@@ -100,35 +106,35 @@ TEST_P(QueueTest, RemoveWorkflow) {
 TEST_P(QueueTest, NoDeadlineWorkflowActsAsBackground) {
   add(1, kTimeInfinity, {{100, 50}});  // no deadline: requirement never fires
   add(2, 100, {{100, 1}});
-  EXPECT_EQ(queue_->assign(0, kAll), 2u);  // deadline-bearing workflow first
+  EXPECT_EQ(assign(0), 2u);  // deadline-bearing workflow first
   // Once wf2 is ahead of its requirement (lag < 0 after 2 assignments),
   // the background workflow (lag 0 - rho) competes normally.
-  EXPECT_EQ(queue_->assign(0, kAll), 1u);  // wf2 lag=-1, wf1 lag=0
+  EXPECT_EQ(assign(0), 1u);  // wf2 lag=-1, wf1 lag=0
 }
 
 TEST_P(QueueTest, MultipleStepsFireInOneGap) {
   // Steps at t=10,20,30 (deadline 100; ttds 90,80,70) all fired by t=35.
   add(1, 100, {{90, 1}, {80, 3}, {70, 7}});
   add(2, 100, {{100, 5}});
-  EXPECT_EQ(queue_->assign(35, kAll), 1u);  // lag 7 beats 5 (walked 3 steps)
+  EXPECT_EQ(assign(35), 1u);  // lag 7 beats 5 (walked 3 steps)
 }
 
 TEST_P(QueueTest, ProgressLossRestoresPriority) {
   add(1, 100, {{100, 3}});
   add(2, 100, {{100, 2}});
-  EXPECT_EQ(queue_->assign(0, kAll), 1u);  // lags 3 vs 2
-  EXPECT_EQ(queue_->assign(0, kAll), 1u);  // tie at 2, smaller id wins
+  EXPECT_EQ(assign(0), 1u);  // lags 3 vs 2
+  EXPECT_EQ(assign(0), 1u);  // tie at 2, smaller id wins
   // Without the loss the next winner would be wf2 (lag 1 vs 2). A crash
   // undoes both of wf1's scheduled tasks: its lag climbs back to 3.
   queue_->on_progress_lost(1, 2);
-  EXPECT_EQ(queue_->assign(0, kAll), 1u);
+  EXPECT_EQ(assign(0), 1u);
 }
 
 TEST_P(QueueTest, ProgressLossClampsAtZeroAndIgnoresAbsentIds) {
   add(1, 100, {{100, 1}});
-  EXPECT_EQ(queue_->assign(0, kAll), 1u);
+  EXPECT_EQ(assign(0), 1u);
   queue_->on_progress_lost(1, 50);  // more than ever scheduled: rho clamps at 0
-  EXPECT_EQ(queue_->assign(0, kAll), 1u);  // lag is 1 again, not negative junk
+  EXPECT_EQ(assign(0), 1u);  // lag is 1 again, not negative junk
   queue_->on_progress_lost(99, 3);  // absent workflow: no-op, no throw
   EXPECT_EQ(queue_->size(), 1u);
 }
@@ -180,10 +186,11 @@ TEST_P(QueueEquivalence, AllThreeImplementationsAgree) {
       q->insert(static_cast<std::uint32_t>(w),
                 ProgressTracker(&plans[static_cast<std::size_t>(w)],
                                 deadlines[static_cast<std::size_t>(w)]));
+      q->set_runnable(static_cast<std::uint32_t>(w), SlotType::kMap, true);
     }
   }
 
-  // Drive all three with the same monotone clock and can_use pattern.
+  // Drive all four with the same monotone clock and can_use pattern.
   SimTime now = 0;
   for (int call = 0; call < 300; ++call) {
     now += rng.uniform_int(0, 10);
@@ -194,10 +201,10 @@ TEST_P(QueueEquivalence, AllThreeImplementationsAgree) {
       h ^= h >> 33;
       return (h & 7) != 0;  // ~87.5% available
     };
-    const auto a = dsl->assign(now, can_use);
-    const auto b = bst->assign(now, can_use);
-    const auto b2 = bst_plain->assign(now, can_use);
-    const auto c = naive->assign(now, can_use);
+    const auto a = dsl->assign(now, SlotType::kMap, can_use);
+    const auto b = bst->assign(now, SlotType::kMap, can_use);
+    const auto b2 = bst_plain->assign(now, SlotType::kMap, can_use);
+    const auto c = naive->assign(now, SlotType::kMap, can_use);
     ASSERT_EQ(a, b) << "call " << call << " now " << now;
     ASSERT_EQ(a, b2) << "call " << call << " now " << now;
     ASSERT_EQ(a, c) << "call " << call << " now " << now;
@@ -240,15 +247,18 @@ TEST(QueueEquivalence, EqualLagTieBreakIsIdenticalAcrossImplementations) {
   auto naive = make_queue(QueueKind::kNaive);
   const auto all = {dsl.get(), bst.get(), bst_plain.get(), naive.get()};
   for (std::uint32_t w = 0; w < kWorkflows; ++w) {
-    for (auto* q : all) q->insert(w, ProgressTracker(&plan, kDeadline));
+    for (auto* q : all) {
+      q->insert(w, ProgressTracker(&plan, kDeadline));
+      q->set_runnable(w, SlotType::kMap, true);
+    }
   }
 
   const auto expect_same_ordering = [&](SimTime now) {
     std::vector<SchedulerQueue::QueueEntry> ref;
-    dsl->top(kWorkflows, ref);
+    dsl->top(SlotType::kMap, kWorkflows, kAll, ref);
     for (auto* q : {bst.get(), bst_plain.get(), naive.get()}) {
       std::vector<SchedulerQueue::QueueEntry> got;
-      q->top(kWorkflows, got);
+      q->top(SlotType::kMap, kWorkflows, kAll, got);
       ASSERT_EQ(got.size(), ref.size()) << q->name() << " at t=" << now;
       for (std::size_t i = 0; i < ref.size(); ++i) {
         ASSERT_EQ(got[i].id, ref[i].id)
@@ -269,9 +279,9 @@ TEST(QueueEquivalence, EqualLagTieBreakIsIdenticalAcrossImplementations) {
       h ^= h >> 33;
       return (h & 3) != 0;
     };
-    const auto winner = dsl->assign(now, can_use);
+    const auto winner = dsl->assign(now, SlotType::kMap, can_use);
     for (auto* q : {bst.get(), bst_plain.get(), naive.get()}) {
-      ASSERT_EQ(q->assign(now, can_use), winner)
+      ASSERT_EQ(q->assign(now, SlotType::kMap, can_use), winner)
           << q->name() << " call " << call << " t=" << now;
     }
     // Losses in bursts: several workflows collapse back onto the same lag.
@@ -290,6 +300,7 @@ TEST(QueueEquivalence, EqualLagTieBreakIsIdenticalAcrossImplementations) {
       for (auto* q : all) {
         q->remove(victim);
         q->insert(victim, ProgressTracker(&plan, kDeadline));
+        q->set_runnable(victim, SlotType::kMap, true);
       }
     }
     expect_same_ordering(now);

@@ -5,8 +5,8 @@
 // deliberately tiny domain so duplicate inserts, erase-reinsert free-list
 // recycling, and min_/root repositioning all happen constantly. After every
 // op the harness compares sizes and cached/descended minima; iteration ops
-// compare full in-order walks and for_each_from resumes against the map;
-// validate ops run the tree's own structural audit.
+// compare full in-order walks and early-stopped prefix walks against the
+// map; validate ops run the tree's own structural audit.
 //
 // Mutant (WOHA_FUZZ_MUTANT=1): a successful erase is applied to the oracle
 // only — the very next size comparison must catch the divergence.
@@ -67,20 +67,19 @@ void check_full_walk(const woha::core::FlatTree<Key>& tree,
   }
 }
 
-void check_resume_walk(const woha::core::FlatTree<Key>& tree,
-                       const std::map<Key, std::uint32_t>& oracle,
-                       const Key& from) {
+void check_prefix_walk(const woha::core::FlatTree<Key>& tree,
+                       const std::map<Key, std::uint32_t>& oracle, std::size_t n) {
   std::vector<Key> walked;
-  tree.for_each_from(from, [&](const Key& k, std::uint32_t) {
+  tree.for_each([&](const Key& k, std::uint32_t) {
     walked.push_back(k);
-    return true;
+    return walked.size() < n;
   });
   std::vector<Key> expected;
-  for (auto it = oracle.lower_bound(from); it != oracle.end(); ++it) {
+  for (auto it = oracle.begin(); it != oracle.end() && expected.size() < n; ++it) {
     expected.push_back(it->first);
   }
   WOHA_FUZZ_CHECK(walked == expected,
-                  "for_each_from diverged resuming at " + describe(from));
+                  "walk stopped after " + std::to_string(n) + " diverged");
 }
 
 }  // namespace
@@ -120,7 +119,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
         check_full_walk(tree, oracle);
         break;
       case 6:
-        check_resume_walk(tree, oracle, decode_key(in));
+        check_prefix_walk(tree, oracle, 1 + in.u8() % 16);
         break;
       case 7:
         tree.validate();

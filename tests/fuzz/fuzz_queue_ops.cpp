@@ -1,13 +1,16 @@
-// Dsl/Bst queue op-sequences vs the NaiveQueue reference.
+// Indexed queue op-sequences vs the NaiveQueue reference.
 //
 // The input decodes to a monotone-clock op sequence — insert with a
-// byte-derived plan, credit grants (announced via note_can_use_changed),
-// assigns, removals, progress losses, ordering snapshots — applied
-// identically to a DslQueue, a BstQueue, and the naive recompute-everything
-// oracle. All Algorithm-2 implementations must pick the same workflows in
-// the same order and expose the same priority ordering (ties break by id,
-// so cross-implementation equality is well-defined). Each queue owns its
-// credit copy, exactly like the engine's per-scheduler state.
+// byte-derived plan, credit grants and revocations (each zero crossing
+// announced as a runnable report, as the JobTracker announces them), map
+// and reduce offers with and without a per-offer filter, removals, progress
+// losses, ordering snapshots — applied identically to the DSL, BST and
+// BSTplain queues and to the naive recompute-everything oracle, which
+// ignores the reports and probes every workflow. All Algorithm-2
+// implementations must pick the same workflows in the same order and
+// expose the same per-type priority orderings (ties break by id, so
+// cross-implementation equality is well-defined), and the indexed queues
+// must pass check_structure, membership included.
 //
 // Mutant (WOHA_FUZZ_MUTANT=1): remove() skips the naive oracle, so its
 // size and ordering drift — the next comparison must fail.
@@ -20,35 +23,24 @@
 #include <string>
 #include <vector>
 
-#include "core/queue_bst.hpp"
-#include "core/queue_dsl.hpp"
-#include "core/queue_naive.hpp"
 #include "core/scheduler_queue.hpp"
 #include "fuzz_util.hpp"
 
 namespace {
 
+using woha::SimTime;
+using woha::SlotType;
 using woha::core::ProgressTracker;
 using woha::core::QueueKind;
 using woha::core::SchedulerQueue;
 using woha::core::SchedulingPlan;
-using woha::SimTime;
 
 constexpr std::uint32_t kMaxWorkflows = 8;
-constexpr std::size_t kDomains = SchedulerQueue::kProbeDomains;
+constexpr std::size_t kNaive = 3;  ///< index of the oracle in the queue array
 
-struct Twin {
-  std::unique_ptr<SchedulerQueue> queue;
-  // Per-workflow, per-domain assignable-task credits: the caller-side state
-  // can_use() answers from, duplicated per queue like the engine does.
-  std::array<std::array<std::uint64_t, kDomains>, kMaxWorkflows> credits{};
-
-  [[nodiscard]] std::function<bool(std::uint32_t)> can_use(std::size_t domain) {
-    return [this, domain](std::uint32_t id) {
-      return id < kMaxWorkflows && credits[id][domain] > 0;
-    };
-  }
-};
+SlotType decode_type(woha::fuzz::ByteReader& in) {
+  return in.u8() % 2 == 0 ? SlotType::kMap : SlotType::kReduce;
+}
 
 }  // namespace
 
@@ -56,34 +48,50 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   woha::fuzz::ByteReader in(data, size);
 
   std::deque<SchedulingPlan> plans;  // must outlive the trackers
-  std::array<Twin, 3> twins = {
-      Twin{woha::core::make_queue(QueueKind::kDsl)},
-      Twin{woha::core::make_queue(QueueKind::kBst)},
-      Twin{woha::core::make_queue(QueueKind::kNaive)},
+  std::array<std::unique_ptr<SchedulerQueue>, 4> queues = {
+      woha::core::make_queue(QueueKind::kDsl),
+      woha::core::make_queue(QueueKind::kBst),
+      woha::core::make_queue(QueueKind::kBstPlain),
+      woha::core::make_queue(QueueKind::kNaive),
   };
   std::array<bool, kMaxWorkflows> live{};
   std::array<std::uint64_t, kMaxWorkflows> assigned{};
+  // Per-workflow, per-slot-type assignable-task credits: the caller-side
+  // state runnable reports and can_use answer from.
+  std::array<std::array<std::uint64_t, 2>, kMaxWorkflows> credits{};
   SimTime now = 0;
 
+  const auto runnable = [&credits](std::uint32_t id, SlotType t) {
+    return id < kMaxWorkflows && credits[id][static_cast<std::size_t>(t)] > 0;
+  };
+  const auto announce = [&queues](std::uint32_t id, SlotType t, bool is_runnable) {
+    for (auto& q : queues) q->set_runnable(id, t, is_runnable);
+  };
+
   const auto compare_all = [&] {
-    const std::size_t expect = twins[2].queue->size();
-    WOHA_FUZZ_CHECK(twins[0].queue->size() == expect, "dsl size diverged");
-    WOHA_FUZZ_CHECK(twins[1].queue->size() == expect, "bst size diverged");
-    std::vector<SchedulerQueue::QueueEntry> naive_top;
-    twins[2].queue->top(expect, naive_top);
-    for (int t = 0; t < 2; ++t) {
-      std::vector<SchedulerQueue::QueueEntry> top;
-      twins[t].queue->top(expect, top);
-      WOHA_FUZZ_CHECK(top.size() == naive_top.size(), "top length diverged");
-      for (std::size_t i = 0; i < top.size(); ++i) {
-        WOHA_FUZZ_CHECK(top[i].id == naive_top[i].id,
-                        "ordering diverged at position " + std::to_string(i));
-        WOHA_FUZZ_CHECK(top[i].lag == naive_top[i].lag,
-                        "lag diverged for workflow " + std::to_string(top[i].id));
+    const std::size_t expect = queues[kNaive]->size();
+    for (const SlotType t : {SlotType::kMap, SlotType::kReduce}) {
+      const auto runnable_t = [&runnable, t](std::uint32_t id) {
+        return runnable(id, t);
+      };
+      std::vector<SchedulerQueue::QueueEntry> naive_top;
+      queues[kNaive]->top(t, expect, runnable_t, naive_top);
+      for (std::size_t q = 0; q < kNaive; ++q) {
+        const std::string who = queues[q]->name();
+        WOHA_FUZZ_CHECK(queues[q]->size() == expect, who + " size diverged");
+        std::vector<SchedulerQueue::QueueEntry> top;
+        queues[q]->top(t, expect, runnable_t, top);
+        WOHA_FUZZ_CHECK(top.size() == naive_top.size(), who + " top length diverged");
+        for (std::size_t i = 0; i < top.size(); ++i) {
+          WOHA_FUZZ_CHECK(top[i].id == naive_top[i].id,
+                          who + " ordering diverged at position " + std::to_string(i));
+          WOHA_FUZZ_CHECK(top[i].lag == naive_top[i].lag,
+                          who + " lag diverged for workflow " +
+                              std::to_string(top[i].id));
+        }
       }
     }
-    twins[0].queue->check_structure();
-    twins[1].queue->check_structure();
+    for (std::size_t q = 0; q < kNaive; ++q) queues[q]->check_structure(runnable);
   };
 
   while (!in.done()) {
@@ -103,50 +111,53 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
         plan.simulated_makespan = plan.step_ttd(0);
         plans.push_back(std::move(plan));
         const SimTime deadline = now + 50 + 10 * (in.u8() % 40);
-        for (Twin& t : twins) {
-          t.queue->insert(id, ProgressTracker(&plans.back(), deadline));
-          t.credits[id] = {};
-        }
+        for (auto& q : queues) q->insert(id, ProgressTracker(&plans.back(), deadline));
         live[id] = true;
         assigned[id] = 0;
+        credits[id] = {};  // a fresh workflow has nothing runnable yet
         break;
       }
-      case 1: {  // grant credits; announce the false -> true flip
+      case 1: {  // grant credits; announce the 0 -> n crossing
         const std::uint32_t id = in.u8() % kMaxWorkflows;
-        const std::size_t domain = in.u8() % kDomains;
+        const SlotType t = decode_type(in);
         const std::uint64_t n = 1 + in.u8() % 3;
-        for (Twin& t : twins) {
-          t.credits[id][domain] += n;
-          t.queue->note_can_use_changed(id);
-        }
+        if (!live[id]) break;
+        if (!runnable(id, t)) announce(id, t, true);
+        credits[id][static_cast<std::size_t>(t)] += n;
         break;
       }
-      case 2: {  // assign: all implementations must pick identically
-        const std::size_t domain = in.u8() % kDomains;
-        std::array<std::uint32_t, 3> picks{};
-        for (std::size_t t = 0; t < twins.size(); ++t) {
-          picks[t] = twins[t].queue->assign(now, twins[t].can_use(domain));
+      case 2: {  // offer a slot: all implementations must pick identically
+        const SlotType t = decode_type(in);
+        const std::uint8_t mask = in.u8();
+        // Odd masks filter the offer (a tracker's blacklist): bit id blocks.
+        const std::uint8_t blocked = (mask & 1) != 0 ? mask : 0;
+        const std::function<bool(std::uint32_t)> can_use = [&](std::uint32_t id) {
+          return runnable(id, t) && ((blocked >> id) & 1) == 0;
+        };
+        std::array<std::uint32_t, 4> picks{};
+        for (std::size_t q = 0; q < queues.size(); ++q) {
+          picks[q] = queues[q]->assign(now, t, can_use);
         }
-        WOHA_FUZZ_CHECK(picks[0] == picks[2], "dsl pick diverged from naive");
-        WOHA_FUZZ_CHECK(picks[1] == picks[2], "bst pick diverged from naive");
-        if (picks[2] != SchedulerQueue::kNone) {
-          for (Twin& t : twins) {
-            WOHA_FUZZ_CHECK(t.credits[picks[2]][domain] > 0,
-                            "picked workflow without credits");
-            --t.credits[picks[2]][domain];
-          }
-          ++assigned[picks[2]];
+        for (std::size_t q = 0; q < kNaive; ++q) {
+          WOHA_FUZZ_CHECK(picks[q] == picks[kNaive],
+                          queues[q]->name() + " pick diverged from naive");
+        }
+        const std::uint32_t pick = picks[kNaive];
+        if (pick != SchedulerQueue::kNone) {
+          WOHA_FUZZ_CHECK(can_use(pick), "picked a workflow that cannot use the slot");
+          if (--credits[pick][static_cast<std::size_t>(t)] == 0) announce(pick, t, false);
+          ++assigned[pick];
         }
         break;
       }
       case 3: {  // remove a finished workflow
         const std::uint32_t id = in.u8() % kMaxWorkflows;
         if (!live[id]) break;
-        for (std::size_t t = 0; t < twins.size(); ++t) {
+        for (std::size_t q = 0; q < queues.size(); ++q) {
           // Mutant: the naive oracle keeps the workflow — sizes and
           // orderings must be caught diverging by the next comparison.
-          if (woha::fuzz::mutant() && t == 2) continue;
-          twins[t].queue->remove(id);
+          if (woha::fuzz::mutant() && q == kNaive) continue;
+          queues[q]->remove(id);
         }
         live[id] = false;
         break;
@@ -156,7 +167,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
         const std::uint64_t lost =
             std::min<std::uint64_t>(1 + in.u8() % 2, assigned[id]);
         if (!live[id] || lost == 0) break;
-        for (Twin& t : twins) t.queue->on_progress_lost(id, lost);
+        for (auto& q : queues) q->on_progress_lost(id, lost);
         assigned[id] -= lost;
         break;
       }
@@ -166,9 +177,18 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
       case 6:
         compare_all();
         break;
-      case 7:
-        for (Twin& t : twins) t.queue->invalidate_probe_memo();
+      case 7: {  // revoke: the workflow's tasks of one type go away
+        const std::uint32_t id = in.u8() % kMaxWorkflows;
+        const SlotType t = decode_type(in);
+        if (!live[id] || !runnable(id, t)) break;
+        credits[id][static_cast<std::size_t>(t)] = 0;
+        announce(id, t, false);
         break;
+      }
+    }
+    for (std::size_t q = 0; q < kNaive; ++q) {
+      WOHA_FUZZ_CHECK(queues[q]->size() == queues[kNaive]->size(),
+                      queues[q]->name() + " size diverged");
     }
   }
 

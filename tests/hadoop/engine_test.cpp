@@ -232,36 +232,6 @@ TEST(Engine, RejectsNonPositiveHeartbeatPeriodAtConstruction) {
   }
 }
 
-TEST(Engine, RejectsZeroHeartbeatBatch) {
-  auto bad = small_cluster();
-  bad.heartbeat_batch = 0;
-  EXPECT_THROW(Engine(bad, std::make_unique<sched::FifoScheduler>()),
-               std::invalid_argument);
-}
-
-TEST(Engine, HeartbeatBatchSizesProduceIdenticalSummaries) {
-  // The same-tick empty-select memo is a pure wall-clock optimisation:
-  // every observable summary field must match the unbatched engine.
-  auto reference = small_cluster();
-  reference.heartbeat_batch = 1;
-  Engine ref_engine(reference, std::make_unique<sched::FifoScheduler>());
-  ref_engine.submit(single_job(6, 3));
-  ref_engine.run();
-  const auto ref = ref_engine.summarize();
-  for (const std::uint32_t batch : {2u, 8u, 64u}) {
-    auto config = small_cluster();
-    config.heartbeat_batch = batch;
-    Engine engine(config, std::make_unique<sched::FifoScheduler>());
-    engine.submit(single_job(6, 3));
-    engine.run();
-    const auto got = engine.summarize();
-    EXPECT_EQ(got.makespan, ref.makespan) << "batch=" << batch;
-    EXPECT_EQ(got.events_fired, ref.events_fired) << "batch=" << batch;
-    EXPECT_EQ(got.select_calls, ref.select_calls) << "batch=" << batch;
-    EXPECT_EQ(got.tasks_executed, ref.tasks_executed) << "batch=" << batch;
-  }
-}
-
 TEST(Engine, StaggeredSubmissionsRespectSubmitTimes) {
   auto a = single_job(2, 1);
   a.name = "early";

@@ -1,9 +1,11 @@
-// The batched-heartbeat memo and the parallel plan prewarm are wall-clock
-// optimisations only: every golden this repo pins must come out bit-identical
-// at every batch size, with the auditor on (memo bypassed — tracing sees
-// every select) and off (memo active), serially and under --jobs N, with
-// plan prewarm serial and parallel. A failure here means an optimisation
-// changed a scheduling decision — fix the optimisation, never the golden.
+// The plan prewarm is a wall-clock optimisation only, and the decision
+// fast paths (the engine answering offers nobody can use, WOHA serving the
+// head of its per-slot-type ordering) run the same code whoever watches:
+// every golden this repo pins must come out bit-identical with the auditor
+// on (the bus active, every decision published) and off, serially and under
+// --jobs N, with plan prewarm serial and parallel. A failure here means an
+// optimisation changed a scheduling decision — fix the optimisation, never
+// the golden.
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -22,80 +24,55 @@
 namespace woha {
 namespace {
 
-constexpr std::uint32_t kBatchSizes[] = {1, 8, 64};
-
-std::uint64_t overload_digest(std::uint32_t batch, bool audit, unsigned jobs) {
+std::uint64_t overload_digest(bool audit, unsigned jobs) {
   const auto workload = testing::overload_workload();
   auto grid = testing::overload_grid(workload);
-  for (auto& point : grid) {
-    point.config.heartbeat_batch = batch;
-    point.config.audit = audit;
-  }
+  for (auto& point : grid) point.config.audit = audit;
   metrics::GridOptions options;
   options.jobs = jobs;
   return testing::digest_overload(metrics::run_grid(grid, options));
 }
 
-std::uint64_t fig11_digest(std::uint32_t batch, bool audit, unsigned plan_jobs) {
+std::uint64_t fig11_digest(bool audit, unsigned plan_jobs) {
   hadoop::EngineConfig config;
   config.audit = audit;
   config.cluster = hadoop::ClusterConfig::paper_32_slaves();
-  config.heartbeat_batch = batch;
   const auto results = metrics::run_comparison(
       config, trace::fig11_scenario(), metrics::paper_schedulers(plan_jobs));
   return testing::digest_comparison(results);
 }
 
-TEST(BatchDeterminism, OverloadGoldenAtEveryBatchSizeAuditOn) {
-  for (const std::uint32_t batch : kBatchSizes) {
-    EXPECT_EQ(overload_digest(batch, /*audit=*/true, /*jobs=*/1),
-              testing::kOverloadChaosGolden)
-        << "batch=" << batch;
-  }
+TEST(BatchDeterminism, OverloadGoldenAuditOn) {
+  EXPECT_EQ(overload_digest(/*audit=*/true, /*jobs=*/1), testing::kOverloadChaosGolden);
 }
 
-TEST(BatchDeterminism, OverloadGoldenAtEveryBatchSizeAuditOff) {
-  // Audit off is the configuration where the memo actually serves offers
-  // (an active event bus bypasses it); the digest must not notice.
-  for (const std::uint32_t batch : kBatchSizes) {
-    EXPECT_EQ(overload_digest(batch, /*audit=*/false, /*jobs=*/1),
-              testing::kOverloadChaosGolden)
-        << "batch=" << batch;
-  }
+TEST(BatchDeterminism, OverloadGoldenAuditOff) {
+  EXPECT_EQ(overload_digest(/*audit=*/false, /*jobs=*/1), testing::kOverloadChaosGolden);
 }
 
 TEST(BatchDeterminism, OverloadGoldenUnderParallelGrid) {
-  EXPECT_EQ(overload_digest(/*batch=*/64, /*audit=*/false, /*jobs=*/2),
-            testing::kOverloadChaosGolden);
+  EXPECT_EQ(overload_digest(/*audit=*/false, /*jobs=*/2), testing::kOverloadChaosGolden);
 }
 
-TEST(BatchDeterminism, Fig11GoldenAtEveryBatchSize) {
-  for (const std::uint32_t batch : kBatchSizes) {
-    EXPECT_EQ(fig11_digest(batch, /*audit=*/true, /*plan_jobs=*/1),
-              0x9c0440bbd4ecdad5ull)
-        << "batch=" << batch << " audit=on";
-    EXPECT_EQ(fig11_digest(batch, /*audit=*/false, /*plan_jobs=*/1),
-              0x9c0440bbd4ecdad5ull)
-        << "batch=" << batch << " audit=off";
-  }
+TEST(BatchDeterminism, Fig11GoldenAuditOnAndOff) {
+  EXPECT_EQ(fig11_digest(/*audit=*/true, /*plan_jobs=*/1), 0x9c0440bbd4ecdad5ull)
+      << "audit=on";
+  EXPECT_EQ(fig11_digest(/*audit=*/false, /*plan_jobs=*/1), 0x9c0440bbd4ecdad5ull)
+      << "audit=off";
 }
 
 TEST(BatchDeterminism, Fig11GoldenWithParallelPlanPrewarm) {
   // plan_jobs fans plan generation across a thread pool before the run;
   // installation is submission-ordered, so the digest cannot move.
-  EXPECT_EQ(fig11_digest(/*batch=*/64, /*audit=*/true, /*plan_jobs=*/4),
-            0x9c0440bbd4ecdad5ull);
-  EXPECT_EQ(fig11_digest(/*batch=*/1, /*audit=*/false, /*plan_jobs=*/0),
-            0x9c0440bbd4ecdad5ull);
+  EXPECT_EQ(fig11_digest(/*audit=*/true, /*plan_jobs=*/4), 0x9c0440bbd4ecdad5ull);
+  EXPECT_EQ(fig11_digest(/*audit=*/false, /*plan_jobs=*/0), 0x9c0440bbd4ecdad5ull);
 }
 
-TEST(BatchDeterminism, ScaleWorkload160GoldenWithBatchingAndPrewarm) {
+TEST(BatchDeterminism, ScaleWorkload160GoldenWithPrewarm) {
   hadoop::EngineConfig config;
-  config.audit = false;  // exercise the memo on the bench workload itself
   config.cluster.num_trackers = 160;
   config.cluster.map_slots_per_tracker = 2;
   config.cluster.reduce_slots_per_tracker = 1;
-  config.heartbeat_batch = 64;
   const auto results = metrics::run_comparison(
       config, trace::scale_workload(160), metrics::paper_schedulers(4));
   EXPECT_EQ(testing::digest_comparison(results), 0x9406f11ab911f50cull);

@@ -1,6 +1,8 @@
-// Scheduler decision explainability: every scheduler publishes a
-// SchedulerDecision per select_task call with the ranking it consulted, and
-// subscribing the trace never changes what gets scheduled.
+// Scheduler decision explainability: every select call — a scheduler's
+// select_task, or an offer the engine answers itself because nothing of the
+// slot's type is runnable — publishes one SchedulerDecision with the ranking
+// consulted, every ranked candidate is runnable for the offered slot type,
+// and subscribing the trace never changes what gets scheduled.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +12,7 @@
 
 #include "core/woha_scheduler.hpp"
 #include "hadoop/engine.hpp"
+#include "hadoop/job_tracker.hpp"
 #include "metrics/report.hpp"
 #include "workflow/topology.hpp"
 
@@ -38,6 +41,9 @@ hadoop::EngineConfig small_cluster() {
 
 struct Trace {
   std::vector<obs::SchedulerDecision> decisions;
+  /// Ranked candidates without an available task of the offered type, as
+  /// the tracker stood when the decision was published.
+  std::uint64_t stale_candidates = 0;
   hadoop::RunSummary summary;
 };
 
@@ -45,9 +51,17 @@ Trace run_traced(const metrics::SchedulerEntry& entry, bool subscribe) {
   hadoop::Engine engine(small_cluster(), entry.make());
   Trace trace;
   if (subscribe) {
-    engine.events().subscribe([&trace](const obs::Event& e) {
+    const hadoop::JobTracker& tracker = engine.job_tracker();
+    engine.events().subscribe([&trace, &tracker](const obs::Event& e) {
       if (const auto* d = std::get_if<obs::SchedulerDecision>(&e.payload)) {
         trace.decisions.push_back(*d);
+        for (const auto& c : d->ranking) {
+          const hadoop::WorkflowRuntime& wf = tracker.workflow(WorkflowId(c.workflow));
+          const bool runnable = c.job == obs::SchedulerDecision::kNoJob
+                                    ? wf.available_jobs(d->slot) > 0
+                                    : wf.job(c.job).has_available(d->slot);
+          if (!runnable) ++trace.stale_candidates;
+        }
       }
     });
   }
@@ -65,6 +79,9 @@ TEST_P(DecisionTrace, EverySchedulerExplainsItsDecisions) {
   const auto traced = run_traced(entry, true);
 
   ASSERT_FALSE(traced.decisions.empty()) << entry.label;
+  // One decision per select call, whoever answered it.
+  EXPECT_EQ(traced.decisions.size(), traced.summary.select_calls) << entry.label;
+  EXPECT_EQ(traced.stale_candidates, 0u) << entry.label;
   std::size_t assigned = 0;
   for (const auto& d : traced.decisions) {
     EXPECT_FALSE(d.scheduler.empty());
@@ -86,9 +103,11 @@ TEST_P(DecisionTrace, EverySchedulerExplainsItsDecisions) {
             << entry.label;
       }
     } else {
-      // An idle decision must still explain itself: either the queue was
-      // empty or every ranked candidate was ineligible for the slot.
+      // An idle decision must still explain itself: with no filter, only
+      // an offer with nothing runnable for its type goes unassigned, and
+      // then there is nothing to rank.
       EXPECT_EQ(d.workflow, 0u);
+      EXPECT_TRUE(d.ranking.empty()) << entry.label;
     }
   }
   // The workload runs to completion, so tasks were assigned via decisions.

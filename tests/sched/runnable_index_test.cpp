@@ -1,9 +1,12 @@
-// FIFO and Fair read the JobTracker's runnable-job index instead of
-// scanning. These tests run each against a test-local copy of the scanning
-// version it replaced and require the same decisions: the same task starts
-// (time, tracker, slot, workflow, job) in the same order and the same run
-// summary, with and without a bus subscriber, on random DAGs and on the
-// scale workload, with retries, tracker crashes (lost map outputs),
+// FIFO, Fair and WOHA read the JobTracker's runnable-job index instead of
+// scanning. These tests run FIFO and Fair against test-local copies of the
+// scanning versions they replaced, and WOHA on each indexed queue (DSL, BST,
+// BSTplain) against WOHA on NaiveQueue, which ignores runnable reports and
+// probes every queued workflow. They require the same decisions: the same
+// task starts (time, tracker, slot, workflow, job) in the same order and
+// the same run summary, with and without a bus subscriber, and no ranked
+// candidate that cannot use the offered slot type — on random DAGs and on
+// the scale workload, with retries, tracker crashes (lost map outputs),
 // blacklist-filtered offers, speculation, shedding and an elastic drain.
 // Directed cases pin the two orders the index must get right: an older job
 // that becomes runnable again goes first, and a filtered offer skips the
@@ -22,6 +25,7 @@
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
+#include "core/woha_scheduler.hpp"
 #include "hadoop/engine.hpp"
 #include "hadoop/job_tracker.hpp"
 #include "sched/fair_scheduler.hpp"
@@ -49,7 +53,6 @@ class ScanningFifo final : public hadoop::WorkflowScheduler {
     std::erase_if(queue_, [wf](JobRef ref) { return ref.workflow == wf.value(); });
   }
   std::optional<JobRef> select_task(const SlotOffer& slot, SimTime) override {
-    if (nothing_available(slot.type)) return std::nullopt;
     for (const JobRef ref : queue_) {
       if (tracker_->job(ref).has_available(slot.type) && slot.allows(ref)) return ref;
     }
@@ -82,7 +85,6 @@ class ScanningFair final : public hadoop::WorkflowScheduler {
     active_jobs_.erase(wf.value());
   }
   std::optional<JobRef> select_task(const SlotOffer& slot, SimTime) override {
-    if (nothing_available(slot.type)) return std::nullopt;
     Share* best = nullptr;
     JobRef best_job;
     for (auto& share : workflows_) {
@@ -290,25 +292,57 @@ struct Coverage {
   }
 };
 
-/// Each indexed scheduler against its scanning reference, untraced and with
-/// a bus subscriber.
-void expect_equivalent(const hadoop::EngineConfig& config,
+using Factory = std::function<std::unique_ptr<hadoop::WorkflowScheduler>()>;
+
+/// One indexed scheduler and the reference it must decide exactly like.
+struct Pair {
+  std::string label;
+  Factory reference;
+  Factory indexed;
+};
+
+/// FIFO and Fair against their scanning references.
+std::vector<Pair> baselines() {
+  return {
+      {"FIFO", [] { return std::make_unique<ScanningFifo>(); },
+       [] { return std::make_unique<sched::FifoScheduler>(); }},
+      {"Fair", [] { return std::make_unique<ScanningFair>(); },
+       [] { return std::make_unique<sched::FairScheduler>(); }},
+  };
+}
+
+Factory woha_on(core::QueueKind kind) {
+  return [kind] {
+    core::WohaConfig config;
+    config.job_priority = core::JobPriorityPolicy::kLpf;
+    config.queue = kind;
+    return std::make_unique<core::WohaScheduler>(config);
+  };
+}
+
+/// WOHA-LPF on each indexed queue against WOHA-LPF on NaiveQueue.
+std::vector<Pair> woha_queues() {
+  std::vector<Pair> pairs;
+  for (const core::QueueKind kind :
+       {core::QueueKind::kDsl, core::QueueKind::kBst, core::QueueKind::kBstPlain}) {
+    pairs.push_back({std::string("WOHA-LPF/") + core::to_string(kind),
+                     woha_on(core::QueueKind::kNaive), woha_on(kind)});
+  }
+  return pairs;
+}
+
+/// Each indexed scheduler against its reference, untraced and with a bus
+/// subscriber.
+void expect_equivalent(const std::vector<Pair>& pairs,
+                       const hadoop::EngineConfig& config,
                        const std::vector<wf::WorkflowSpec>& specs,
                        const std::string& label, Coverage* coverage = nullptr) {
   for (const bool traced : {false, true}) {
-    for (const bool fair : {false, true}) {
+    for (const Pair& pair : pairs) {
       const std::string what =
-          label + (fair ? " Fair" : " FIFO") + (traced ? " traced" : " untraced");
-      std::unique_ptr<hadoop::WorkflowScheduler> reference, indexed;
-      if (fair) {
-        reference = std::make_unique<ScanningFair>();
-        indexed = std::make_unique<sched::FairScheduler>();
-      } else {
-        reference = std::make_unique<ScanningFifo>();
-        indexed = std::make_unique<sched::FifoScheduler>();
-      }
-      const Outcome want = run(config, specs, std::move(reference), traced);
-      const Outcome got = run(config, specs, std::move(indexed), traced);
+          label + " " + pair.label + (traced ? " traced" : " untraced");
+      const Outcome want = run(config, specs, pair.reference(), traced);
+      const Outcome got = run(config, specs, pair.indexed(), traced);
       ASSERT_FALSE(want.picks.empty()) << what;
       expect_same_starts(want.picks, got.picks, what);
       expect_same_starts(want.published, got.published, what + " (bus)");
@@ -373,9 +407,17 @@ hadoop::EngineConfig chaos(hadoop::EngineConfig config, std::uint64_t seed) {
   return config;
 }
 
+/// The chaos configuration on the 80-tracker scale workload.
+hadoop::EngineConfig chaos_at_scale() {
+  auto config = chaos(small_cluster(80, 7), 7);
+  config.admission.max_pending_workflows = 20;
+  config.elasticity.decommissions[0].tracker = 40;
+  return config;
+}
+
 TEST(RunnableIndex, MatchesScanningBaselinesOnRandomDags) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    expect_equivalent(small_cluster(6, seed), random_dags(seed, 10),
+    expect_equivalent(baselines(), small_cluster(6, seed), random_dags(seed, 10),
                       "random DAGs seed " + std::to_string(seed));
   }
 }
@@ -383,7 +425,8 @@ TEST(RunnableIndex, MatchesScanningBaselinesOnRandomDags) {
 TEST(RunnableIndex, MatchesScanningBaselinesOnRandomDagsUnderChaos) {
   Coverage coverage;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    expect_equivalent(chaos(small_cluster(8, seed), seed), random_dags(seed + 100, 14),
+    expect_equivalent(baselines(), chaos(small_cluster(8, seed), seed),
+                      random_dags(seed + 100, 14),
                       "chaos random DAGs seed " + std::to_string(seed), &coverage);
   }
   EXPECT_GT(coverage.retries, 0u);
@@ -398,11 +441,43 @@ TEST(RunnableIndex, MatchesScanningBaselinesOnRandomDagsUnderChaos) {
 TEST(RunnableIndex, MatchesScanningBaselinesOnScaleWorkload) {
   Coverage coverage;
   const std::vector<wf::WorkflowSpec> specs = trace::scale_workload(80, 7);
-  expect_equivalent(small_cluster(80, 7), specs, "scale_workload(80)");
-  auto config = chaos(small_cluster(80, 7), 7);
-  config.admission.max_pending_workflows = 20;
-  config.elasticity.decommissions[0].tracker = 40;
-  expect_equivalent(config, specs, "chaos scale_workload(80)", &coverage);
+  expect_equivalent(baselines(), small_cluster(80, 7), specs, "scale_workload(80)");
+  expect_equivalent(baselines(), chaos_at_scale(), specs, "chaos scale_workload(80)",
+                    &coverage);
+  EXPECT_GT(coverage.retries, 0u);
+  EXPECT_GT(coverage.crashes, 0u);
+  EXPECT_GT(coverage.blacklistings, 0u);
+}
+
+TEST(RunnableIndex, WohaMatchesNaiveQueueOnRandomDags) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    expect_equivalent(woha_queues(), small_cluster(6, seed), random_dags(seed, 10),
+                      "random DAGs seed " + std::to_string(seed));
+  }
+}
+
+TEST(RunnableIndex, WohaMatchesNaiveQueueOnRandomDagsUnderChaos) {
+  Coverage coverage;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    expect_equivalent(woha_queues(), chaos(small_cluster(8, seed), seed),
+                      random_dags(seed + 100, 14),
+                      "chaos random DAGs seed " + std::to_string(seed), &coverage);
+  }
+  EXPECT_GT(coverage.retries, 0u);
+  EXPECT_GT(coverage.crashes, 0u);
+  EXPECT_GT(coverage.outputs_lost, 0u);
+  EXPECT_GT(coverage.blacklistings, 0u);
+  EXPECT_GT(coverage.backups, 0u);
+  EXPECT_GT(coverage.shed, 0u);
+  EXPECT_GT(coverage.drains, 0u);
+}
+
+TEST(RunnableIndex, WohaMatchesNaiveQueueOnScaleWorkload) {
+  Coverage coverage;
+  const std::vector<wf::WorkflowSpec> specs = trace::scale_workload(80, 7);
+  expect_equivalent(woha_queues(), small_cluster(80, 7), specs, "scale_workload(80)");
+  expect_equivalent(woha_queues(), chaos_at_scale(), specs, "chaos scale_workload(80)",
+                    &coverage);
   EXPECT_GT(coverage.retries, 0u);
   EXPECT_GT(coverage.crashes, 0u);
   EXPECT_GT(coverage.blacklistings, 0u);
