@@ -23,11 +23,10 @@ struct ClusterConfig {
   std::uint32_t num_trackers = 80;
   std::uint32_t map_slots_per_tracker = 2;
   std::uint32_t reduce_slots_per_tracker = 1;
-  /// TaskTracker heartbeat period (Hadoop-1 default: 3 s).
+  /// TaskTracker heartbeat period (Hadoop-1 default: 3 s). First beats are
+  /// staggered uniformly over one period, so the master does not see all
+  /// trackers in the same tick (as in any real cluster).
   Duration heartbeat_period = seconds(3);
-  /// Stagger first heartbeats uniformly over one period so the master does
-  /// not see all trackers in the same tick (true in any real cluster).
-  bool stagger_heartbeats = true;
 
   [[nodiscard]] std::uint32_t total_map_slots() const {
     return num_trackers * map_slots_per_tracker;

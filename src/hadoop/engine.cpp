@@ -205,21 +205,9 @@ void Engine::run() {
   }
 
   // Heartbeat loops, staggered so the master sees a steady request stream.
-  const Duration hb = config_.cluster.heartbeat_period;
+  const auto hb = static_cast<std::uint64_t>(config_.cluster.heartbeat_period);
   for (std::size_t i = 0; i < cluster_.tracker_count(); ++i) {
-    const SimTime first =
-        config_.cluster.stagger_heartbeats
-            ? static_cast<SimTime>((static_cast<std::uint64_t>(i) * static_cast<std::uint64_t>(hb)) /
-                                   cluster_.tracker_count())
-            : 0;
-    sim_.schedule_every(first, hb, [this, i]() {
-      // Stop heartbeating once everything finished, so run() terminates.
-      if (job_tracker_.active_workflows() == 0 &&
-          job_tracker_.workflow_count() > 0) {
-        return;
-      }
-      heartbeat(i);
-    });
+    start_heartbeats(i, static_cast<SimTime>(i * hb / cluster_.tracker_count()));
   }
   // The heartbeat events above repeat forever; run with a stop condition:
   // when no workflow is active and no submission is pending, request stop.
@@ -239,6 +227,16 @@ void Engine::run() {
       break;
     }
   }
+}
+
+void Engine::start_heartbeats(std::size_t tracker_index, SimTime first) {
+  sim_.schedule_every(first, config_.cluster.heartbeat_period, [this, tracker_index]() {
+    // Stop heartbeating once everything finished, so run() terminates.
+    if (job_tracker_.active_workflows() == 0 && job_tracker_.workflow_count() > 0) {
+      return;
+    }
+    heartbeat(tracker_index);
+  });
 }
 
 void Engine::do_submit(wf::WorkflowSpec spec) {
@@ -314,27 +312,9 @@ void Engine::shed_workflow(std::uint32_t workflow, SimTime now) {
   ++workflows_shed_;
   if (handles_.workflows_shed) handles_.workflows_shed->add();
 
-  // Kill its remaining attempts, exactly like fail_workflow's sweep.
-  std::vector<std::uint64_t> victims;
-  for (auto it = attempts_by_workflow_.lower_bound({workflow, 0, 0});
-       it != attempts_by_workflow_.end() && std::get<0>(*it) == workflow; ++it) {
-    victims.push_back(std::get<2>(*it));
-  }
-  for (const std::uint64_t id : victims) {
-    const std::size_t t = attempts_.at(id).tracker;
-    const TrackerFaultState& fs = fault_state_[t];
-    const Attempt a =
-        kill_attempt(id, fs.dead ? fs.crash_time : now, obs::KillCause::kShed);
-    if (a.rival != 0) {
-      if (Attempt* rival = attempts_.find(a.rival)) {
-        rival->rival = 0;
-        spec_candidate_add(a.rival, *rival);
-      }
-    }
-  }
+  const std::uint32_t killed = kill_workflow_attempts(workflow, obs::KillCause::kShed);
   if (events_.active()) {
-    events_.publish(now, obs::WorkflowShed{workflow, wf_rt.deadline(),
-                                           static_cast<std::uint32_t>(victims.size())});
+    events_.publish(now, obs::WorkflowShed{workflow, wf_rt.deadline(), killed});
   }
   job_tracker_.count_workflow_finished();
   scheduler_->on_workflow_failed(WorkflowId(workflow), now);
@@ -507,42 +487,65 @@ void Engine::start_task(JobRef ref, SlotType type, std::size_t tracker_index) {
                            scheduler_->name() + ")");
   }
   const std::uint32_t retry_level = job.start_task(type);
-  cluster_.occupy(tracker_index, type);
-  WorkflowRuntime& wf_rt = job_tracker_.workflow(WorkflowId(ref.workflow));
-  wf_rt.count_scheduled_task();
-  ++tasks_executed_;
+  job_tracker_.workflow(WorkflowId(ref.workflow)).count_scheduled_task();
+  launch_attempt(ref, type, tracker_index, retry_level, 0);
+}
 
+std::uint64_t Engine::launch_attempt(JobRef ref, SlotType type,
+                                     std::size_t tracker_index,
+                                     std::uint32_t retry_level,
+                                     std::uint64_t original) {
+  cluster_.occupy(tracker_index, type);
+  ++tasks_executed_;
+  if (handles_.tasks_started) handles_.tasks_started->add();
   bool will_fail = false;
   const Duration dur = draw_attempt(ref, type, tracker_index, will_fail);
   busy_ms_[static_cast<std::size_t>(type)] += static_cast<double>(dur);
-  if (handles_.tasks_started) handles_.tasks_started->add();
 
   const std::uint64_t id = next_attempt_id_++;
+  const bool speculative = original != 0;
   if (events_.active()) {
+    if (speculative) {
+      events_.publish(sim_.now(), obs::SpeculativeLaunched{id, original, ref.workflow,
+                                                           ref.job, type, tracker_index});
+    }
     events_.publish(sim_.now(), obs::TaskStarted{id, ref.workflow, ref.job, type,
-                                                 tracker_index, dur, false});
+                                                 tracker_index, dur, speculative});
   }
-  Attempt attempt{ref,      type,      tracker_index, sim_.now(), dur,
-                  retry_level, will_fail, false,         0,          {}};
+  Attempt attempt{ref,         type,      tracker_index, sim_.now(), dur,
+                  retry_level, will_fail, speculative,   original,   {}};
   attempt.finish_event =
       sim_.schedule_after(dur, [this, id]() { finish_attempt(id); });
-  index_attempt_add(id, attempt);
+  if (index_by_workflow_) {
+    attempts_by_workflow_.emplace(ref.workflow, tracker_index, id);
+  }
+  spec_candidate_add(id, attempt);
   attempts_.emplace(id, std::move(attempt));
   tracker_attempts_[tracker_index].push_back(id);
+  return id;
 }
 
-void Engine::index_attempt_add(std::uint64_t id, const Attempt& a) {
+Engine::Attempt Engine::remove_attempt(std::uint64_t attempt_id) {
+  Attempt a = attempts_.take(attempt_id);
+  a.finish_event.cancel();
   if (index_by_workflow_) {
-    attempts_by_workflow_.emplace(a.ref.workflow, a.tracker, id);
+    attempts_by_workflow_.erase({a.ref.workflow, a.tracker, attempt_id});
   }
-  spec_candidate_add(id, a);
-}
-
-void Engine::index_attempt_remove(std::uint64_t id, const Attempt& a) {
-  if (index_by_workflow_) {
-    attempts_by_workflow_.erase({a.ref.workflow, a.tracker, id});
+  if (config_.faults.speculative_execution) {
+    spec_candidates_[static_cast<std::size_t>(a.type)].erase({a.tracker, attempt_id});
   }
-  spec_candidate_remove(id, a);
+  if (a.rival != 0) {
+    // The speculation twin, if it still runs, carries the task on alone and
+    // may receive a backup of its own again.
+    if (Attempt* rival = attempts_.find(a.rival)) {
+      rival->rival = 0;
+      spec_candidate_add(a.rival, *rival);
+    }
+  }
+  std::erase(tracker_attempts_[a.tracker], attempt_id);
+  cluster_.release(a.tracker, a.type);
+  maybe_complete_drain(a.tracker);
+  return a;
 }
 
 void Engine::spec_candidate_add(std::uint64_t id, const Attempt& a) {
@@ -551,24 +554,8 @@ void Engine::spec_candidate_add(std::uint64_t id, const Attempt& a) {
   spec_candidates_[static_cast<std::size_t>(a.type)].emplace(a.tracker, id);
 }
 
-void Engine::spec_candidate_remove(std::uint64_t id, const Attempt& a) {
-  // Mirror of spec_candidate_add: callers invoke it with the attempt state
-  // as of insertion time (rival still 0), so ineligible attempts were
-  // simply never in the set.
-  if (!config_.faults.speculative_execution) return;
-  if (a.speculative || a.rival != 0) return;
-  spec_candidates_[static_cast<std::size_t>(a.type)].erase({a.tracker, id});
-}
-
 void Engine::finish_attempt(std::uint64_t attempt_id) {
-  if (!attempts_.contains(attempt_id)) {
-    throw std::logic_error("Engine: finish event for unknown attempt");
-  }
-  const Attempt a = attempts_.take(attempt_id);
-  index_attempt_remove(attempt_id, a);
-  std::erase(tracker_attempts_[a.tracker], attempt_id);
-  cluster_.release(a.tracker, a.type);
-  maybe_complete_drain(a.tracker);
+  const Attempt a = remove_attempt(attempt_id);
   JobInProgress& job = job_tracker_.job(a.ref);
 
   const auto publish_ended = [&](bool failed) {
@@ -586,10 +573,6 @@ void Engine::finish_attempt(std::uint64_t attempt_id) {
     if (a.rival != 0) {
       // The speculation twin keeps running the task alone; this failure
       // burns an attempt but re-queues nothing.
-      if (Attempt* rival = attempts_.find(a.rival)) {
-        rival->rival = 0;
-        spec_candidate_add(a.rival, *rival);
-      }
       publish_ended(true);
       return;
     }
@@ -610,13 +593,8 @@ void Engine::finish_attempt(std::uint64_t attempt_id) {
   // Success. A speculation race has a winner: kill the loser (first finish
   // wins, Hadoop's speculative-execution contract).
   if (a.rival != 0) {
-    const Attempt& loser_ref = attempts_.at(a.rival);
-    const TrackerFaultState& loser_fs = fault_state_[loser_ref.tracker];
-    const SimTime stop = loser_fs.dead ? loser_fs.crash_time : sim_.now();
-    const Attempt loser =
-        kill_attempt(a.rival, stop, obs::KillCause::kSpeculationRace);
-    speculative_wasted_ms_ +=
-        static_cast<double>(std::max<Duration>(0, stop - loser.start_time));
+    const Attempt loser = kill_attempt(a.rival, obs::KillCause::kSpeculationRace);
+    speculative_wasted_ms_ += static_cast<double>(loser.duration);
     if (a.speculative) ++speculative_won_;
   }
 
@@ -666,19 +644,17 @@ void Engine::finish_attempt(std::uint64_t attempt_id) {
   }
 }
 
-Engine::Attempt Engine::kill_attempt(std::uint64_t attempt_id, SimTime stop_time,
-                                     obs::KillCause cause) {
-  Attempt a = attempts_.take(attempt_id);
-  a.finish_event.cancel();
-  index_attempt_remove(attempt_id, a);
-  std::erase(tracker_attempts_[a.tracker], attempt_id);
-  cluster_.release(a.tracker, a.type);
-  maybe_complete_drain(a.tracker);
-  // Busy time was charged for the full scheduled duration at start; refund
-  // the part that never executed.
+Engine::Attempt Engine::kill_attempt(std::uint64_t attempt_id, obs::KillCause cause) {
+  Attempt a = remove_attempt(attempt_id);
+  // A zombie stopped executing when its node crashed; anything else stops
+  // now. Busy time was charged for the full scheduled duration at start;
+  // refund the part that never executed.
+  const TrackerFaultState& fs = fault_state_[a.tracker];
+  const SimTime stop_time = fs.dead ? fs.crash_time : sim_.now();
   const Duration executed = std::max<Duration>(0, stop_time - a.start_time);
   busy_ms_[static_cast<std::size_t>(a.type)] -=
       static_cast<double>(a.duration - executed);
+  a.duration = executed;
   ++attempts_killed_;
   if (handles_.attempts_killed) handles_.attempts_killed->add();
   if (events_.active()) {
@@ -774,30 +750,33 @@ void Engine::detect_tracker_loss(std::size_t tracker_index) {
       << "t=" << sim_.now() << " tracker " << tracker_index
       << " declared lost (crashed at " << fs.crash_time << ")";
 
-  // Kill every attempt that was running there. KILLED, not FAILED: node
-  // loss never counts against the task's attempt budget.
+  const std::uint32_t killed = evict_tracker(tracker_index, obs::KillCause::kNodeLoss);
+  const std::uint32_t outputs_lost = drop_tracker(tracker_index);
+  if (events_.active()) {
+    events_.publish(sim_.now(), obs::TrackerLost{tracker_index, fs.crash_time,
+                                                 killed, outputs_lost});
+  }
+}
+
+std::uint32_t Engine::evict_tracker(std::size_t tracker_index, obs::KillCause cause) {
+  // KILLED, not FAILED: losing the node never counts against a task's
+  // attempt budget.
   const std::vector<std::uint64_t> ids = tracker_attempts_[tracker_index];
-  const auto killed_here = static_cast<std::uint32_t>(ids.size());
-  std::uint32_t outputs_lost_here = 0;
   for (const std::uint64_t id : ids) {
-    const Attempt a = kill_attempt(id, fs.crash_time, obs::KillCause::kNodeLoss);
-    if (a.rival != 0) {
-      // The task lives on in its speculation twin — nothing to re-queue.
-      if (Attempt* rival = attempts_.find(a.rival)) {
-        rival->rival = 0;
-        spec_candidate_add(a.rival, *rival);
-      }
-      continue;
-    }
-    JobInProgress& job = job_tracker_.job(a.ref);
-    job.requeue_running(a.type, a.retry_level);
+    const Attempt a = kill_attempt(id, cause);
+    if (a.rival != 0) continue;  // the task lives on in its speculation twin
+    job_tracker_.job(a.ref).requeue_running(a.type, a.retry_level);
     scheduler_->on_task_finished(a.ref, a.type, sim_.now());
     scheduler_->on_tasks_lost(a.ref, a.type, 1, sim_.now());
   }
+  return static_cast<std::uint32_t>(ids.size());
+}
 
-  // Invalidate completed map outputs stranded on the node's local disk:
+std::uint32_t Engine::drop_tracker(std::size_t tracker_index) {
+  // Completed map outputs stranded on the node's local disk leave with it:
   // unfetched partitions are gone, so those maps re-execute from scratch
   // (fresh tasks — re-execution is not a retry).
+  std::uint32_t lost = 0;
   for (const auto& [ref, count] : map_outputs_[tracker_index]) {
     WorkflowRuntime& w = job_tracker_.workflow(WorkflowId(ref.workflow));
     if (w.finished() || w.failed()) continue;
@@ -805,22 +784,15 @@ void Engine::detect_tracker_loss(std::size_t tracker_index) {
     if (job.complete() || job.state() == JobState::kFailed) continue;
     job.invalidate_finished_maps(count);
     map_outputs_lost_ += count;
-    outputs_lost_here += count;
+    lost += count;
     scheduler_->on_tasks_lost(ref, SlotType::kMap, count, sim_.now());
   }
   map_outputs_[tracker_index].clear();
   cluster_.deactivate(tracker_index);
-  {
-    const TrackerState& ts = cluster_.tracker(tracker_index);
-    account_capacity_change(
-        -static_cast<std::int64_t>(ts.capacity(SlotType::kMap)),
-        -static_cast<std::int64_t>(ts.capacity(SlotType::kReduce)));
-  }
-  if (events_.active()) {
-    events_.publish(sim_.now(),
-                    obs::TrackerLost{tracker_index, fs.crash_time, killed_here,
-                                     outputs_lost_here});
-  }
+  const TrackerState& ts = cluster_.tracker(tracker_index);
+  account_capacity_change(-static_cast<std::int64_t>(ts.capacity(SlotType::kMap)),
+                          -static_cast<std::int64_t>(ts.capacity(SlotType::kReduce)));
+  return lost;
 }
 
 void Engine::fail_workflow(std::uint32_t workflow, SimTime now) {
@@ -836,30 +808,24 @@ void Engine::fail_workflow(std::uint32_t workflow, SimTime now) {
     events_.publish(now, obs::WorkflowFailed{workflow});
   }
 
-  // Kill the workflow's remaining attempts everywhere. The (workflow,
-  // tracker, attempt) index yields them in exactly the order the old
-  // full-cluster sweep did — trackers ascending, launch order within a
-  // tracker — without touching the other 9,999 trackers' lists. Collect
+  kill_workflow_attempts(workflow, obs::KillCause::kWorkflowFailed);
+  job_tracker_.count_workflow_finished();
+  scheduler_->on_workflow_failed(WorkflowId(workflow), now);
+}
+
+std::uint32_t Engine::kill_workflow_attempts(std::uint32_t workflow,
+                                             obs::KillCause cause) {
+  // The (workflow, tracker, attempt) index yields the workflow's attempts in
+  // the order of a full-cluster sweep — trackers ascending, launch order
+  // within a tracker — without touching any other tracker's list. Collect
   // first: kill_attempt mutates the index.
   std::vector<std::uint64_t> victims;
   for (auto it = attempts_by_workflow_.lower_bound({workflow, 0, 0});
        it != attempts_by_workflow_.end() && std::get<0>(*it) == workflow; ++it) {
     victims.push_back(std::get<2>(*it));
   }
-  for (const std::uint64_t id : victims) {
-    const std::size_t t = attempts_.at(id).tracker;
-    const TrackerFaultState& fs = fault_state_[t];
-    const Attempt a = kill_attempt(id, fs.dead ? fs.crash_time : now,
-                                   obs::KillCause::kWorkflowFailed);
-    if (a.rival != 0) {
-      if (Attempt* rival = attempts_.find(a.rival)) {
-        rival->rival = 0;
-        spec_candidate_add(a.rival, *rival);
-      }
-    }
-  }
-  job_tracker_.count_workflow_finished();
-  scheduler_->on_workflow_failed(WorkflowId(workflow), now);
+  for (const std::uint64_t id : victims) kill_attempt(id, cause);
+  return static_cast<std::uint32_t>(victims.size());
 }
 
 void Engine::record_attempt_failure(JobRef ref, std::size_t tracker_index) {
@@ -912,44 +878,24 @@ bool Engine::try_speculate(SlotType type, std::size_t tracker_index) {
     if (blacklisted(a.ref, tracker_index)) continue;
 
     // Launch the backup. Copies, not references: `id` lives in the
-    // candidate-set node erased below, and attempts_.emplace can reallocate
-    // the table `a` points into.
+    // candidate-set node erased below, and the launch can reallocate the
+    // table `a` points into. The backup occupies a slot and burns budget
+    // metrics but is NOT new task progress: no job/rho accounting.
     const std::uint64_t original_id = id;
-    const Attempt original = a;
-    // The backup occupies a slot and burns budget metrics but is NOT new
-    // task progress: no job/rho accounting, no select_task.
-    cluster_.occupy(tracker_index, type);
-    ++tasks_executed_;
+    const std::size_t original_tracker = a.tracker;
+    const JobRef ref = a.ref;
     ++speculative_launched_;
-    if (handles_.tasks_started) handles_.tasks_started->add();
     if (handles_.speculative_launched) handles_.speculative_launched->add();
-    bool will_fail = false;
-    const Duration dur = draw_attempt(original.ref, type, tracker_index, will_fail);
-    busy_ms_[static_cast<std::size_t>(type)] += static_cast<double>(dur);
-    const std::uint64_t backup_id = next_attempt_id_++;
-    if (events_.active()) {
-      events_.publish(now, obs::SpeculativeLaunched{backup_id, original_id,
-                                                    original.ref.workflow,
-                                                    original.ref.job, type,
-                                                    tracker_index});
-      events_.publish(now, obs::TaskStarted{backup_id, original.ref.workflow,
-                                            original.ref.job, type,
-                                            tracker_index, dur, true});
-    }
-    Attempt backup{original.ref,         type,      tracker_index, now,         dur,
-                   original.retry_level, will_fail, true,          original_id, {}};
-    backup.finish_event =
-        sim_.schedule_after(dur, [this, backup_id]() { finish_attempt(backup_id); });
-    index_attempt_add(backup_id, backup);
-    attempts_.emplace(backup_id, std::move(backup));
-    tracker_attempts_[tracker_index].push_back(backup_id);
+    const std::uint64_t backup_id =
+        launch_attempt(ref, type, tracker_index, a.retry_level, original_id);
     WOHA_LOG(LogLevel::kDebug, "engine")
-        << "t=" << now << " speculative backup for w" << original.ref.workflow
-        << "/j" << original.ref.job << " on tracker " << tracker_index;
+        << "t=" << now << " speculative backup for w" << ref.workflow << "/j"
+        << ref.job << " on tracker " << tracker_index;
     // The original now has a rival: retire it from the candidate set. We
     // return immediately, so the invalidated loop iterator is never
     // advanced.
-    spec_candidate_remove(original_id, original);
+    spec_candidates_[static_cast<std::size_t>(type)].erase(
+        {original_tracker, original_id});
     attempts_.at(original_id).rival = backup_id;
     return true;
   }
@@ -996,81 +942,38 @@ void Engine::begin_decommission(std::size_t tracker_index, Duration lease) {
   }
   const std::uint64_t epoch = es.epoch;
   sim_.schedule_at(es.lease_deadline, [this, tracker_index, epoch]() {
-    drain_lease_expired(tracker_index, epoch);
+    end_drain(tracker_index, epoch, false);
   });
 }
 
-void Engine::drain_lease_expired(std::size_t tracker_index, std::uint64_t epoch) {
+void Engine::end_drain(std::size_t tracker_index, std::uint64_t epoch,
+                       bool preempted) {
   const TrackerElasticState& es = elastic_state_[tracker_index];
   if (es.epoch != epoch || !es.draining || es.retired) return;
   // Crash won the race mid-drain: lease-expiry loss detection owns the node
   // now (the KILLED + re-queue semantics are the crash path's).
   if (fault_state_[tracker_index].dead) return;
-  retire_tracker(tracker_index,
-                 migrate_off(tracker_index, obs::KillCause::kDrainMigration),
-                 false);
-}
-
-void Engine::preempt_terminate(std::size_t tracker_index, std::uint64_t epoch) {
-  const TrackerElasticState& es = elastic_state_[tracker_index];
-  if (es.epoch != epoch || !es.draining || es.retired) return;
-  if (fault_state_[tracker_index].dead) return;  // crashed before the axe fell
-  retire_tracker(tracker_index,
-                 migrate_off(tracker_index, obs::KillCause::kPreemption), true);
-}
-
-std::uint32_t Engine::migrate_off(std::size_t tracker_index,
-                                  obs::KillCause cause) {
-  // Master-initiated eviction of everything still running on the node:
-  // unlike crash loss there is no detection delay, and like crash loss the
-  // kills are KILLED (never charged to attempt budgets).
-  const std::vector<std::uint64_t> ids = tracker_attempts_[tracker_index];
-  const auto migrated = static_cast<std::uint32_t>(ids.size());
-  for (const std::uint64_t id : ids) {
-    const Attempt a = kill_attempt(id, sim_.now(), cause);
-    if (a.rival != 0) {
-      // The task lives on in its speculation twin — nothing to re-queue.
-      if (Attempt* rival = attempts_.find(a.rival)) {
-        rival->rival = 0;
-        spec_candidate_add(a.rival, *rival);
-      }
-      continue;
-    }
-    JobInProgress& job = job_tracker_.job(a.ref);
-    job.requeue_running(a.type, a.retry_level);
-    scheduler_->on_task_finished(a.ref, a.type, sim_.now());
-    scheduler_->on_tasks_lost(a.ref, a.type, 1, sim_.now());
-  }
+  // Master-initiated eviction: unlike crash loss there is no detection
+  // delay, and like crash loss the kills are never charged to budgets.
+  const std::uint32_t migrated = evict_tracker(
+      tracker_index,
+      preempted ? obs::KillCause::kPreemption : obs::KillCause::kDrainMigration);
   drain_migrated_ += migrated;
-  return migrated;
+  retire_tracker(tracker_index, migrated, preempted);
 }
 
 void Engine::retire_tracker(std::size_t tracker_index, std::uint32_t migrated,
                             bool preempted) {
-  // Map outputs stranded on the node's local disk leave with it, exactly as
-  // in Hadoop's decommission: completed maps of in-flight jobs re-execute.
-  for (const auto& [ref, count] : map_outputs_[tracker_index]) {
-    WorkflowRuntime& w = job_tracker_.workflow(WorkflowId(ref.workflow));
-    if (w.finished() || w.failed()) continue;
-    JobInProgress& job = job_tracker_.job(ref);
-    if (job.complete() || job.state() == JobState::kFailed) continue;
-    job.invalidate_finished_maps(count);
-    map_outputs_lost_ += count;
-    scheduler_->on_tasks_lost(ref, SlotType::kMap, count, sim_.now());
-  }
-  map_outputs_[tracker_index].clear();
-
   TrackerElasticState& es = elastic_state_[tracker_index];
   es.retired = true;
   es.draining = false;
   es.preempting = false;
   ++es.epoch;  // pending drain-expiry / maybe-complete events go stale
   cluster_.mark_dead(tracker_index);
-  cluster_.deactivate(tracker_index);
+  // Map outputs stranded on the node's local disk leave with it, exactly as
+  // in Hadoop's decommission: completed maps of in-flight jobs re-execute.
+  drop_tracker(tracker_index);
   --live_trackers_;
-  const TrackerState& ts = cluster_.tracker(tracker_index);
-  account_capacity_change(-static_cast<std::int64_t>(ts.capacity(SlotType::kMap)),
-                          -static_cast<std::int64_t>(ts.capacity(SlotType::kReduce)));
   if (preempted) {
     ++preemptions_;
     if (handles_.preemptions) handles_.preemptions->add();
@@ -1136,13 +1039,12 @@ void Engine::preemption_wave(const PreemptionWave& wave) {
     }
     const std::uint64_t epoch = es.epoch;
     sim_.schedule_at(es.lease_deadline, [this, i, epoch]() {
-      preempt_terminate(i, epoch);
+      end_drain(i, epoch, true);
     });
   }
 }
 
 void Engine::join_trackers(std::uint32_t count) {
-  const Duration hb = config_.cluster.heartbeat_period;
   for (std::uint32_t n = 0; n < count; ++n) {
     const std::size_t i = cluster_.add_tracker();
     tracker_attempts_.emplace_back();
@@ -1165,13 +1067,7 @@ void Engine::join_trackers(std::uint32_t count) {
     if (events_.active()) {
       events_.publish(sim_.now(), obs::TrackerJoined{i});
     }
-    sim_.schedule_every(sim_.now() + hb, hb, [this, i]() {
-      if (job_tracker_.active_workflows() == 0 &&
-          job_tracker_.workflow_count() > 0) {
-        return;
-      }
-      heartbeat(i);
-    });
+    start_heartbeats(i, sim_.now() + config_.cluster.heartbeat_period);
     if (config_.faults.tracker_mtbf > 0.0) schedule_next_mtbf_crash(i);
   }
 }

@@ -315,12 +315,29 @@ class Engine {
   };
 
   void do_submit(wf::WorkflowSpec spec);
+  /// Start tracker `tracker_index`'s heartbeat loop, first beat at `first`.
+  void start_heartbeats(std::size_t tracker_index, SimTime first);
   void heartbeat(std::size_t tracker_index);
   /// Publish the SchedulerDecision of an offer the engine answered itself
   /// (nothing of its slot type is runnable): unassigned, nothing ranked.
   void publish_empty_decision(const SlotOffer& offer);
   void activate_job(JobRef ref);
   void start_task(JobRef ref, SlotType type, std::size_t tracker_index);
+  /// The one way an attempt starts, for a scheduler pick and a speculative
+  /// backup of attempt `original` (0 = none) alike: occupy the slot, draw
+  /// the duration, charge busy time, take the id, publish TaskStarted
+  /// (preceded by SpeculativeLaunched for a backup), schedule the finish
+  /// and index the attempt. Takes plain values, never references into
+  /// attempts_, which the launch can reallocate. Returns the new id.
+  std::uint64_t launch_attempt(JobRef ref, SlotType type, std::size_t tracker_index,
+                               std::uint32_t retry_level, std::uint64_t original);
+  /// The one way an attempt leaves: take it out of the table, cancel its
+  /// finish event, unindex it, drop it from its tracker's list, release the
+  /// slot and check whether a drain has completed. A speculation twin that
+  /// still runs becomes an ordinary attempt again (eligible for a backup of
+  /// its own). Returns the removed record, `rival` unchanged.
+  Attempt remove_attempt(std::uint64_t attempt_id);
+  /// Attempt finished on its own: success or injected failure.
   void finish_attempt(std::uint64_t attempt_id);
   [[nodiscard]] Duration actual_duration(Duration estimated);
   /// True when the map input split of the next task of `ref` has a replica
@@ -340,32 +357,35 @@ class Engine {
   /// re-registering): kill its attempts, re-queue the lost tasks,
   /// invalidate its map outputs, retire its slots.
   void detect_tracker_loss(std::size_t tracker_index);
-  /// Remove one attempt without letting it finish: cancel, release the
-  /// slot, refund un-executed busy time, emit the KILLED event. `stop_time`
-  /// is when the attempt actually stopped executing (crash instant for node
-  /// loss, now for lost races). `cause` names the kill site on the emitted
-  /// TaskEnded so forensics can classify it. Returns the removed record.
-  Attempt kill_attempt(std::uint64_t attempt_id, SimTime stop_time,
-                       obs::KillCause cause);
+  /// Kill every attempt on the tracker and re-queue each task that has no
+  /// running speculation twin. Returns the number of attempts killed.
+  std::uint32_t evict_tracker(std::size_t tracker_index, obs::KillCause cause);
+  /// Take an emptied tracker out of the cluster: invalidate the map outputs
+  /// on its local disk, deactivate it and retire its offered capacity.
+  /// Returns the number of map outputs lost.
+  std::uint32_t drop_tracker(std::size_t tracker_index);
+  /// Remove one attempt without letting it finish: remove it, refund
+  /// un-executed busy time, emit the KILLED event. The attempt stopped
+  /// executing at its node's crash instant if the node is down, else now.
+  /// `cause` names the kill site on the emitted TaskEnded so forensics can
+  /// classify it. Returns the removed record, `duration` cut to the part
+  /// that executed.
+  Attempt kill_attempt(std::uint64_t attempt_id, obs::KillCause cause);
   /// Task exhausted its attempt budget: fail the whole workflow, kill its
   /// other running attempts, notify the scheduler.
   void fail_workflow(std::uint32_t workflow, SimTime now);
+  /// Kill every running attempt of a failed or shed workflow; returns how
+  /// many.
+  std::uint32_t kill_workflow_attempts(std::uint32_t workflow, obs::KillCause cause);
   /// Charge one injected failure toward (job, tracker) blacklisting.
   void record_attempt_failure(JobRef ref, std::size_t tracker_index);
   /// Launch at most one speculative backup into a free slot of
   /// `tracker_index`; returns whether one was launched.
   bool try_speculate(SlotType type, std::size_t tracker_index);
-  /// Register / retire an attempt in the hot-path indices
-  /// (attempts_by_workflow_, spec_candidates_). Call _add right after the
-  /// attempt record is complete and _remove right after it leaves
-  /// attempts_, with the record as of insertion time.
-  void index_attempt_add(std::uint64_t id, const Attempt& a);
-  void index_attempt_remove(std::uint64_t id, const Attempt& a);
-  /// Candidate set maintenance for the speculation scan. Eligibility is
-  /// (non-speculative, no rival); both calls are no-ops for ineligible
+  /// Enter a running attempt into the speculation scan's candidate set.
+  /// Eligibility is (non-speculative, no rival); a no-op for ineligible
   /// attempts or when speculation is off.
   void spec_candidate_add(std::uint64_t id, const Attempt& a);
-  void spec_candidate_remove(std::uint64_t id, const Attempt& a);
   void schedule_next_mtbf_crash(std::size_t tracker_index);
   [[nodiscard]] bool blacklisted(JobRef ref, std::size_t tracker_index) const {
     return blacklist_.find({ref, tracker_index}) != blacklist_.end();
@@ -381,16 +401,9 @@ class Engine {
   /// Start a graceful decommission: drain now, retire when the node goes
   /// idle or the lease expires, whichever comes first.
   void begin_decommission(std::size_t tracker_index, Duration lease);
-  /// Drain lease ran out: kill + re-queue the stragglers, retire the node.
-  void drain_lease_expired(std::size_t tracker_index, std::uint64_t epoch);
-  /// Preemption warning fired earlier; the node terminates now.
-  void preempt_terminate(std::size_t tracker_index, std::uint64_t epoch);
-  /// Kill + re-queue everything still running on a draining tracker
-  /// (master-initiated, so no lease-expiry delay and no attempt-budget
-  /// charge), invalidate its stranded map outputs, and retire it. `cause`
-  /// distinguishes drain-lease expiry from preemption. Returns the number
-  /// of attempts migrated.
-  std::uint32_t migrate_off(std::size_t tracker_index, obs::KillCause cause);
+  /// A drain lease ran out, or a preemption warning expired (`preempted`):
+  /// kill + re-queue everything still running on the tracker and retire it.
+  void end_drain(std::size_t tracker_index, std::uint64_t epoch, bool preempted);
   /// Retire a fully drained tracker out of the cluster for good.
   void retire_tracker(std::size_t tracker_index, std::uint32_t migrated,
                       bool preempted);
