@@ -14,6 +14,11 @@ namespace woha::audit {
 
 namespace {
 
+/// Queue entries a full sweep examines per slot type for progress
+/// accounting (head-first in that type's ordering, i.e. the workflows
+/// actually steering decisions).
+constexpr std::size_t kSampledWorkflows = 64;
+
 std::string format_violation(const std::string& invariant, SimTime time,
                              std::int64_t expected, std::int64_t actual,
                              const std::string& detail, std::uint32_t workflow) {
@@ -326,7 +331,7 @@ void InvariantAuditor::check_scheduler(SimTime t) const {
   for (const SlotType type : {SlotType::kMap, SlotType::kReduce}) {
     std::vector<core::SchedulerQueue::QueueEntry> entries;
     woha->queue().top(
-        type, config_.max_sampled_workflows,
+        type, kSampledWorkflows,
         [&runnable, type](std::uint32_t id) { return runnable(id, type); }, entries);
     check_queue_entries(entries, *woha, t);
   }
@@ -435,7 +440,10 @@ void InvariantAuditor::check_runnable_index(SimTime t) {
     return state == hadoop::JobState::kComplete || state == hadoop::JobState::kFailed;
   });
   const auto label = [](hadoop::JobRef ref) {
-    return "w" + std::to_string(ref.workflow) + "/j" + std::to_string(ref.job);
+    return std::string("w")
+        .append(std::to_string(ref.workflow))
+        .append("/j")
+        .append(std::to_string(ref.job));
   };
   for (const SlotType s : {SlotType::kMap, SlotType::kReduce}) {
     const std::string type = s == SlotType::kMap ? "map" : "reduce";

@@ -87,10 +87,6 @@ struct AuditConfig {
   /// freelist walks, queue structure, workflow progress sampling). Per-event
   /// shadow updates and per-tracker heartbeat checks always run.
   std::uint64_t full_sweep_period = 64;
-  /// Queue entries examined per slot type and progress-accounting pass
-  /// (head-first in that type's ordering, i.e. the workflows actually
-  /// steering decisions).
-  std::size_t max_sampled_workflows = 64;
 };
 
 class InvariantAuditor {

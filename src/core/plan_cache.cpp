@@ -62,31 +62,11 @@ std::uint64_t plan_fingerprint(const wf::WorkflowSpec& spec,
   return h.value();
 }
 
-void PlanCache::set_capacity(std::size_t capacity) {
-  capacity_ = capacity;
-  evict_over_capacity();
-}
-
-void PlanCache::touch(Entry& entry) {
-  if (entry.lru != lru_.begin()) lru_.splice(lru_.begin(), lru_, entry.lru);
-}
-
-void PlanCache::evict_over_capacity() {
-  if (capacity_ == 0) return;
-  while (plans_.size() > capacity_) {
-    plans_.erase(lru_.back());
-    lru_.pop_back();
-    ++evictions_;
-    if (eviction_counter_) eviction_counter_->add();
-  }
-}
-
 std::shared_ptr<const SchedulingPlan> PlanCache::get_or_compute(
     std::uint64_t key, const std::function<SchedulingPlan()>& compute) {
   analysis::touch_write("plan_cache", analysis_id_, "PlanCache::get_or_compute");
   const auto it = plans_.find(key);
   if (it != plans_.end()) {
-    touch(it->second);
     if (it->second.prewarmed) {
       // First claim of a prewarmed entry: without the prewarm this lookup
       // would have computed, so account it as the miss it replaces.
@@ -102,9 +82,7 @@ std::shared_ptr<const SchedulingPlan> PlanCache::get_or_compute(
   ++misses_;
   if (miss_counter_) miss_counter_->add();
   auto plan = std::make_shared<const SchedulingPlan>(compute());
-  lru_.push_front(key);
-  plans_.emplace(key, Entry{plan, lru_.begin(), /*prewarmed=*/false});
-  evict_over_capacity();
+  plans_.emplace(key, Entry{plan, /*prewarmed=*/false});
   return plan;
 }
 
@@ -112,10 +90,7 @@ void PlanCache::insert(std::uint64_t key,
                        std::shared_ptr<const SchedulingPlan> plan) {
   analysis::touch_write("plan_cache", analysis_id_, "PlanCache::insert");
   if (!plan) return;
-  if (plans_.count(key)) return;
-  lru_.push_front(key);
-  plans_.emplace(key, Entry{std::move(plan), lru_.begin(), /*prewarmed=*/true});
-  evict_over_capacity();
+  plans_.emplace(key, Entry{std::move(plan), /*prewarmed=*/true});
 }
 
 }  // namespace woha::core

@@ -19,16 +19,10 @@
 // bit-identical to what recomputation would produce, so cached and
 // uncached runs yield identical scheduling decisions (pinned by
 // tests/core/plan_cache_test.cpp against the golden digests).
-//
-// Memory is bounded: an optional capacity evicts the least-recently-used
-// entry (single-threaded access order, hence deterministic). An evicted
-// fingerprint that recurs simply recomputes — a miss either way — so
-// capacity changes the hit/miss split but never a scheduling decision.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <unordered_map>
 
@@ -54,14 +48,8 @@ namespace woha::core {
 
 class PlanCache {
  public:
-  /// Maximum retained entries; 0 (the default) = unbounded. Shrinking below
-  /// the current size evicts immediately, LRU-first.
-  void set_capacity(std::size_t capacity);
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
   /// Look `key` up; on a miss, invoke `compute` and remember the result.
-  /// The returned plan is shared and immutable. Hits (and prewarm claims)
-  /// refresh the entry's recency.
+  /// The returned plan is shared and immutable.
   [[nodiscard]] std::shared_ptr<const SchedulingPlan> get_or_compute(
       std::uint64_t key, const std::function<SchedulingPlan()>& compute);
 
@@ -74,50 +62,35 @@ class PlanCache {
 
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
   [[nodiscard]] std::size_t size() const { return plans_.size(); }
   [[nodiscard]] bool contains(std::uint64_t key) const {
     return plans_.count(key) != 0;
   }
-  void clear() {
-    plans_.clear();
-    lru_.clear();
-  }
+  void clear() { plans_.clear(); }
 
-  /// Optional registry counters ("woha.plan_cache_hits"/"_misses"/
-  /// "_evictions"); null detaches. Bumped alongside the local tallies.
-  void bind_counters(obs::Counter* hits, obs::Counter* misses,
-                     obs::Counter* evictions = nullptr) {
+  /// Optional registry counters ("woha.plan_cache_hits"/"_misses"); null
+  /// detaches. Bumped alongside the local tallies.
+  void bind_counters(obs::Counter* hits, obs::Counter* misses) {
     hit_counter_ = hits;
     miss_counter_ = misses;
-    eviction_counter_ = evictions;
   }
 
  private:
   struct Entry {
     std::shared_ptr<const SchedulingPlan> plan;
-    std::list<std::uint64_t>::iterator lru;  ///< position in lru_ (MRU front)
     bool prewarmed = false;
   };
 
-  void touch(Entry& entry);
-  void evict_over_capacity();
-
   std::unordered_map<std::uint64_t, Entry> plans_;
-  /// Keys in recency order, most recent first; Entry::lru points into this.
-  std::list<std::uint64_t> lru_;
-  std::size_t capacity_ = 0;  ///< 0 = unbounded
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
   obs::Counter* hit_counter_ = nullptr;
   obs::Counter* miss_counter_ = nullptr;
-  obs::Counter* eviction_counter_ = nullptr;
   /// Race-detector touchpoint instance: the cache is single-writer by
   /// contract (mutations happen on the scheduler thread; prewarm workers
   /// compute plans privately and insert() runs after the pool drains), and
   /// every mutation is annotated so a schedule that breaks that contract
-  /// fails the interleaving sweep instead of corrupting the LRU list.
+  /// fails the interleaving sweep instead of corrupting the map.
   std::uint64_t analysis_id_ = analysis::new_instance_id();
 };
 

@@ -18,9 +18,7 @@
 namespace woha::core {
 
 WohaScheduler::WohaScheduler(WohaConfig config)
-    : config_(config), queue_(make_queue(config.queue)) {
-  plan_cache_.set_capacity(config.plan_cache_capacity);
-}
+    : config_(config), queue_(make_queue(config.queue)) {}
 
 WohaScheduler::~WohaScheduler() {
   if (tracker_ != nullptr) tracker_->watch_runnable_workflows(nullptr);
@@ -50,8 +48,7 @@ void WohaScheduler::observe(obs::EventBus* bus, obs::MetricsRegistry* registry) 
                       : nullptr;
   plan_cache_.bind_counters(
       registry ? &registry->counter("woha.plan_cache_hits") : nullptr,
-      registry ? &registry->counter("woha.plan_cache_misses") : nullptr,
-      registry ? &registry->counter("woha.plan_cache_evictions") : nullptr);
+      registry ? &registry->counter("woha.plan_cache_misses") : nullptr);
 }
 
 std::string WohaScheduler::name() const {
@@ -60,8 +57,7 @@ std::string WohaScheduler::name() const {
 
 void WohaScheduler::on_pending_submissions(
     const std::vector<wf::WorkflowSpec>& specs) {
-  const std::uint32_t total_slots =
-      config_.cluster_slots_override ? config_.cluster_slots_override : cluster_slots_;
+  const std::uint32_t total_slots = cluster_slots_;
   // Prewarm only pays off with >= 2 distinct plans; an estimator makes
   // planning inputs depend on submission order, so it must stay serial.
   if (!config_.plan_cache || config_.plan_jobs == 1 || config_.estimator ||
@@ -126,9 +122,7 @@ void WohaScheduler::on_workflow_submitted(WorkflowId wf, SimTime now) {
   const hadoop::WorkflowRuntime& rt = tracker_->workflow(wf);
 
   // ---- Client-side work (Fig. 1 steps (c)-(d)) ----
-  const std::uint32_t total_slots =
-      config_.cluster_slots_override ? config_.cluster_slots_override : cluster_slots_;
-  if (total_slots == 0) {
+  if (cluster_slots_ == 0) {
     throw std::logic_error("WohaScheduler: cluster slot count not set");
   }
   // The estimator supplies the durations the client plans with; when
@@ -137,7 +131,7 @@ void WohaScheduler::on_workflow_submitted(WorkflowId wf, SimTime now) {
       config_.estimator ? config_.estimator->estimated_spec(rt.spec()) : rt.spec();
   const auto compute = [&]() {
     const auto rank = job_priority_ranks(planning_spec, config_.job_priority);
-    return plan_for_submission(planning_spec, rank, total_slots, config_.cap_policy,
+    return plan_for_submission(planning_spec, rank, cluster_slots_, config_.cap_policy,
                                config_.fixed_cap, config_.plan_deadline_factor);
   };
   // Recurrent instances fingerprint equal (the estimator's output is part
@@ -147,7 +141,7 @@ void WohaScheduler::on_workflow_submitted(WorkflowId wf, SimTime now) {
     const obs::ScopedTimer plan_timer(plan_ns_);
     if (config_.plan_cache) {
       plan = plan_cache_.get_or_compute(
-          plan_fingerprint(planning_spec, total_slots, config_.job_priority,
+          plan_fingerprint(planning_spec, cluster_slots_, config_.job_priority,
                            config_.cap_policy, config_.fixed_cap,
                            config_.plan_deadline_factor),
           compute);

@@ -41,10 +41,6 @@ struct WohaConfig {
   /// activation latencies that the client-side simulation does not model.
   double plan_deadline_factor = 0.9;
   QueueKind queue = QueueKind::kDsl;
-  /// Resource cap ceiling used by the plan generator; 0 = ask the cluster
-  /// (total slot count) — the client's "consult the JobTracker about the
-  /// maximum number of slots" step.
-  std::uint32_t cluster_slots_override = 0;
   /// Task-time estimator feeding the plan generator (paper Sec. IV-A:
   /// estimates come from history logs or models). Null = trust the
   /// configuration's durations (SpecEstimator behaviour). Shared so a
@@ -66,13 +62,6 @@ struct WohaConfig {
   /// Ignored when plan_cache is off or an estimator is configured (a
   /// learning estimator's output depends on submission order).
   unsigned plan_jobs = 1;
-  /// Maximum plans retained in the cache; 0 = unbounded (the historical
-  /// behaviour). Eviction is least-recently-used over the single-threaded
-  /// access order, so it is deterministic; an evicted recurrent fingerprint
-  /// recomputes on its next submission — a miss either way — so capacity
-  /// never changes a scheduling decision, only the hit/miss/eviction
-  /// tallies and the resident memory.
-  std::size_t plan_cache_capacity = 0;
 };
 
 class WohaScheduler final : public hadoop::WorkflowScheduler,

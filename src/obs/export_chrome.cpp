@@ -293,25 +293,7 @@ void ChromeTraceExporter::on_event(const Event& event) {
       ex.instant(t, pid, 0, "speculative " + task_name(p.workflow, p.job),
                  a.take());
     }
-    void operator()(const HeartbeatServed& p) {
-      if (!ex.options_.include_heartbeats) return;
-      const std::uint64_t pid = kTrackerPidBase + p.tracker;
-      ex.ensure_process(pid, "TaskTracker " + std::to_string(p.tracker));
-      JsonWriter w;
-      w.begin_object();
-      w.member("ph", "C");
-      w.member("name", "free slots");
-      w.member("ts", us(t));
-      w.member("pid", pid);
-      w.member("tid", static_cast<std::uint64_t>(0));
-      w.key("args");
-      w.begin_object();
-      w.member("map", p.free_map);
-      w.member("reduce", p.free_reduce);
-      w.end_object();
-      w.end_object();
-      ex.emit(w.take());
-    }
+    void operator()(const HeartbeatServed&) {}
     void operator()(const TrackerCrashed& p) {
       const std::uint64_t pid = kTrackerPidBase + p.tracker;
       ex.ensure_process(pid, "TaskTracker " + std::to_string(p.tracker));
@@ -381,7 +363,6 @@ void ChromeTraceExporter::on_event(const Event& event) {
                  "plan w" + std::to_string(p.workflow), a.take());
     }
     void operator()(const QueueReordered& p) {
-      if (!ex.options_.include_decisions) return;
       ex.ensure_thread(kMasterPid, kDecisionTid, "decisions");
       JsonWriter a;
       a.begin_object();
@@ -391,7 +372,6 @@ void ChromeTraceExporter::on_event(const Event& event) {
                  "reorder w" + std::to_string(p.workflow), a.take());
     }
     void operator()(const SchedulerDecision& p) {
-      if (!ex.options_.include_decisions) return;
       ex.ensure_thread(kMasterPid, kDecisionTid, "decisions");
       JsonWriter a;
       a.begin_object();
@@ -416,7 +396,6 @@ void ChromeTraceExporter::on_event(const Event& event) {
       ex.instant(t, kMasterPid, kDecisionTid, name, a.take());
     }
     void operator()(const LogEmitted& p) {
-      if (!ex.options_.include_logs) return;
       ex.ensure_thread(kMasterPid, kLogTid, "log");
       JsonWriter a;
       a.begin_object();

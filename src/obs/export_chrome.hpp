@@ -29,10 +29,6 @@
 namespace woha::obs {
 
 struct ChromeTraceOptions {
-  bool include_decisions = true;   ///< SchedulerDecision instants (verbose)
-  bool include_logs = true;        ///< bridged WOHA_LOG lines
-  bool include_heartbeats = false; ///< per-heartbeat counter samples
-
   /// DAG provider for span + flow emission: given (workflow, job), return
   /// the job's prerequisite indices. When set, each job gets a complete
   /// ("X") span on a per-workflow master lane covering activation ->

@@ -162,105 +162,11 @@ TEST(PlanCache, BoundCountersTrackHitsAndMisses) {
   EXPECT_EQ(registry.counter("woha.plan_cache_hits").value(), 2u);
 }
 
-TEST(PlanCache, CapacityEvictsLeastRecentlyUsed) {
-  PlanCache cache;
-  cache.set_capacity(2);
-  EXPECT_EQ(cache.capacity(), 2u);
-  const auto compute = [] { return SchedulingPlan{}; };
-
-  (void)cache.get_or_compute(1, compute);
-  (void)cache.get_or_compute(2, compute);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 0u);
-
-  // Touch 1 so 2 becomes the LRU entry; inserting 3 must evict 2, not 1.
-  (void)cache.get_or_compute(1, compute);
-  (void)cache.get_or_compute(3, compute);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_TRUE(cache.contains(1));
-  EXPECT_FALSE(cache.contains(2));
-  EXPECT_TRUE(cache.contains(3));
-
-  // The evicted fingerprint recomputes on its next appearance: a miss
-  // either way, so decisions cannot depend on capacity.
-  int recomputes = 0;
-  (void)cache.get_or_compute(2, [&] {
-    ++recomputes;
-    return SchedulingPlan{};
-  });
-  EXPECT_EQ(recomputes, 1);
-  EXPECT_EQ(cache.evictions(), 2u);  // bringing 2 back displaced 1 (LRU)
-  EXPECT_FALSE(cache.contains(1));
-}
-
-TEST(PlanCache, ZeroCapacityIsUnbounded) {
-  PlanCache cache;  // default capacity 0
-  const auto compute = [] { return SchedulingPlan{}; };
-  for (std::uint64_t key = 0; key < 100; ++key) {
-    (void)cache.get_or_compute(key, compute);
-  }
-  EXPECT_EQ(cache.size(), 100u);
-  EXPECT_EQ(cache.evictions(), 0u);
-}
-
-TEST(PlanCache, ShrinkingCapacityEvictsImmediately) {
-  PlanCache cache;
-  const auto compute = [] { return SchedulingPlan{}; };
-  for (std::uint64_t key = 1; key <= 5; ++key) {
-    (void)cache.get_or_compute(key, compute);
-  }
-  (void)cache.get_or_compute(1, compute);  // 1 is now most recent
-  cache.set_capacity(2);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 3u);
-  EXPECT_TRUE(cache.contains(1));
-  EXPECT_TRUE(cache.contains(5));
-}
-
-TEST(PlanCache, EvictedPrewarmRecomputesAsMiss) {
-  // An eviction can race a prewarm plant only logically (everything is
-  // single-threaded by the time the cache is consulted): when a prewarmed
-  // entry is evicted before its first claim, the claim recomputes — still
-  // one miss, so the serial-equivalence of the tallies holds.
-  PlanCache cache;
-  cache.set_capacity(1);
-  cache.insert(7, std::make_shared<const SchedulingPlan>());
-  const auto compute = [] { return SchedulingPlan{}; };
-  (void)cache.get_or_compute(8, compute);  // evicts the prewarmed 7
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_FALSE(cache.contains(7));
-  int recomputes = 0;
-  (void)cache.get_or_compute(7, [&] {
-    ++recomputes;
-    return SchedulingPlan{};
-  });
-  EXPECT_EQ(recomputes, 1);
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.hits(), 0u);
-}
-
-TEST(PlanCache, BoundEvictionCounterTracks) {
-  obs::MetricsRegistry registry;
-  PlanCache cache;
-  cache.set_capacity(1);
-  cache.bind_counters(&registry.counter("woha.plan_cache_hits"),
-                      &registry.counter("woha.plan_cache_misses"),
-                      &registry.counter("woha.plan_cache_evictions"));
-  const auto compute = [] { return SchedulingPlan{}; };
-  (void)cache.get_or_compute(1, compute);
-  (void)cache.get_or_compute(2, compute);
-  (void)cache.get_or_compute(3, compute);
-  EXPECT_EQ(registry.counter("woha.plan_cache_evictions").value(), 2u);
-}
-
-hadoop::RunSummary run_fig12(bool cache_enabled, std::uint64_t* hits,
-                             std::size_t capacity = 0) {
+hadoop::RunSummary run_fig12(bool cache_enabled, std::uint64_t* hits) {
   hadoop::EngineConfig config;
   config.cluster = hadoop::ClusterConfig::paper_32_slaves();
   WohaConfig wc;
   wc.plan_cache = cache_enabled;
-  wc.plan_cache_capacity = capacity;
   hadoop::Engine engine(config, std::make_unique<WohaScheduler>(wc));
   for (const auto& spec : trace::fig12_scenario(3, minutes(30))) {
     engine.submit(spec);
@@ -292,24 +198,6 @@ TEST(PlanCache, RecurrentRunIsBitIdenticalToUncached) {
     EXPECT_EQ(cached.workflows[i].finish_time, uncached.workflows[i].finish_time);
     EXPECT_EQ(cached.workflows[i].workspan, uncached.workflows[i].workspan);
     EXPECT_EQ(cached.workflows[i].met_deadline, uncached.workflows[i].met_deadline);
-  }
-}
-
-// Capacity changes which fingerprints stay resident, never what is decided:
-// a tightly-bounded cache (capacity 1 forces churn across the scenario's
-// distinct fingerprints) must reproduce the unbounded run exactly.
-TEST(PlanCache, CapacityBoundedRunIsBitIdenticalToUnbounded) {
-  const auto unbounded = run_fig12(true, nullptr);
-  const auto bounded = run_fig12(true, nullptr, 1);
-  EXPECT_EQ(bounded.makespan, unbounded.makespan);
-  EXPECT_EQ(bounded.total_tardiness, unbounded.total_tardiness);
-  EXPECT_EQ(bounded.tasks_executed, unbounded.tasks_executed);
-  EXPECT_EQ(bounded.events_fired, unbounded.events_fired);
-  EXPECT_EQ(bounded.select_calls, unbounded.select_calls);
-  ASSERT_EQ(bounded.workflows.size(), unbounded.workflows.size());
-  for (std::size_t i = 0; i < bounded.workflows.size(); ++i) {
-    EXPECT_EQ(bounded.workflows[i].finish_time, unbounded.workflows[i].finish_time);
-    EXPECT_EQ(bounded.workflows[i].met_deadline, unbounded.workflows[i].met_deadline);
   }
 }
 
