@@ -78,7 +78,7 @@ Duration parse_duration(std::string_view raw) {
 }
 
 std::string format_duration(Duration d) {
-  if (d < 0) return "-" + format_duration(-d);
+  if (d < 0) return std::string("-").append(format_duration(-d));
   char buf[64];
   if (d < 1000) {
     std::snprintf(buf, sizeof buf, "%lldms", static_cast<long long>(d));

@@ -99,7 +99,7 @@ std::string TimelineRecorder::to_csv(SlotType slot, Duration period) const {
   out += "\n";
   for (const Sample& s : sample(slot, period)) {
     out += std::to_string(s.time / 1000);
-    for (const std::uint32_t c : s.counts) out += "," + std::to_string(c);
+    for (const std::uint32_t c : s.counts) out.append(",").append(std::to_string(c));
     out += "\n";
   }
   return out;

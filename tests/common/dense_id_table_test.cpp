@@ -27,8 +27,8 @@ TEST(DenseIdTable, EmplaceFindTake) {
   EXPECT_EQ(table.size(), 2u);
   EXPECT_FALSE(table.contains(2));
   EXPECT_EQ(table.find(2), nullptr);
-  EXPECT_THROW(table.at(2), std::out_of_range);
-  EXPECT_THROW(table.take(2), std::out_of_range);
+  EXPECT_THROW((void)table.at(2), std::out_of_range);
+  EXPECT_THROW((void)table.take(2), std::out_of_range);
   // Neighbours are untouched.
   EXPECT_EQ(table.at(1), "one");
   EXPECT_EQ(table.at(3), "three");

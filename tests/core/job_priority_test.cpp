@@ -81,7 +81,7 @@ TEST(JobPriority, TieBreakByJobId) {
   wf::WorkflowSpec spec;
   spec.jobs.resize(5);
   for (std::uint32_t j = 0; j < 5; ++j) {
-    spec.jobs[j].name = "j" + std::to_string(j);
+    spec.jobs[j].name = std::string("j").append(std::to_string(j));
   }
   for (const auto policy : {JobPriorityPolicy::kHlf, JobPriorityPolicy::kLpf,
                             JobPriorityPolicy::kMpf}) {

@@ -146,8 +146,10 @@ TEST(WohaScheduler, HandlesWorkflowWithoutDeadline) {
 
 TEST(WohaScheduler, ThrowsWithoutClusterInfo) {
   // Calling the client path without the slot-count query must fail loudly.
-  WohaScheduler scheduler;
+  // The tracker is declared first: attach() requires it to outlive the
+  // scheduler, whose destructor detaches from it.
   hadoop::JobTracker jt;
+  WohaScheduler scheduler;
   scheduler.attach(&jt);
   jt.add_workflow(wf::chain(1), 0);
   EXPECT_THROW(scheduler.on_workflow_submitted(WorkflowId(0), 0), std::logic_error);

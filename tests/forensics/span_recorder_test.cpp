@@ -97,7 +97,9 @@ TEST(SpanRecorder, RecordsNodeLossKillCausesAndOutlivesTheEngine) {
     EXPECT_TRUE(w.completed);
     for (const AttemptSpan& a : w.attempts) {
       if (a.killed && a.cause == obs::KillCause::kNodeLoss) ++node_loss_kills;
-      if (a.killed) EXPECT_NE(a.cause, obs::KillCause::kNone);
+      if (a.killed) {
+        EXPECT_NE(a.cause, obs::KillCause::kNone);
+      }
     }
   }
   // The minute-2 crash happens mid-flight with a 1-minute lease: some

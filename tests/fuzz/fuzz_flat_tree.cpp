@@ -29,7 +29,11 @@ Key decode_key(woha::fuzz::ByteReader& in) {
 }
 
 std::string describe(const Key& k) {
-  return "(" + std::to_string(k.first) + "," + std::to_string(k.second) + ")";
+  return std::string("(")
+      .append(std::to_string(k.first))
+      .append(",")
+      .append(std::to_string(k.second))
+      .append(")");
 }
 
 void check_minima(const woha::core::FlatTree<Key>& tree,

@@ -5,8 +5,8 @@
 // excluded; everything else — per-workflow outcomes, counters, event
 // totals — feeds an FNV-1a digest.
 //
-// Regenerating goldens after an *intentional* behaviour change:
-//   WOHA_PRINT_GOLDENS=1 ./build/tests/integration_tests \
+// Regenerating goldens after an *intentional* behaviour change: run
+//   WOHA_PRINT_GOLDENS=1 ./build/tests/integration_tests
 //       --gtest_filter='ScaleDeterminism.*'
 // then paste the printed values into scale_determinism_test.cpp.
 #pragma once

@@ -9,8 +9,8 @@
 //  * bit-identical results between the serial grid runner and a parallel
 //    one (--jobs N must never change a scheduling decision).
 //
-// Refresh goldens only after an intentional semantic change:
-//   WOHA_PRINT_GOLDENS=1 ./build/tests/integration_tests \
+// Refresh goldens only after an intentional semantic change, via:
+//   WOHA_PRINT_GOLDENS=1 ./build/tests/integration_tests
 //       --gtest_filter='OverloadDeterminism.*'
 #include <cstdio>
 #include <cstdlib>

@@ -8,7 +8,7 @@
 // If a test here fails, the scale work changed a scheduling decision — that
 // is a bug in the optimisation, not a golden to refresh. Only refresh after
 // an intentional semantic change, via:
-//   WOHA_PRINT_GOLDENS=1 ./build/tests/integration_tests \
+//   WOHA_PRINT_GOLDENS=1 ./build/tests/integration_tests
 //       --gtest_filter='ScaleDeterminism.*'
 #include <cstdio>
 #include <cstdlib>

@@ -14,8 +14,8 @@ WorkflowSpec two_job_chain() {
   WorkflowSpec spec;
   spec.name = "chain";
   spec.jobs.resize(2);
-  spec.jobs[0].name = "a";
-  spec.jobs[1].name = "b";
+  spec.jobs[0].name = std::string("a");
+  spec.jobs[1].name = std::string("b");
   spec.jobs[1].prerequisites = {0};
   return spec;
 }
@@ -70,9 +70,9 @@ TEST(Workflow, RejectsCycle) {
 TEST(Workflow, RejectsLongerCycle) {
   WorkflowSpec spec;
   spec.jobs.resize(3);
-  spec.jobs[0].name = "a";
-  spec.jobs[1].name = "b";
-  spec.jobs[2].name = "c";
+  spec.jobs[0].name = std::string("a");
+  spec.jobs[1].name = std::string("b");
+  spec.jobs[2].name = std::string("c");
   spec.jobs[1].prerequisites = {0};
   spec.jobs[2].prerequisites = {1};
   spec.jobs[0].prerequisites = {2};
