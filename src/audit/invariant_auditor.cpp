@@ -141,18 +141,13 @@ void InvariantAuditor::on_event(const obs::Event& event) {
            "TrackerLost published while attempts still run on tracker " +
                std::to_string(lost->tracker));
     }
-    if (engine_.cluster().tracker(lost->tracker).alive()) {
-      fail("tracker-lost-dead", t, 0, 1,
-           "TrackerLost for a tracker still marked alive");
-    }
+    check_life("tracker-lost-dead", lost->tracker, Life::kLost, "TrackerLost", t);
     pooled_[lost->tracker] = false;
   } else if (const auto* restarted =
                  std::get_if<obs::TrackerRestarted>(&event.payload)) {
+    check_life("tracker-restart-alive", restarted->tracker, Life::kUp,
+               "TrackerRestarted", t);
     const auto& tracker = engine_.cluster().tracker(restarted->tracker);
-    if (!tracker.alive()) {
-      fail("tracker-restart-alive", t, 1, 0,
-           "TrackerRestarted for a tracker still marked dead");
-    }
     for (const SlotType s : {SlotType::kMap, SlotType::kReduce}) {
       if (tracker.free_slots(s) != tracker.capacity(s)) {
         fail("tracker-restart-free", t, tracker.capacity(s),
@@ -195,17 +190,15 @@ void InvariantAuditor::on_event(const obs::Event& event) {
                  std::get_if<obs::TrackerDecommissioned>(&event.payload)) {
     // Retirement is published after the stragglers' TaskEnded events, so
     // the shadow must agree the node is empty, and the cluster must have
-    // marked it dead already.
+    // retired it already.
     const auto& counts = running_.at(decom->tracker);
     if (counts[0] != 0 || counts[1] != 0) {
       fail("drain-retire-empty", t, 0, counts[0] + counts[1],
            "TrackerDecommissioned published while attempts still run on "
            "tracker " + std::to_string(decom->tracker));
     }
-    if (engine_.cluster().tracker(decom->tracker).alive()) {
-      fail("drain-retire-dead", t, 0, 1,
-           "TrackerDecommissioned for a tracker still marked alive");
-    }
+    check_life("drain-retire-dead", decom->tracker, Life::kRetired,
+               "TrackerDecommissioned", t);
     pooled_[decom->tracker] = false;
     draining_[decom->tracker] = false;
     retired_[decom->tracker] = true;
@@ -253,21 +246,49 @@ void InvariantAuditor::check_tracker_slots(std::size_t tracker, SimTime t) const
   }
 }
 
+void InvariantAuditor::check_life(const char* invariant, std::size_t tracker,
+                                  Life expected, const char* event, SimTime t) const {
+  const Life life = engine_.cluster().tracker(tracker).life();
+  if (life != expected) {
+    fail(invariant, t, static_cast<std::int64_t>(expected),
+         static_cast<std::int64_t>(life),
+         std::string(event) + " for tracker " + std::to_string(tracker) +
+             " that the cluster records in another life stage");
+  }
+}
+
+void InvariantAuditor::check_tracker_record(std::size_t tracker, SimTime t) const {
+  // The record's lifecycle, as three bits the event stream also determines:
+  // slots pooled (up or down, not yet declared lost), draining, retired.
+  const auto& state = engine_.cluster().tracker(tracker);
+  const auto bits = [](bool pooled, bool draining, bool retired) {
+    return std::int64_t{pooled} << 2 | std::int64_t{draining} << 1 |
+           std::int64_t{retired};
+  };
+  const std::int64_t shadow =
+      bits(pooled_[tracker], draining_[tracker], retired_[tracker]);
+  const std::int64_t record =
+      bits(state.life() == Life::kUp || state.life() == Life::kDown,
+           state.drain() != hadoop::TrackerState::Drain::kNone,
+           state.life() == Life::kRetired);
+  if (record != shadow) {
+    fail("tracker-record", t, shadow, record,
+         "tracker " + std::to_string(tracker) +
+             " record disagrees with the event-built shadow (bits: pooled, "
+             "draining, retired)");
+  }
+}
+
 void InvariantAuditor::check_cluster(SimTime t) const {
   const auto& cluster = engine_.cluster();
-  const std::size_t n = cluster.tracker_count();
   std::uint64_t pooled_free[2] = {0, 0};
-  std::uint32_t free_anywhere[2] = {0, 0};
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < cluster.tracker_count(); ++i) {
     check_tracker_slots(i, t);
-    const auto& tracker = cluster.tracker(i);
+    check_tracker_record(i, t);
     for (const SlotType s : {SlotType::kMap, SlotType::kReduce}) {
-      const auto idx = static_cast<std::size_t>(s);
-      if (pooled_[i]) pooled_free[idx] += tracker.free_slots(s);
-      // Draining trackers keep their free slots pooled but stay off the
-      // freelists (they must not attract new work) — offerable(), not
-      // alive(), is the membership ground truth.
-      if (tracker.offerable() && tracker.free_slots(s) > 0) ++free_anywhere[idx];
+      if (pooled_[i]) {
+        pooled_free[static_cast<std::size_t>(s)] += cluster.tracker(i).free_slots(s);
+      }
     }
   }
   for (const SlotType s : {SlotType::kMap, SlotType::kReduce}) {
@@ -277,34 +298,6 @@ void InvariantAuditor::check_cluster(SimTime t) const {
            cluster.total_free(s),
            "sum of pooled trackers' free slots disagrees with the aggregate "
            "counter");
-    }
-    // Freelist walk: bounded (cycle-safe), every node alive with a free
-    // slot, node count == the maintained counter == the ground-truth scan.
-    std::vector<bool> visited(n, false);
-    std::uint32_t walked = 0;
-    for (std::size_t i = cluster.first_free(s); i != hadoop::Cluster::kNoTracker;
-         i = cluster.next_free(s, i)) {
-      if (i >= n || visited[i]) {
-        fail("freelist-shape", t, 0, 1,
-             "freelist walk revisited or left the tracker range at index " +
-                 std::to_string(i));
-      }
-      visited[i] = true;
-      ++walked;
-      const auto& tracker = cluster.tracker(i);
-      if (!tracker.offerable() || tracker.free_slots(s) == 0) {
-        fail("freelist-membership", t, 1, 0,
-             "freelist contains tracker " + std::to_string(i) +
-                 " that is dead, draining, or has no free slot of its type");
-      }
-    }
-    if (walked != cluster.free_tracker_count(s) ||
-        walked != free_anywhere[idx]) {
-      fail("freelist-count", t, free_anywhere[idx],
-           static_cast<std::int64_t>(walked),
-           "freelist length disagrees with the alive-trackers-with-free-"
-           "slots ground truth (maintained counter: " +
-               std::to_string(cluster.free_tracker_count(s)) + ")");
     }
   }
 }

@@ -10,10 +10,12 @@
 //  * event-stream time monotonicity (the discrete-event core must hand
 //    events out in nondecreasing sim-time order),
 //  * cluster slot conservation — per heartbeat for the heartbeating tracker,
-//    and for every tracker plus the intrusive freelists on the periodic
-//    full sweep: free + running attempts == configured slots per type, the
-//    pooled-tracker sum equals Cluster::total_free, and each freelist is
-//    exactly the set of alive trackers with a free slot of its type,
+//    and for every tracker on the periodic full sweep: free + running
+//    attempts == configured slots per type, and the pooled-tracker sum
+//    equals Cluster::total_free,
+//  * each tracker's lifecycle record — whether its slots are pooled, it is
+//    draining, it retired — against a shadow built from the tracker events,
+//    on every full sweep and at each loss, restart and retirement,
 //  * per-workflow progress accounting: queue rho == requirement - lag,
 //    >= completed tasks, <= WorkflowRuntime::tasks_scheduled(), and (when
 //    no retry path is configured) <= the plan's total task count,
@@ -45,6 +47,7 @@
 
 #include "common/types.hpp"
 #include "core/scheduler_queue.hpp"
+#include "hadoop/cluster.hpp"
 #include "hadoop/job.hpp"
 #include "obs/event_bus.hpp"
 
@@ -83,9 +86,9 @@ class InvariantViolation : public std::logic_error {
 };
 
 struct AuditConfig {
-  /// Heartbeats between full sweeps (every-tracker slot conservation,
-  /// freelist walks, queue structure, workflow progress sampling). Per-event
-  /// shadow updates and per-tracker heartbeat checks always run.
+  /// Heartbeats between full sweeps (every-tracker slot conservation and
+  /// lifecycle records, queue structure, workflow progress sampling).
+  /// Per-event shadow updates and per-tracker heartbeat checks always run.
   std::uint64_t full_sweep_period = 64;
 };
 
@@ -116,7 +119,16 @@ class InvariantAuditor {
   void on_event(const obs::Event& event);
   /// Slot conservation for one tracker: free + shadow-running == capacity.
   void check_tracker_slots(std::size_t tracker, SimTime t) const;
-  /// Aggregate free-slot totals and freelist shape across every tracker.
+  using Life = hadoop::TrackerState::Life;
+
+  /// The cluster records `tracker` in `expected` when `event` is published.
+  void check_life(const char* invariant, std::size_t tracker, Life expected,
+                  const char* event, SimTime t) const;
+  /// One tracker's lifecycle record against the pooled_/draining_/retired_
+  /// shadow.
+  void check_tracker_record(std::size_t tracker, SimTime t) const;
+  /// Slot conservation and lifecycle records of every tracker, and the
+  /// aggregate free-slot totals.
   void check_cluster(SimTime t) const;
   /// Queue structure (each slot type's ordering holding exactly the
   /// workflows runnable for it) + head-sampled per-workflow progress
@@ -156,8 +168,8 @@ class InvariantAuditor {
   /// TrackerLost reconciliation, true again after TrackerRestarted.
   std::vector<bool> pooled_;
   /// Draining out (TrackerDraining / PreemptionWarning): must never receive
-  /// a TaskStarted and must stay off the freelists. Cleared on retirement
-  /// or on TrackerRestarted (a crash-interrupted drain is forgotten).
+  /// a TaskStarted. Survives a crash; cleared on retirement or on
+  /// TrackerRestarted (a crash-interrupted drain is forgotten).
   std::vector<bool> draining_;
   /// Permanently retired (TrackerDecommissioned): nothing may ever run
   /// there again.

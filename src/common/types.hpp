@@ -51,7 +51,6 @@ class StrongId {
 struct WorkflowTag {};
 struct JobTag {};
 struct TaskTag {};
-struct TrackerTag {};
 
 /// Identifies one workflow W_i submitted to the cluster.
 using WorkflowId = StrongId<WorkflowTag>;
@@ -59,8 +58,6 @@ using WorkflowId = StrongId<WorkflowTag>;
 using JobId = StrongId<JobTag>;
 /// Identifies one task attempt.
 using TaskId = StrongId<TaskTag>;
-/// Identifies one TaskTracker (slave node).
-using TrackerId = StrongId<TrackerTag>;
 
 /// Map-Reduce slot kind. Hadoop-1 statically partitions each TaskTracker
 /// into map slots and reduce slots; a map task can only occupy a map slot.

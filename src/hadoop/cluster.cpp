@@ -1,6 +1,7 @@
 #include "hadoop/cluster.hpp"
 
 #include <numeric>
+#include <string>
 
 #include "obs/metrics_registry.hpp"
 
@@ -77,75 +78,22 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
   if (config.num_trackers == 0) {
     throw std::invalid_argument("Cluster: num_trackers must be positive");
   }
-  trackers_.reserve(config.num_trackers);
-  for (std::uint32_t i = 0; i < config.num_trackers; ++i) {
-    trackers_.emplace_back(TrackerId(i), config.map_slots_per_tracker,
-                           config.reduce_slots_per_tracker);
-  }
+  trackers_.assign(config.num_trackers,
+                   TrackerState(config.map_slots_per_tracker,
+                                config.reduce_slots_per_tracker));
   total_free_[0] = config.total_map_slots();
   total_free_[1] = config.total_reduce_slots();
-  capacity_total_[0] = total_free_[0];
-  capacity_total_[1] = total_free_[1];
-  // Seed the freelists in tracker-index order (tracker 0 at the head).
-  const std::uint32_t caps[2] = {config.map_slots_per_tracker,
-                                 config.reduce_slots_per_tracker};
-  for (std::size_t s = 0; s < 2; ++s) {
-    next_[s].assign(config.num_trackers, kNoTracker);
-    prev_[s].assign(config.num_trackers, kNoTracker);
-    if (caps[s] == 0) continue;
-    head_[s] = 0;
-    free_count_[s] = config.num_trackers;
-    for (std::size_t i = 0; i < config.num_trackers; ++i) {
-      if (i > 0) prev_[s][i] = i - 1;
-      if (i + 1 < config.num_trackers) next_[s][i] = i + 1;
-    }
-  }
-}
-
-void Cluster::link(std::size_t tracker_index, std::size_t s) {
-  prev_[s][tracker_index] = kNoTracker;
-  next_[s][tracker_index] = head_[s];
-  if (head_[s] != kNoTracker) prev_[s][head_[s]] = tracker_index;
-  head_[s] = tracker_index;
-  ++free_count_[s];
-}
-
-void Cluster::unlink(std::size_t tracker_index, std::size_t s) {
-  const std::size_t prev = prev_[s][tracker_index];
-  const std::size_t next = next_[s][tracker_index];
-  if (prev != kNoTracker) {
-    next_[s][prev] = next;
-  } else {
-    head_[s] = next;
-  }
-  if (next != kNoTracker) prev_[s][next] = prev;
-  prev_[s][tracker_index] = kNoTracker;
-  next_[s][tracker_index] = kNoTracker;
-  --free_count_[s];
-}
-
-std::uint32_t Cluster::total_busy(SlotType t) const {
-  return capacity_total_[static_cast<std::size_t>(t)] - total_free(t);
 }
 
 void Cluster::occupy(std::size_t tracker_index, SlotType t) {
-  TrackerState& tracker = trackers_.at(tracker_index);
-  tracker.occupy(t);
-  const auto s = static_cast<std::size_t>(t);
-  --total_free_[s];
-  if (tracker.offerable() && tracker.free_slots(t) == 0) unlink(tracker_index, s);
+  trackers_.at(tracker_index).occupy(t);
+  --total_free_[static_cast<std::size_t>(t)];
   update_gauges();
 }
 
 void Cluster::release(std::size_t tracker_index, SlotType t) {
-  TrackerState& tracker = trackers_.at(tracker_index);
-  tracker.release(t);
-  const auto s = static_cast<std::size_t>(t);
-  ++total_free_[s];
-  // A dead tracker's slots are reconciled (released) during loss detection;
-  // it must not re-enter the freelist until it restarts. Likewise a draining
-  // tracker stays off the lists: its freed slots must not attract new work.
-  if (tracker.offerable() && tracker.free_slots(t) == 1) link(tracker_index, s);
+  trackers_.at(tracker_index).release(t);
+  ++total_free_[static_cast<std::size_t>(t)];
   update_gauges();
 }
 
@@ -160,78 +108,76 @@ void Cluster::update_gauges() const {
   if (gauges_[1]) gauges_[1]->set(static_cast<double>(total_free_[1]));
 }
 
-void Cluster::mark_dead(std::size_t tracker_index) {
+std::uint64_t Cluster::crash(std::size_t tracker_index, SimTime now) {
   TrackerState& tracker = trackers_.at(tracker_index);
-  if (!tracker.alive()) {
-    throw std::logic_error("Cluster::mark_dead: tracker already dead");
+  if (tracker.life_ != TrackerState::Life::kUp) {
+    throw std::logic_error("Cluster::crash: tracker is not up");
   }
-  for (const SlotType t : {SlotType::kMap, SlotType::kReduce}) {
-    const auto s = static_cast<std::size_t>(t);
-    if (on_freelist(tracker_index, s)) unlink(tracker_index, s);
-  }
-  tracker.set_alive(false);
+  tracker.life_ = TrackerState::Life::kDown;
+  tracker.crash_time_ = now;
+  return ++tracker.epoch_;
 }
 
-void Cluster::deactivate(std::size_t tracker_index) {
+void Cluster::unpool(std::size_t tracker_index, TrackerState::Life life,
+                     const char* transition) {
   TrackerState& tracker = trackers_.at(tracker_index);
-  if (tracker.alive()) {
-    throw std::logic_error("Cluster::deactivate: tracker still alive");
+  if (tracker.free_[0] != tracker.capacity_[0] ||
+      tracker.free_[1] != tracker.capacity_[1]) {
+    throw std::logic_error(std::string("Cluster::") + transition +
+                           ": tracker has occupied slots");
   }
-  for (const SlotType t : {SlotType::kMap, SlotType::kReduce}) {
-    if (tracker.free_slots(t) != tracker.capacity(t)) {
-      throw std::logic_error("Cluster::deactivate: tracker has occupied slots");
-    }
-    total_free_[static_cast<std::size_t>(t)] -= tracker.capacity(t);
-  }
+  total_free_[0] -= tracker.capacity_[0];
+  total_free_[1] -= tracker.capacity_[1];
+  tracker.life_ = life;
   update_gauges();
 }
 
-void Cluster::activate(std::size_t tracker_index) {
+void Cluster::declare_lost(std::size_t tracker_index) {
+  if (trackers_.at(tracker_index).life_ != TrackerState::Life::kDown) {
+    throw std::logic_error("Cluster::declare_lost: tracker is not down");
+  }
+  unpool(tracker_index, TrackerState::Life::kLost, "declare_lost");
+}
+
+void Cluster::restart(std::size_t tracker_index) {
   TrackerState& tracker = trackers_.at(tracker_index);
-  if (tracker.alive()) {
-    throw std::logic_error("Cluster::activate: tracker already alive");
+  if (tracker.life_ != TrackerState::Life::kLost) {
+    throw std::logic_error("Cluster::restart: tracker is not lost");
   }
-  tracker.set_alive(true);
-  // A rebooted node re-registers as a fresh worker: any drain that was in
-  // flight when it crashed is forgotten (the operator must re-issue it).
-  tracker.set_draining(false);
-  for (const SlotType t : {SlotType::kMap, SlotType::kReduce}) {
-    const auto s = static_cast<std::size_t>(t);
-    total_free_[s] += tracker.capacity(t);
-    if (tracker.capacity(t) > 0) link(tracker_index, s);
-  }
+  tracker.life_ = TrackerState::Life::kUp;
+  tracker.drain_ = TrackerState::Drain::kNone;
+  ++tracker.epoch_;
+  total_free_[0] += tracker.capacity_[0];
+  total_free_[1] += tracker.capacity_[1];
   update_gauges();
 }
 
-void Cluster::set_draining(std::size_t tracker_index) {
+std::uint64_t Cluster::begin_drain(std::size_t tracker_index, TrackerState::Drain why) {
   TrackerState& tracker = trackers_.at(tracker_index);
-  if (!tracker.alive()) {
-    throw std::logic_error("Cluster::set_draining: tracker is dead");
+  if (!tracker.takes_work() || why == TrackerState::Drain::kNone) {
+    throw std::logic_error("Cluster::begin_drain: tracker is not up and serving");
   }
-  if (tracker.draining()) return;
-  for (const SlotType t : {SlotType::kMap, SlotType::kReduce}) {
-    const auto s = static_cast<std::size_t>(t);
-    if (on_freelist(tracker_index, s)) unlink(tracker_index, s);
+  tracker.drain_ = why;
+  return ++tracker.epoch_;
+}
+
+void Cluster::retire(std::size_t tracker_index) {
+  TrackerState& tracker = trackers_.at(tracker_index);
+  if (tracker.life_ != TrackerState::Life::kUp) {
+    throw std::logic_error("Cluster::retire: tracker is not up");
   }
-  tracker.set_draining(true);
+  unpool(tracker_index, TrackerState::Life::kRetired, "retire");
+  tracker.drain_ = TrackerState::Drain::kNone;
+  ++tracker.epoch_;
 }
 
 std::size_t Cluster::add_tracker() {
-  const std::size_t i = trackers_.size();
-  trackers_.emplace_back(TrackerId(static_cast<std::uint32_t>(i)),
-                         config_.map_slots_per_tracker,
+  trackers_.emplace_back(config_.map_slots_per_tracker,
                          config_.reduce_slots_per_tracker);
-  const std::uint32_t caps[2] = {config_.map_slots_per_tracker,
-                                 config_.reduce_slots_per_tracker};
-  for (std::size_t s = 0; s < 2; ++s) {
-    next_[s].push_back(kNoTracker);
-    prev_[s].push_back(kNoTracker);
-    total_free_[s] += caps[s];
-    capacity_total_[s] += caps[s];
-    if (caps[s] > 0) link(i, s);
-  }
+  total_free_[0] += config_.map_slots_per_tracker;
+  total_free_[1] += config_.reduce_slots_per_tracker;
   update_gauges();
-  return i;
+  return trackers_.size() - 1;
 }
 
 }  // namespace woha::hadoop

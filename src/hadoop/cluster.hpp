@@ -48,13 +48,24 @@ struct ClusterConfig {
                                                  std::uint32_t reduce_slots);
 };
 
-/// Runtime slot occupancy of one TaskTracker.
+/// One TaskTracker as the master knows it: its slot occupancy and where it
+/// is in its life. This record is the only copy of that state; it changes
+/// through the Cluster transitions below, which keep the aggregate slot pool
+/// in step with it.
 class TrackerState {
  public:
-  TrackerState(TrackerId id, std::uint32_t map_slots, std::uint32_t reduce_slots)
-      : id_(id), free_{map_slots, reduce_slots}, capacity_{map_slots, reduce_slots} {}
+  /// A crash takes an up tracker down; the master notices at lease expiry or
+  /// re-registration (lost), and a restart brings it up again. A retired
+  /// tracker (decommissioned or preempted) never comes back. The slots of up
+  /// and down trackers are pooled; those of lost and retired ones are not.
+  enum class Life : std::uint8_t { kUp, kDown, kLost, kRetired };
+  /// Why a tracker is draining out. A crash keeps the drain on record; the
+  /// restart or the retirement clears it.
+  enum class Drain : std::uint8_t { kNone, kDecommission, kPreemption };
 
-  [[nodiscard]] TrackerId id() const { return id_; }
+  TrackerState(std::uint32_t map_slots, std::uint32_t reduce_slots)
+      : free_{map_slots, reduce_slots}, capacity_{map_slots, reduce_slots} {}
+
   [[nodiscard]] std::uint32_t free_slots(SlotType t) const {
     return free_[static_cast<std::size_t>(t)];
   }
@@ -62,19 +73,21 @@ class TrackerState {
     return capacity_[static_cast<std::size_t>(t)];
   }
 
-  /// False between a crash and the subsequent restart. A dead tracker sends
-  /// no heartbeats, so it is never offered work; its slot bookkeeping is
-  /// reconciled when the JobTracker detects the loss (lease expiry).
-  [[nodiscard]] bool alive() const { return alive_; }
-  void set_alive(bool alive) { alive_ = alive; }
-
-  /// True while the tracker drains (graceful decommission or preemption
-  /// warning): it keeps heartbeating and finishing its running attempts but
-  /// must never be offered new work, so it stays off both freelists.
-  [[nodiscard]] bool draining() const { return draining_; }
-  void set_draining(bool draining) { draining_ = draining; }
-  /// Alive and not draining: eligible for freelist membership.
-  [[nodiscard]] bool offerable() const { return alive_ && !draining_; }
+  [[nodiscard]] Life life() const { return life_; }
+  [[nodiscard]] Drain drain() const { return drain_; }
+  /// Crashed, whether or not the master has noticed yet.
+  [[nodiscard]] bool down() const { return life_ == Life::kDown || life_ == Life::kLost; }
+  /// Up and not draining: its heartbeats offer free slots to the scheduler.
+  [[nodiscard]] bool takes_work() const {
+    return life_ == Life::kUp && drain_ == Drain::kNone;
+  }
+  /// Start of the current (or last) outage.
+  [[nodiscard]] SimTime crash_time() const { return crash_time_; }
+  /// Bumped by every transition a pending tracker event can be overtaken
+  /// by: crash, restart, drain start and retirement. Loss detection, restart,
+  /// drain end and the deferred drain completion each carry the epoch they
+  /// were scheduled under and stand down when it moved.
+  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
   /// Claim one slot for a starting task. Throws if no slot is free — the
   /// engine must never over-assign.
@@ -83,51 +96,28 @@ class TrackerState {
   void release(SlotType t);
 
  private:
-  TrackerId id_;
+  friend class Cluster;
+
   std::uint32_t free_[2];
   std::uint32_t capacity_[2];
-  bool alive_ = true;
-  bool draining_ = false;
+  SimTime crash_time_ = 0;
+  std::uint64_t epoch_ = 0;
+  Life life_ = Life::kUp;
+  Drain drain_ = Drain::kNone;
 };
 
-/// All trackers of a cluster plus aggregate free-slot counters and, per slot
-/// type, an intrusive doubly-linked freelist of live trackers with at least
-/// one free slot of that type. The freelist is updated incrementally on
-/// every occupy/release/crash/restart (O(1) each), so "is any slot of type t
-/// free anywhere?" and "enumerate trackers with a free t-slot" never scan
-/// the full tracker array — the scan was O(trackers) per query and dominated
-/// large-cluster runs. List order is recency of becoming free (push-front),
-/// not tracker index; consumers that need a deterministic order independent
-/// of history must not rely on it.
+/// All trackers of a cluster plus the aggregate free-slot count of the pooled
+/// ones, so "is any slot of type t free?" is a counter read.
 class Cluster {
  public:
-  /// Sentinel terminating freelist traversal.
-  static constexpr std::size_t kNoTracker = static_cast<std::size_t>(-1);
-
   explicit Cluster(const ClusterConfig& config);
 
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
   [[nodiscard]] std::size_t tracker_count() const { return trackers_.size(); }
-  [[nodiscard]] TrackerState& tracker(std::size_t i) { return trackers_[i]; }
   [[nodiscard]] const TrackerState& tracker(std::size_t i) const { return trackers_[i]; }
 
   [[nodiscard]] std::uint32_t total_free(SlotType t) const {
     return total_free_[static_cast<std::size_t>(t)];
-  }
-  [[nodiscard]] std::uint32_t total_busy(SlotType t) const;
-
-  /// Number of live trackers with >= 1 free slot of type `t`.
-  [[nodiscard]] std::uint32_t free_tracker_count(SlotType t) const {
-    return free_count_[static_cast<std::size_t>(t)];
-  }
-  /// Head of the type-`t` freelist (kNoTracker when empty).
-  [[nodiscard]] std::size_t first_free(SlotType t) const {
-    return head_[static_cast<std::size_t>(t)];
-  }
-  /// Successor of `tracker_index` on the type-`t` freelist (kNoTracker at
-  /// the tail). Only meaningful while the tracker is on the list.
-  [[nodiscard]] std::size_t next_free(SlotType t, std::size_t tracker_index) const {
-    return next_[static_cast<std::size_t>(t)].at(tracker_index);
   }
 
   /// Aggregate bookkeeping wrappers — keep the totals in sync with the
@@ -135,58 +125,48 @@ class Cluster {
   void occupy(std::size_t tracker_index, SlotType t);
   void release(std::size_t tracker_index, SlotType t);
 
-  /// Mark a tracker dead at the instant of the crash: it stops heartbeating
-  /// and leaves both freelists immediately (its slots stay formally occupied
-  /// until detect_tracker_loss reconciles them). The only sanctioned way to
-  /// kill a tracker — writing TrackerState::set_alive directly would leave
-  /// the freelists stale.
-  void mark_dead(std::size_t tracker_index);
+  // --- lifecycle transitions (each throws std::logic_error when the tracker
+  // is not in the state it starts from) ---------------------------------------
 
-  /// Remove a lost tracker's slots from the aggregate pool once the
-  /// JobTracker detects the loss. Requires the tracker marked dead and all
-  /// its slots released (the engine re-queues its attempts first).
-  void deactivate(std::size_t tracker_index);
-  /// Return a restarted tracker to the pool with every slot free. Clears any
-  /// draining flag: a re-registered node is a fresh worker.
-  void activate(std::size_t tracker_index);
-
-  /// Start draining a live tracker (graceful decommission / preemption
-  /// warning): it leaves both freelists and stays off them while its running
-  /// attempts finish. Idempotent; throws if the tracker is dead.
-  void set_draining(std::size_t tracker_index);
-
-  /// Register one fresh tracker with the configured per-tracker slot shape.
-  /// Grows the freelist index arrays, adds the new capacity to the aggregate
-  /// pool, and links the newcomer onto both freelists. Returns its index.
+  /// An up tracker crashes at `now`: it stops heartbeating, but its slots
+  /// stay pooled and formally occupied until the master declares it lost.
+  /// Returns the new epoch.
+  std::uint64_t crash(std::size_t tracker_index, SimTime now);
+  /// The master notices a down tracker is gone. Requires every slot released
+  /// (the engine kills its attempts first) and takes its capacity out of the
+  /// pool. Leaves the epoch alone: the restart scheduled with the crash must
+  /// still fire.
+  void declare_lost(std::size_t tracker_index);
+  /// A lost tracker re-registers as a fresh worker: every slot free and
+  /// pooled again, any drain it was serving forgotten.
+  void restart(std::size_t tracker_index);
+  /// An up tracker that is not draining starts draining out (`why` is a
+  /// decommission or a preemption warning): it takes no new work but keeps
+  /// running what it has. Returns the new epoch.
+  std::uint64_t begin_drain(std::size_t tracker_index, TrackerState::Drain why);
+  /// An up tracker leaves for good. Requires every slot released and takes
+  /// its capacity out of the pool.
+  void retire(std::size_t tracker_index);
+  /// Register one fresh up tracker with the configured per-tracker slot
+  /// shape and add its capacity to the pool. Returns its index.
   /// ClusterConfig::num_trackers keeps the *initial* count.
   std::size_t add_tracker();
 
   /// Publish the aggregate free-slot counts into two registry gauges
-  /// (updated on every occupy/release/activate/deactivate). Either pointer
-  /// may be null; with both null the hook costs one branch.
+  /// (updated whenever the pool changes). Either pointer may be null; with
+  /// both null the hook costs one branch.
   void set_slot_gauges(obs::Gauge* free_map, obs::Gauge* free_reduce);
 
  private:
   void update_gauges() const;
-  /// Push `tracker_index` onto the front of the type-`s` freelist.
-  void link(std::size_t tracker_index, std::size_t s);
-  /// Remove `tracker_index` from the type-`s` freelist (must be on it).
-  void unlink(std::size_t tracker_index, std::size_t s);
-  [[nodiscard]] bool on_freelist(std::size_t tracker_index, std::size_t s) const {
-    return prev_[s][tracker_index] != kNoTracker || head_[s] == tracker_index;
-  }
+  /// Take an emptied tracker's capacity out of the pool and move it to
+  /// `life`; `transition` names the caller in the error message.
+  void unpool(std::size_t tracker_index, TrackerState::Life life,
+              const char* transition);
 
   ClusterConfig config_;
   std::vector<TrackerState> trackers_;
   std::uint32_t total_free_[2];
-  // Aggregate slot capacity over *all* registered trackers (initial +
-  // joined); unlike config_.total_*_slots() this tracks add_tracker.
-  std::uint32_t capacity_total_[2] = {0, 0};
-  // Intrusive per-slot-type freelists over tracker indices.
-  std::vector<std::size_t> next_[2];
-  std::vector<std::size_t> prev_[2];
-  std::size_t head_[2] = {kNoTracker, kNoTracker};
-  std::uint32_t free_count_[2] = {0, 0};
   obs::Gauge* gauges_[2] = {nullptr, nullptr};
 };
 

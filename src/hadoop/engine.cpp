@@ -39,9 +39,7 @@ Engine::Engine(EngineConfig config, std::unique_ptr<WorkflowScheduler> scheduler
   config_.admission.validate();
   config_.elasticity.validate(cluster_.tracker_count());
   tracker_attempts_.resize(cluster_.tracker_count());
-  fault_state_.resize(cluster_.tracker_count());
   map_outputs_.resize(cluster_.tracker_count());
-  elastic_state_.resize(cluster_.tracker_count());
   live_trackers_ = cluster_.tracker_count();
   elastic_on_ = config_.elasticity.any_enabled();
   if (config_.admission.enabled()) {
@@ -335,12 +333,11 @@ void Engine::activate_job(JobRef ref) {
 }
 
 void Engine::heartbeat(std::size_t tracker_index) {
-  TrackerState& tracker = cluster_.tracker(tracker_index);
-  if (!tracker.alive()) return;  // dead nodes do not heartbeat
-  // Draining nodes keep running what they have but take no new work, so
-  // their heartbeats schedule nothing (they are off the freelists anyway;
-  // skipping here also keeps speculation off the leaving node).
-  if (elastic_on_ && elastic_state_[tracker_index].draining) return;
+  // Down nodes do not heartbeat, and draining ones keep running what they
+  // have but take no new work, so their heartbeats schedule nothing
+  // (skipping them here also keeps speculation off a leaving node).
+  const TrackerState& tracker = cluster_.tracker(tracker_index);
+  if (!tracker.takes_work()) return;
 
   // Wall-clock service time is only measured with a registry attached; the
   // clock reads themselves are part of the cost we promise to avoid (the
@@ -649,8 +646,8 @@ Engine::Attempt Engine::kill_attempt(std::uint64_t attempt_id, obs::KillCause ca
   // A zombie stopped executing when its node crashed; anything else stops
   // now. Busy time was charged for the full scheduled duration at start;
   // refund the part that never executed.
-  const TrackerFaultState& fs = fault_state_[a.tracker];
-  const SimTime stop_time = fs.dead ? fs.crash_time : sim_.now();
+  const TrackerState& tracker = cluster_.tracker(a.tracker);
+  const SimTime stop_time = tracker.down() ? tracker.crash_time() : sim_.now();
   const Duration executed = std::max<Duration>(0, stop_time - a.start_time);
   busy_ms_[static_cast<std::size_t>(a.type)] -=
       static_cast<double>(a.duration - executed);
@@ -667,17 +664,12 @@ Engine::Attempt Engine::kill_attempt(std::uint64_t attempt_id, obs::KillCause ca
 }
 
 void Engine::crash_tracker(std::size_t tracker_index, SimTime restart_time) {
-  TrackerFaultState& fs = fault_state_[tracker_index];
-  if (fs.dead) return;  // overlapping schedules collapse into one outage
-  // A retired (decommissioned/preempted) node no longer exists to crash. A
-  // *draining* node can still crash: the crash machinery then owns it, and
-  // the pending drain-expiry event sees fs.dead and stands down.
-  if (elastic_state_[tracker_index].retired) return;
-  fs.dead = true;
-  fs.detected = false;
-  fs.crash_time = sim_.now();
-  ++fs.epoch;
-  cluster_.mark_dead(tracker_index);
+  // Overlapping schedules collapse into one outage, and a retired
+  // (decommissioned/preempted) node no longer exists to crash. A *draining*
+  // node can still crash: the crash machinery then owns it, and the pending
+  // drain-end event stands down on the epoch the crash bumps.
+  if (cluster_.tracker(tracker_index).life() != TrackerState::Life::kUp) return;
+  const std::uint64_t epoch = cluster_.crash(tracker_index, sim_.now());
   --live_trackers_;
   ++tracker_crashes_;
   if (handles_.tracker_crashes) handles_.tracker_crashes->add();
@@ -697,16 +689,15 @@ void Engine::crash_tracker(std::size_t tracker_index, SimTime restart_time) {
     attempts_.at(id).finish_event.cancel();
   }
 
-  const std::uint64_t epoch = fs.epoch;
   sim_.schedule_after(config_.faults.expiry_interval, [this, tracker_index, epoch]() {
-    if (fault_state_[tracker_index].epoch == epoch) {
+    if (cluster_.tracker(tracker_index).epoch() == epoch) {
       detect_tracker_loss(tracker_index);
     }
   });
   if (restart_time != kTimeInfinity) {
     ++pending_restarts_;
     sim_.schedule_at(restart_time, [this, tracker_index, epoch]() {
-      if (fault_state_[tracker_index].epoch == epoch) {
+      if (cluster_.tracker(tracker_index).epoch() == epoch) {
         restart_tracker(tracker_index);
       }
     });
@@ -714,21 +705,13 @@ void Engine::crash_tracker(std::size_t tracker_index, SimTime restart_time) {
 }
 
 void Engine::restart_tracker(std::size_t tracker_index) {
-  TrackerFaultState& fs = fault_state_[tracker_index];
-  if (!fs.dead) return;
   // Re-registration tells the master about the loss immediately, even if
   // the lease has not expired yet (Hadoop treats a re-registering tracker
   // as a fresh node with empty disks).
   detect_tracker_loss(tracker_index);
-  fs.dead = false;
-  cluster_.activate(tracker_index);
-  // Re-registration makes the node a fresh worker: a drain that was in
-  // flight when it crashed is forgotten (mirrors Cluster::activate), and
-  // any stale drain-expiry event dies on the epoch bump.
-  TrackerElasticState& es = elastic_state_[tracker_index];
-  es.draining = false;
-  es.preempting = false;
-  ++es.epoch;
+  // A fresh worker: a drain that was in flight when it crashed is
+  // forgotten, and its drain-end event dies on the epoch bump.
+  cluster_.restart(tracker_index);
   ++live_trackers_;
   --pending_restarts_;
   const TrackerState& ts = cluster_.tracker(tracker_index);
@@ -743,17 +726,17 @@ void Engine::restart_tracker(std::size_t tracker_index) {
 }
 
 void Engine::detect_tracker_loss(std::size_t tracker_index) {
-  TrackerFaultState& fs = fault_state_[tracker_index];
-  if (!fs.dead || fs.detected) return;
-  fs.detected = true;
+  const TrackerState& tracker = cluster_.tracker(tracker_index);
+  if (tracker.life() != TrackerState::Life::kDown) return;
   WOHA_LOG(LogLevel::kInfo, "engine")
       << "t=" << sim_.now() << " tracker " << tracker_index
-      << " declared lost (crashed at " << fs.crash_time << ")";
+      << " declared lost (crashed at " << tracker.crash_time() << ")";
 
   const std::uint32_t killed = evict_tracker(tracker_index, obs::KillCause::kNodeLoss);
+  cluster_.declare_lost(tracker_index);
   const std::uint32_t outputs_lost = drop_tracker(tracker_index);
   if (events_.active()) {
-    events_.publish(sim_.now(), obs::TrackerLost{tracker_index, fs.crash_time,
+    events_.publish(sim_.now(), obs::TrackerLost{tracker_index, tracker.crash_time(),
                                                  killed, outputs_lost});
   }
 }
@@ -788,7 +771,6 @@ std::uint32_t Engine::drop_tracker(std::size_t tracker_index) {
     scheduler_->on_tasks_lost(ref, SlotType::kMap, count, sim_.now());
   }
   map_outputs_[tracker_index].clear();
-  cluster_.deactivate(tracker_index);
   const TrackerState& ts = cluster_.tracker(tracker_index);
   account_capacity_change(-static_cast<std::int64_t>(ts.capacity(SlotType::kMap)),
                           -static_cast<std::int64_t>(ts.capacity(SlotType::kReduce)));
@@ -862,7 +844,7 @@ bool Engine::try_speculate(SlotType type, std::size_t tracker_index) {
     const Attempt& a = attempts_.at(id);
     if (a.tracker == tracker_index) continue;  // back up on another node
     if (now - a.start_time < config_.faults.speculative_min_runtime) continue;
-    const bool zombie = fault_state_[a.tracker].dead;
+    const bool zombie = cluster_.tracker(a.tracker).down();
     if (!zombie) {
       const JobInProgress& job = job_tracker_.job(a.ref);
       const Duration est = type == SlotType::kMap ? job.spec().map_duration
@@ -908,68 +890,54 @@ void Engine::schedule_next_mtbf_crash(std::size_t tracker_index) {
       tracker_fault_rngs_[tracker_index].exponential(1.0 / config_.faults.tracker_mtbf);
   const Duration delay = std::max<Duration>(1, static_cast<Duration>(std::llround(wait)));
   sim_.schedule_after(delay, [this, tracker_index]() {
-    if (!fault_state_[tracker_index].dead &&
-        !elastic_state_[tracker_index].retired) {
-      crash_tracker(tracker_index,
-                    sim_.now() + config_.faults.tracker_restart_delay);
-    }
+    crash_tracker(tracker_index, sim_.now() + config_.faults.tracker_restart_delay);
   });
 }
 
 // ---- elastic membership -----------------------------------------------------
 
 void Engine::begin_decommission(std::size_t tracker_index, Duration lease) {
-  TrackerFaultState& fs = fault_state_[tracker_index];
-  TrackerElasticState& es = elastic_state_[tracker_index];
   // Already leaving or down: a decommission of a dead/draining/retired node
   // is a no-op (the operator's intent is already being honoured).
-  if (es.retired || es.draining || fs.dead) return;
-  cluster_.set_draining(tracker_index);
-  es.draining = true;
-  es.preempting = false;
-  ++es.epoch;
-  es.lease_deadline = sim_.now() + lease;
+  if (!cluster_.tracker(tracker_index).takes_work()) return;
+  const std::uint64_t epoch =
+      cluster_.begin_drain(tracker_index, TrackerState::Drain::kDecommission);
+  const SimTime lease_deadline = sim_.now() + lease;
   WOHA_LOG(LogLevel::kInfo, "engine")
       << "t=" << sim_.now() << " tracker " << tracker_index
-      << " draining (decommission, lease until " << es.lease_deadline << ")";
+      << " draining (decommission, lease until " << lease_deadline << ")";
   if (events_.active()) {
-    events_.publish(sim_.now(),
-                    obs::TrackerDraining{tracker_index, es.lease_deadline});
+    events_.publish(sim_.now(), obs::TrackerDraining{tracker_index, lease_deadline});
   }
   if (tracker_attempts_[tracker_index].empty()) {
-    retire_tracker(tracker_index, 0, false);
+    retire_tracker(tracker_index, 0);
     return;
   }
-  const std::uint64_t epoch = es.epoch;
-  sim_.schedule_at(es.lease_deadline, [this, tracker_index, epoch]() {
-    end_drain(tracker_index, epoch, false);
+  sim_.schedule_at(lease_deadline, [this, tracker_index, epoch]() {
+    end_drain(tracker_index, epoch);
   });
 }
 
-void Engine::end_drain(std::size_t tracker_index, std::uint64_t epoch,
-                       bool preempted) {
-  const TrackerElasticState& es = elastic_state_[tracker_index];
-  if (es.epoch != epoch || !es.draining || es.retired) return;
-  // Crash won the race mid-drain: lease-expiry loss detection owns the node
-  // now (the KILLED + re-queue semantics are the crash path's).
-  if (fault_state_[tracker_index].dead) return;
+void Engine::end_drain(std::size_t tracker_index, std::uint64_t epoch) {
+  // Stale once the tracker moved on: it retired early, or a crash won the
+  // race mid-drain and lease-expiry loss detection owns the node now (the
+  // KILLED + re-queue semantics are the crash path's).
+  const TrackerState& tracker = cluster_.tracker(tracker_index);
+  if (tracker.epoch() != epoch) return;
   // Master-initiated eviction: unlike crash loss there is no detection
   // delay, and like crash loss the kills are never charged to budgets.
-  const std::uint32_t migrated = evict_tracker(
-      tracker_index,
-      preempted ? obs::KillCause::kPreemption : obs::KillCause::kDrainMigration);
+  const std::uint32_t migrated =
+      evict_tracker(tracker_index, tracker.drain() == TrackerState::Drain::kPreemption
+                                       ? obs::KillCause::kPreemption
+                                       : obs::KillCause::kDrainMigration);
   drain_migrated_ += migrated;
-  retire_tracker(tracker_index, migrated, preempted);
+  retire_tracker(tracker_index, migrated);
 }
 
-void Engine::retire_tracker(std::size_t tracker_index, std::uint32_t migrated,
-                            bool preempted) {
-  TrackerElasticState& es = elastic_state_[tracker_index];
-  es.retired = true;
-  es.draining = false;
-  es.preempting = false;
-  ++es.epoch;  // pending drain-expiry / maybe-complete events go stale
-  cluster_.mark_dead(tracker_index);
+void Engine::retire_tracker(std::size_t tracker_index, std::uint32_t migrated) {
+  const bool preempted =
+      cluster_.tracker(tracker_index).drain() == TrackerState::Drain::kPreemption;
+  cluster_.retire(tracker_index);  // pending drain-end / completion events go stale
   // Map outputs stranded on the node's local disk leave with it, exactly as
   // in Hadoop's decommission: completed maps of in-flight jobs re-execute.
   drop_tracker(tracker_index);
@@ -993,22 +961,24 @@ void Engine::retire_tracker(std::size_t tracker_index, std::uint32_t migrated,
 
 void Engine::maybe_complete_drain(std::size_t tracker_index) {
   if (!elastic_on_) return;
-  const TrackerElasticState& es = elastic_state_[tracker_index];
+  const TrackerState& tracker = cluster_.tracker(tracker_index);
   // Preempted nodes terminate at the warned instant no matter what; only a
-  // graceful decommission retires early when the node goes idle.
-  if (!es.draining || es.retired || es.preempting) return;
-  if (fault_state_[tracker_index].dead) return;
+  // graceful decommission of an up node retires early when it goes idle.
+  if (tracker.life() != TrackerState::Life::kUp ||
+      tracker.drain() != TrackerState::Drain::kDecommission) {
+    return;
+  }
   if (!tracker_attempts_[tracker_index].empty()) return;
-  const std::uint64_t epoch = es.epoch;
+  const std::uint64_t epoch = tracker.epoch();
   // Same-tick deferral: let the in-flight attempt bookkeeping (TaskEnded
   // events, scheduler notifications) settle before the node retires, so
-  // observers never see a retirement precede its last attempt's end.
+  // observers never see a retirement precede its last attempt's end. A
+  // draining node starts nothing new, so an unmoved epoch means it is
+  // still up, draining and idle.
   sim_.schedule_at(sim_.now(), [this, tracker_index, epoch]() {
-    const TrackerElasticState& s = elastic_state_[tracker_index];
-    if (s.epoch != epoch || !s.draining || s.retired || s.preempting) return;
-    if (fault_state_[tracker_index].dead) return;
-    if (!tracker_attempts_[tracker_index].empty()) return;
-    retire_tracker(tracker_index, 0, false);
+    if (cluster_.tracker(tracker_index).epoch() == epoch) {
+      retire_tracker(tracker_index, 0);
+    }
   });
 }
 
@@ -1019,28 +989,20 @@ void Engine::preemption_wave(const PreemptionWave& wave) {
   std::vector<std::size_t> victims;
   for (std::size_t i = cluster_.tracker_count();
        i-- > 0 && victims.size() < wave.count;) {
-    const TrackerElasticState& es = elastic_state_[i];
-    if (fault_state_[i].dead || es.draining || es.retired) continue;
-    victims.push_back(i);
+    if (cluster_.tracker(i).takes_work()) victims.push_back(i);
   }
   std::reverse(victims.begin(), victims.end());
   for (const std::size_t i : victims) {
-    TrackerElasticState& es = elastic_state_[i];
-    cluster_.set_draining(i);
-    es.draining = true;
-    es.preempting = true;
-    ++es.epoch;
-    es.lease_deadline = sim_.now() + wave.warning;
+    const std::uint64_t epoch =
+        cluster_.begin_drain(i, TrackerState::Drain::kPreemption);
+    const SimTime termination = sim_.now() + wave.warning;
     WOHA_LOG(LogLevel::kInfo, "engine")
         << "t=" << sim_.now() << " tracker " << i
-        << " preemption warning (terminates at " << es.lease_deadline << ")";
+        << " preemption warning (terminates at " << termination << ")";
     if (events_.active()) {
-      events_.publish(sim_.now(), obs::PreemptionWarning{i, es.lease_deadline});
+      events_.publish(sim_.now(), obs::PreemptionWarning{i, termination});
     }
-    const std::uint64_t epoch = es.epoch;
-    sim_.schedule_at(es.lease_deadline, [this, i, epoch]() {
-      end_drain(i, epoch, true);
-    });
+    sim_.schedule_at(termination, [this, i, epoch]() { end_drain(i, epoch); });
   }
 }
 
@@ -1048,9 +1010,7 @@ void Engine::join_trackers(std::uint32_t count) {
   for (std::uint32_t n = 0; n < count; ++n) {
     const std::size_t i = cluster_.add_tracker();
     tracker_attempts_.emplace_back();
-    fault_state_.emplace_back();
     map_outputs_.emplace_back();
-    elastic_state_.emplace_back();
     if (config_.faults.tracker_mtbf > 0.0) {
       // Fresh split off the fault root: churn on joined nodes is as
       // deterministic as on initial ones (split order == join order).
@@ -1072,20 +1032,18 @@ void Engine::join_trackers(std::uint32_t count) {
   }
 }
 
-std::size_t Engine::pick_drain_victim() const {
+std::optional<std::size_t> Engine::pick_drain_victim() const {
   for (std::size_t i = cluster_.tracker_count(); i-- > 0;) {
-    const TrackerElasticState& es = elastic_state_[i];
-    if (fault_state_[i].dead || es.draining || es.retired) continue;
-    return i;
+    if (cluster_.tracker(i).takes_work()) return i;
   }
-  return Cluster::kNoTracker;
+  return std::nullopt;
 }
 
 void Engine::autoscale_tick() {
   const AutoscalerConfig& as = config_.elasticity.autoscaler;
   std::size_t draining = 0;
-  for (const TrackerElasticState& es : elastic_state_) {
-    draining += (es.draining && !es.retired) ? 1u : 0u;
+  for (std::size_t i = 0; i < cluster_.tracker_count(); ++i) {
+    draining += cluster_.tracker(i).drain() != TrackerState::Drain::kNone ? 1u : 0u;
   }
   AutoscaleSignal sig;
   sig.now = sim_.now();
@@ -1120,9 +1078,9 @@ void Engine::autoscale_tick() {
     std::size_t effective = live_trackers_ - std::min(draining, live_trackers_);
     for (std::int32_t k = 0; k < -delta; ++k) {
       if (effective <= as.min_trackers) break;
-      const std::size_t victim = pick_drain_victim();
-      if (victim == Cluster::kNoTracker) break;
-      begin_decommission(victim, as.drain_lease);
+      const std::optional<std::size_t> victim = pick_drain_victim();
+      if (!victim) break;
+      begin_decommission(*victim, as.drain_lease);
       --effective;
     }
   }

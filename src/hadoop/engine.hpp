@@ -27,6 +27,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -293,27 +294,6 @@ class Engine {
     sim::EventHandle finish_event;
   };
 
-  /// JobTracker-side record of one tracker's health between crash events.
-  struct TrackerFaultState {
-    bool dead = false;
-    bool detected = false;  ///< loss processed (expiry or re-registration)
-    SimTime crash_time = 0;
-    std::uint64_t epoch = 0;  ///< guards stale detection/restart events
-  };
-
-  /// Elastic-membership state of one tracker (decommission / preemption /
-  /// join lifecycle), alongside but independent of TrackerFaultState: a
-  /// draining node can still crash, and the crash machinery then owns it.
-  struct TrackerElasticState {
-    bool draining = false;  ///< drain in progress (decommission or warning)
-    bool retired = false;   ///< permanently gone (decommissioned/preempted)
-    /// True while the drain is a preemption warning: the node terminates at
-    /// the lease instant no matter what (no early retirement when idle).
-    bool preempting = false;
-    SimTime lease_deadline = 0;
-    std::uint64_t epoch = 0;  ///< guards stale drain-expiry events
-  };
-
   void do_submit(wf::WorkflowSpec spec);
   /// Start tracker `tracker_index`'s heartbeat loop, first beat at `first`.
   void start_heartbeats(std::size_t tracker_index, SimTime first);
@@ -354,15 +334,16 @@ class Engine {
   void crash_tracker(std::size_t tracker_index, SimTime restart_time);
   void restart_tracker(std::size_t tracker_index);
   /// JobTracker learns the tracker is gone (lease expiry or the node
-  /// re-registering): kill its attempts, re-queue the lost tasks,
-  /// invalidate its map outputs, retire its slots.
+  /// re-registering): kill its attempts, re-queue the lost tasks, declare
+  /// it lost and invalidate its map outputs. A no-op unless the tracker is
+  /// down and not yet declared lost.
   void detect_tracker_loss(std::size_t tracker_index);
   /// Kill every attempt on the tracker and re-queue each task that has no
   /// running speculation twin. Returns the number of attempts killed.
   std::uint32_t evict_tracker(std::size_t tracker_index, obs::KillCause cause);
-  /// Take an emptied tracker out of the cluster: invalidate the map outputs
-  /// on its local disk, deactivate it and retire its offered capacity.
-  /// Returns the number of map outputs lost.
+  /// A tracker just left the pool: invalidate the map outputs on its local
+  /// disk and retire its offered capacity. Returns the number of map outputs
+  /// lost.
   std::uint32_t drop_tracker(std::size_t tracker_index);
   /// Remove one attempt without letting it finish: remove it, refund
   /// un-executed busy time, emit the KILLED event. The attempt stopped
@@ -401,12 +382,12 @@ class Engine {
   /// Start a graceful decommission: drain now, retire when the node goes
   /// idle or the lease expires, whichever comes first.
   void begin_decommission(std::size_t tracker_index, Duration lease);
-  /// A drain lease ran out, or a preemption warning expired (`preempted`):
-  /// kill + re-queue everything still running on the tracker and retire it.
-  void end_drain(std::size_t tracker_index, std::uint64_t epoch, bool preempted);
+  /// A drain lease ran out, or a preemption warning expired: unless the
+  /// tracker moved past `epoch` since, kill + re-queue everything still
+  /// running on it and retire it.
+  void end_drain(std::size_t tracker_index, std::uint64_t epoch);
   /// Retire a fully drained tracker out of the cluster for good.
-  void retire_tracker(std::size_t tracker_index, std::uint32_t migrated,
-                      bool preempted);
+  void retire_tracker(std::size_t tracker_index, std::uint32_t migrated);
   /// A draining (non-preempting) tracker may have just gone idle; if so,
   /// complete its decommission at the current instant (scheduled as a
   /// same-tick event so in-flight bookkeeping settles first).
@@ -418,7 +399,8 @@ class Engine {
   /// Integrate offered slot-capacity over time (elastic runs only), then
   /// apply a capacity delta. Call at the instant capacity changes.
   void account_capacity_change(std::int64_t map_delta, std::int64_t reduce_delta);
-  [[nodiscard]] std::size_t pick_drain_victim() const;
+  /// The highest-indexed tracker that takes work, if any.
+  [[nodiscard]] std::optional<std::size_t> pick_drain_victim() const;
 
   EngineConfig config_;
   sim::Simulation sim_;
@@ -500,7 +482,6 @@ class Engine {
   // output sits on tracker t's local disk (only tracked for jobs with
   // reduces, and only when churn is enabled). std::map/std::set keep every
   // iteration order deterministic.
-  std::vector<TrackerFaultState> fault_state_;
   std::vector<std::map<JobRef, std::uint32_t>> map_outputs_;
   std::set<std::pair<JobRef, std::size_t>> blacklist_;
   std::map<std::pair<JobRef, std::size_t>, std::uint32_t> job_tracker_failures_;
@@ -513,7 +494,6 @@ class Engine {
 
   // Overload & elasticity state.
   std::unique_ptr<AdmissionController> admission_;
-  std::vector<TrackerElasticState> elastic_state_;
   bool elastic_on_ = false;  ///< config_.elasticity.any_enabled(), cached
   std::vector<WorkflowResult> rejected_results_;
   std::size_t pending_joins_ = 0;  ///< scheduled-but-unfired join events

@@ -95,7 +95,7 @@ struct FaultConfig {
 // drain/join primitives at runtime.
 
 /// Graceful decommission: at start_time the tracker stops accepting work
-/// (it leaves the freelists but keeps heartbeating its running attempts).
+/// (its heartbeats offer nothing, but its running attempts keep going).
 /// Attempts that finish within `drain_lease` migrate nothing; when the
 /// lease expires, the stragglers are killed and re-queued and the node
 /// retires. Unlike a crash, the master participates from the first instant.

@@ -54,7 +54,7 @@ TEST(ClusterConfig, WithTotalsRejectsDegenerateCoprime) {
 }
 
 TEST(TrackerState, OccupyRelease) {
-  TrackerState t(TrackerId(0), 2, 1);
+  TrackerState t(2, 1);
   EXPECT_EQ(t.free_slots(SlotType::kMap), 2u);
   t.occupy(SlotType::kMap);
   t.occupy(SlotType::kMap);
@@ -69,7 +69,7 @@ TEST(TrackerState, OccupyRelease) {
 }
 
 TEST(TrackerState, ReleaseBeyondCapacityThrows) {
-  TrackerState t(TrackerId(0), 1, 1);
+  TrackerState t(1, 1);
   EXPECT_THROW(t.release(SlotType::kMap), std::logic_error);
 }
 
@@ -80,13 +80,11 @@ TEST(Cluster, AggregateCountsStayInSync) {
   config.reduce_slots_per_tracker = 1;
   Cluster cluster(config);
   EXPECT_EQ(cluster.total_free(SlotType::kMap), 6u);
-  EXPECT_EQ(cluster.total_busy(SlotType::kMap), 0u);
 
   cluster.occupy(0, SlotType::kMap);
   cluster.occupy(1, SlotType::kMap);
   cluster.occupy(1, SlotType::kReduce);
   EXPECT_EQ(cluster.total_free(SlotType::kMap), 4u);
-  EXPECT_EQ(cluster.total_busy(SlotType::kMap), 2u);
   EXPECT_EQ(cluster.total_free(SlotType::kReduce), 2u);
 
   cluster.release(0, SlotType::kMap);
@@ -104,80 +102,87 @@ TEST(Cluster, OutOfRangeTrackerThrows) {
   EXPECT_THROW(cluster.occupy(32, SlotType::kMap), std::out_of_range);
 }
 
-// Walk a freelist into a vector for order/membership assertions.
-std::vector<std::size_t> freelist_of(const Cluster& cluster, SlotType t) {
-  std::vector<std::size_t> out;
-  for (std::size_t i = cluster.first_free(t); i != Cluster::kNoTracker;
-       i = cluster.next_free(t, i)) {
-    out.push_back(i);
-    if (out.size() > cluster.tracker_count()) {
-      ADD_FAILURE() << "freelist cycle";
-      break;
-    }
-  }
-  return out;
-}
+using Life = TrackerState::Life;
+using Drain = TrackerState::Drain;
 
-TEST(ClusterFreelist, StartsWithAllTrackersInIndexOrder) {
-  ClusterConfig config;
-  config.num_trackers = 4;
-  Cluster cluster(config);
-  EXPECT_EQ(freelist_of(cluster, SlotType::kMap),
-            (std::vector<std::size_t>{0, 1, 2, 3}));
-  EXPECT_EQ(freelist_of(cluster, SlotType::kReduce),
-            (std::vector<std::size_t>{0, 1, 2, 3}));
-  EXPECT_EQ(cluster.free_tracker_count(SlotType::kMap), 4u);
-}
-
-TEST(ClusterFreelist, OccupyToZeroUnlinksAndReleaseRelinks) {
-  ClusterConfig config;
-  config.num_trackers = 3;
-  config.map_slots_per_tracker = 2;
-  Cluster cluster(config);
-
-  cluster.occupy(1, SlotType::kMap);  // 1 of 2 busy: stays on the list
-  EXPECT_EQ(freelist_of(cluster, SlotType::kMap),
-            (std::vector<std::size_t>{0, 1, 2}));
-  cluster.occupy(1, SlotType::kMap);  // now full: must leave
-  EXPECT_EQ(freelist_of(cluster, SlotType::kMap),
-            (std::vector<std::size_t>{0, 2}));
-  EXPECT_EQ(cluster.free_tracker_count(SlotType::kMap), 2u);
-  // Reduce list is untouched by map traffic.
-  EXPECT_EQ(cluster.free_tracker_count(SlotType::kReduce), 3u);
-
-  cluster.release(1, SlotType::kMap);  // re-enters at the front
-  EXPECT_EQ(freelist_of(cluster, SlotType::kMap),
-            (std::vector<std::size_t>{1, 0, 2}));
-}
-
-TEST(ClusterFreelist, MarkDeadRemovesFromBothLists) {
-  ClusterConfig config;
-  config.num_trackers = 3;
-  Cluster cluster(config);
-  cluster.mark_dead(1);
-  EXPECT_FALSE(cluster.tracker(1).alive());
-  EXPECT_EQ(freelist_of(cluster, SlotType::kMap),
-            (std::vector<std::size_t>{0, 2}));
-  EXPECT_EQ(freelist_of(cluster, SlotType::kReduce),
-            (std::vector<std::size_t>{0, 2}));
-  EXPECT_THROW(cluster.mark_dead(1), std::logic_error);
-}
-
-TEST(ClusterFreelist, ReleaseOnDeadTrackerDoesNotRelink) {
+// A crashed tracker keeps its slots pooled until the master declares it
+// lost; the restart returns them all.
+TEST(ClusterLifecycle, CrashDetectRestartKeepsThePoolInStep) {
   ClusterConfig config;
   config.num_trackers = 2;
   config.map_slots_per_tracker = 1;
   Cluster cluster(config);
-  cluster.occupy(0, SlotType::kMap);   // tracker 0 full, off the list
-  cluster.mark_dead(0);                // crashes while running a task
-  cluster.release(0, SlotType::kMap);  // loss detection reconciles the slot
-  EXPECT_EQ(freelist_of(cluster, SlotType::kMap), (std::vector<std::size_t>{1}));
-  cluster.deactivate(0);
+  cluster.occupy(0, SlotType::kMap);
+  const std::uint64_t epoch = cluster.crash(0, seconds(5));  // holds a task
+  EXPECT_EQ(cluster.tracker(0).life(), Life::kDown);
+  EXPECT_EQ(cluster.tracker(0).crash_time(), seconds(5));
+  EXPECT_EQ(cluster.tracker(0).epoch(), epoch);
+  EXPECT_FALSE(cluster.tracker(0).takes_work());
   EXPECT_EQ(cluster.total_free(SlotType::kMap), 1u);
+  EXPECT_THROW(cluster.declare_lost(0), std::logic_error);  // slot still held
 
-  cluster.activate(0);  // restart: rejoins both pools
-  EXPECT_EQ(freelist_of(cluster, SlotType::kMap), (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(cluster.free_tracker_count(SlotType::kMap), 2u);
+  cluster.release(0, SlotType::kMap);  // loss detection reconciles the slot
+  EXPECT_EQ(cluster.total_free(SlotType::kMap), 2u);
+  cluster.declare_lost(0);
+  EXPECT_EQ(cluster.tracker(0).life(), Life::kLost);
+  EXPECT_EQ(cluster.tracker(0).epoch(), epoch);  // the restart must still fire
+  EXPECT_EQ(cluster.total_free(SlotType::kMap), 1u);
+  EXPECT_EQ(cluster.total_free(SlotType::kReduce), 1u);
+
+  cluster.restart(0);
+  EXPECT_EQ(cluster.tracker(0).life(), Life::kUp);
+  EXPECT_GT(cluster.tracker(0).epoch(), epoch);
+  EXPECT_TRUE(cluster.tracker(0).takes_work());
+  EXPECT_EQ(cluster.total_free(SlotType::kMap), 2u);
+  EXPECT_EQ(cluster.total_free(SlotType::kReduce), 2u);
+}
+
+TEST(ClusterLifecycle, SecondCrashOfADownTrackerThrows) {
+  ClusterConfig config;
+  config.num_trackers = 3;
+  Cluster cluster(config);
+  cluster.crash(1, 0);
+  EXPECT_TRUE(cluster.tracker(1).down());
+  EXPECT_THROW(cluster.crash(1, 0), std::logic_error);
+  EXPECT_THROW(cluster.restart(1), std::logic_error);  // not declared lost yet
+  cluster.declare_lost(1);
+  EXPECT_THROW(cluster.crash(1, 0), std::logic_error);
+  EXPECT_THROW(cluster.declare_lost(1), std::logic_error);
+}
+
+// A drain survives a crash and dies with the restart; every transition a
+// pending event can be overtaken by moves the epoch.
+TEST(ClusterLifecycle, DrainRetireAndJoin) {
+  ClusterConfig config;
+  config.num_trackers = 2;
+  Cluster cluster(config);
+  const std::uint64_t drained = cluster.begin_drain(0, Drain::kDecommission);
+  EXPECT_EQ(cluster.tracker(0).drain(), Drain::kDecommission);
+  EXPECT_FALSE(cluster.tracker(0).takes_work());
+  EXPECT_THROW(cluster.begin_drain(0, Drain::kPreemption), std::logic_error);
+  const std::uint64_t crashed = cluster.crash(0, seconds(1));
+  EXPECT_GT(crashed, drained);
+  EXPECT_EQ(cluster.tracker(0).drain(), Drain::kDecommission);
+  cluster.declare_lost(0);
+  cluster.restart(0);
+  EXPECT_EQ(cluster.tracker(0).drain(), Drain::kNone);
+  EXPECT_GT(cluster.tracker(0).epoch(), crashed);
+
+  cluster.begin_drain(1, Drain::kPreemption);
+  cluster.occupy(1, SlotType::kReduce);
+  EXPECT_THROW(cluster.retire(1), std::logic_error);  // still running a task
+  cluster.release(1, SlotType::kReduce);
+  const std::uint64_t before = cluster.tracker(1).epoch();
+  cluster.retire(1);
+  EXPECT_EQ(cluster.tracker(1).life(), Life::kRetired);
+  EXPECT_EQ(cluster.tracker(1).drain(), Drain::kNone);
+  EXPECT_GT(cluster.tracker(1).epoch(), before);
+  EXPECT_EQ(cluster.total_free(SlotType::kMap), 2u);
+  EXPECT_THROW(cluster.crash(1, 0), std::logic_error);
+
+  EXPECT_EQ(cluster.add_tracker(), 2u);
+  EXPECT_TRUE(cluster.tracker(2).takes_work());
+  EXPECT_EQ(cluster.total_free(SlotType::kMap), 4u);
 }
 
 }  // namespace

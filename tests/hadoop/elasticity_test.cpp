@@ -1,8 +1,8 @@
 // Elastic membership (decommission / preemption waves / joins / autoscaler):
 // config validation, drain semantics, the crash-vs-drain race, and the
 // autoscaler hooks. The invariant auditor rides along wherever membership
-// changes, so drain-no-assign / freelist / retirement ordering violations
-// fail loudly here rather than as digest drift.
+// changes, so drain-no-assign / tracker-record / retirement ordering
+// violations fail loudly here rather than as digest drift.
 #include <gtest/gtest.h>
 
 #include <memory>

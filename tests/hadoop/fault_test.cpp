@@ -290,32 +290,27 @@ TEST(NodeChurn, CrashRightAfterAssignmentReleasesExactlyTheHeldSlots) {
   // at the t=3000 heartbeat and dies at t=3001, before either runs a single
   // simulated millisecond. At lease expiry the detection sweep must release
   // exactly the two just-occupied map slots — no more, no less — or
-  // Cluster::deactivate throws ("tracker has occupied slots" on a missed
+  // Cluster::declare_lost throws ("tracker has occupied slots" on a missed
   // release; TrackerState::release underflow on a double one). The restart
-  // then re-links the tracker into the per-type freelists at full capacity.
+  // then returns the tracker to the pool at full capacity.
   auto config = small_cluster();
   config.faults.events.push_back({0, 3001, seconds(300)});
   config.faults.expiry_interval = seconds(30);
   Engine engine(config, std::make_unique<sched::FifoScheduler>());
 
   std::uint32_t zombies_killed = 0;
-  bool freelist_checked = false;
+  bool loss_checked = false;
   engine.events().subscribe([&](const obs::Event& e) {
     if (const auto* t = std::get_if<obs::TrackerLost>(&e.payload)) {
       zombies_killed = t->attempts_killed;
-      // Published after the kill sweep and deactivation: the dead tracker
-      // is back to full (idle) capacity and off both freelists.
+      // Published after the kill sweep and the loss declaration: the dead
+      // tracker is recorded lost and back to full (idle) capacity.
       const TrackerState& dead = engine.cluster().tracker(t->tracker);
-      EXPECT_FALSE(dead.alive());
+      EXPECT_EQ(dead.life(), TrackerState::Life::kLost);
       EXPECT_EQ(dead.free_slots(SlotType::kMap), dead.capacity(SlotType::kMap));
       EXPECT_EQ(dead.free_slots(SlotType::kReduce),
                 dead.capacity(SlotType::kReduce));
-      for (std::size_t i = engine.cluster().first_free(SlotType::kMap);
-           i != Cluster::kNoTracker;
-           i = engine.cluster().next_free(SlotType::kMap, i)) {
-        EXPECT_NE(i, t->tracker) << "dead tracker still on the map freelist";
-      }
-      freelist_checked = true;
+      loss_checked = true;
     }
   });
 
@@ -323,29 +318,23 @@ TEST(NodeChurn, CrashRightAfterAssignmentReleasesExactlyTheHeldSlots) {
   engine.run();
   const auto summary = engine.summarize();
   ASSERT_GE(summary.workflows[0].finish_time, 0);
-  EXPECT_TRUE(freelist_checked);
+  EXPECT_TRUE(loss_checked);
   EXPECT_EQ(zombies_killed, 2u);  // exactly the two maps assigned at t=3000
   EXPECT_EQ(summary.tracker_crashes, 1u);
 
-  // After the run every tracker is idle and back on both freelists; the
-  // incremental counters agree with a from-scratch recount.
+  // After the run every tracker is up and idle, and the pool holds every
+  // slot again.
   for (const SlotType t : {SlotType::kMap, SlotType::kReduce}) {
-    std::uint32_t live_with_free = 0;
     for (std::size_t i = 0; i < engine.cluster().tracker_count(); ++i) {
       const TrackerState& tr = engine.cluster().tracker(i);
-      EXPECT_TRUE(tr.alive()) << "tracker " << i;
+      EXPECT_TRUE(tr.takes_work()) << "tracker " << i;
       EXPECT_EQ(tr.free_slots(t), tr.capacity(t)) << "tracker " << i;
-      if (tr.alive() && tr.free_slots(t) > 0) ++live_with_free;
     }
-    std::uint32_t on_list = 0;
-    for (std::size_t i = engine.cluster().first_free(t);
-         i != Cluster::kNoTracker; i = engine.cluster().next_free(t, i)) {
-      ++on_list;
-      ASSERT_LE(on_list, engine.cluster().tracker_count()) << "freelist cycle";
-    }
-    EXPECT_EQ(on_list, live_with_free);
-    EXPECT_EQ(engine.cluster().free_tracker_count(t), live_with_free);
   }
+  EXPECT_EQ(engine.cluster().total_free(SlotType::kMap),
+            config.cluster.total_map_slots());
+  EXPECT_EQ(engine.cluster().total_free(SlotType::kReduce),
+            config.cluster.total_reduce_slots());
 }
 
 TEST(Speculation, SameTickDetectionAndBackupFinishCountProgressOnce) {

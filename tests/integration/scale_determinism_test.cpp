@@ -2,8 +2,8 @@
 // workloads and the scale-sweep workload, across all five schedulers. These
 // goldens were captured on the pre-optimisation engine (linear slot scans,
 // chained-timer event queue) and must survive every hot-path change: the
-// indexed freelists, the calendar event queue and the availability indices
-// are required to be decision-identical, not just "roughly the same".
+// calendar event queue and the availability indices are required to be
+// decision-identical, not just "roughly the same".
 //
 // If a test here fails, the scale work changed a scheduling decision — that
 // is a bug in the optimisation, not a golden to refresh. Only refresh after
