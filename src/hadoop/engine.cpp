@@ -1041,9 +1041,13 @@ std::optional<std::size_t> Engine::pick_drain_victim() const {
 
 void Engine::autoscale_tick() {
   const AutoscalerConfig& as = config_.elasticity.autoscaler;
+  // Draining trackers that are up, a subset of live_trackers_: one that
+  // crashed mid-drain is neither.
   std::size_t draining = 0;
   for (std::size_t i = 0; i < cluster_.tracker_count(); ++i) {
-    draining += cluster_.tracker(i).drain() != TrackerState::Drain::kNone ? 1u : 0u;
+    const TrackerState& tracker = cluster_.tracker(i);
+    draining += tracker.life() == TrackerState::Life::kUp &&
+                tracker.drain() != TrackerState::Drain::kNone;
   }
   AutoscaleSignal sig;
   sig.now = sim_.now();
@@ -1075,7 +1079,7 @@ void Engine::autoscale_tick() {
   } else if (delta < 0) {
     // Draining trackers are still "live" until retired; count them out so
     // repeated ticks cannot drain the cluster past min_trackers.
-    std::size_t effective = live_trackers_ - std::min(draining, live_trackers_);
+    std::size_t effective = live_trackers_ - draining;
     for (std::int32_t k = 0; k < -delta; ++k) {
       if (effective <= as.min_trackers) break;
       const std::optional<std::size_t> victim = pick_drain_victim();

@@ -306,6 +306,45 @@ TEST(Elasticity, CustomAutoscalePolicyDrivesJoinsAndDrains) {
   for (const auto& w : summary.workflows) EXPECT_FALSE(w.failed);
 }
 
+// A draining tracker that crashes for good is no longer "live", so it must
+// not count as draining either: AutoscaleSignal documents draining as a
+// subset of live, and a scale-in must not subtract the dead node twice.
+TEST(Elasticity, AutoscalerCountsOnlyUpTrackersAsDraining) {
+  EngineConfig config = small_cluster();
+  config.elasticity.decommissions.push_back(
+      TrackerDecommissionEvent{3, seconds(10), minutes(10)});
+  config.faults.events.push_back(TrackerFaultEvent{3, seconds(20), kTimeInfinity});
+  config.elasticity.autoscaler.enabled = true;
+  config.elasticity.autoscaler.check_period = seconds(30);
+  config.elasticity.autoscaler.min_trackers = 2;
+  std::vector<AutoscaleSignal> signals;
+  config.autoscale_policy = [&signals](const AutoscaleSignal& s) -> std::int32_t {
+    signals.push_back(s);
+    return s.now == seconds(30) ? -1 : 0;
+  };
+  Engine engine(config, std::make_unique<sched::FifoScheduler>());
+  audit::InvariantAuditor auditor(engine);
+  std::vector<std::pair<std::size_t, SimTime>> drains;
+  engine.events().subscribe([&](const obs::Event& e) {
+    if (const auto* d = std::get_if<obs::TrackerDraining>(&e.payload)) {
+      drains.emplace_back(d->tracker, e.time);
+    }
+  });
+  engine.submit(busy_workflow(minutes(2)));
+  engine.run();
+  auditor.full_sweep();
+
+  // The first tick follows the crash: three trackers up, none draining.
+  ASSERT_FALSE(signals.empty());
+  EXPECT_EQ(signals[0].now, seconds(30));
+  EXPECT_EQ(signals[0].live_trackers, 3u);
+  EXPECT_EQ(signals[0].draining_trackers, 0u);
+  const std::vector<std::pair<std::size_t, SimTime>> expected = {
+      {3, seconds(10)}, {2, seconds(30)}};
+  EXPECT_EQ(drains, expected);
+  EXPECT_FALSE(engine.summarize().workflows[0].failed);
+}
+
 TEST(Elasticity, DeterministicAcrossRuns) {
   auto run = [] {
     EngineConfig config = small_cluster();
