@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
-#include <variant>
 
 #include "analysis/race_detector.hpp"
 #include "common/log.hpp"
@@ -235,26 +234,11 @@ std::optional<hadoop::JobRef> WohaScheduler::select_task(
   std::optional<hadoop::JobRef> choice;
   if (wf != SchedulerQueue::kNone) choice = hadoop::JobRef{wf, probed_job_};
 
-  if (bus_ && bus_->active()) {
-    // Explainability snapshot: the workflows runnable for this slot type as
-    // the queue ranks them after this decision (the orderings were
-    // refreshed inside assign; the winner's rho is already bumped).
-    // Read-only — tracing can never perturb the next decision.
-    //
-    // The event object is long-lived and published borrowed: its ranking
-    // vector and scheduler-name string keep their buffers, so a traced run
-    // makes no per-decision allocations.
-    if (!std::holds_alternative<obs::SchedulerDecision>(trace_event_.payload)) {
-      trace_event_.payload.emplace<obs::SchedulerDecision>();
-      std::get<obs::SchedulerDecision>(trace_event_.payload).scheduler = name();
-    }
-    auto& d = std::get<obs::SchedulerDecision>(trace_event_.payload);
-    trace_event_.time = now;
-    d.slot = slot.type;
-    d.tracker = slot.tracker;
-    d.assigned = choice.has_value();
-    d.workflow = choice ? choice->workflow : 0;
-    d.job = choice ? choice->job : obs::SchedulerDecision::kNoJob;
+  // Explainability snapshot: the workflows runnable for this slot type as
+  // the queue ranks them after this decision (the orderings were refreshed
+  // inside assign; the winner's rho is already bumped). Read-only — tracing
+  // can never perturb the next decision.
+  publish_decision(slot, choice, now, [this, &slot](auto& ranking) {
     top_scratch_.clear();
     queue_->top(
         slot.type, obs::kMaxRankedCandidates,
@@ -262,13 +246,11 @@ std::optional<hadoop::JobRef> WohaScheduler::select_task(
           return tracker_->workflow(WorkflowId(id)).available_jobs(slot.type) > 0;
         },
         top_scratch_);
-    d.ranking.clear();
     for (const SchedulerQueue::QueueEntry& e : top_scratch_) {
-      d.ranking.push_back(obs::SchedulerDecision::Candidate{
+      ranking.push_back(obs::SchedulerDecision::Candidate{
           e.id, obs::SchedulerDecision::kNoJob, e.lag, e.requirement, e.rho});
     }
-    bus_->publish_borrowed(trace_event_);
-  }
+  });
   return choice;
 }
 

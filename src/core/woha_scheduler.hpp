@@ -24,7 +24,6 @@
 #include "estimate/estimator.hpp"
 #include "hadoop/job_tracker.hpp"
 #include "hadoop/scheduler.hpp"
-#include "obs/event.hpp"
 
 namespace woha::obs {
 class Histogram;
@@ -132,11 +131,6 @@ class WohaScheduler final : public hadoop::WorkflowScheduler,
   obs::Histogram* plan_ns_ = nullptr;
   /// Scratch buffer for decision-trace snapshots (reused across calls).
   std::vector<SchedulerQueue::QueueEntry> top_scratch_;
-  /// Long-lived decision-trace event: the SchedulerDecision payload (its
-  /// ranking vector, its scheduler-name string) keeps its buffers across
-  /// publishes via EventBus::publish_borrowed, so a traced run makes no
-  /// per-decision allocations.
-  obs::Event trace_event_;
   /// The job the queue's last accepted probe found (select_task reads it
   /// instead of scanning the winner's jobs a second time).
   std::uint32_t probed_job_ = 0;

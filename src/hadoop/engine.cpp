@@ -379,7 +379,11 @@ void Engine::heartbeat(std::size_t tracker_index) {
         // whichever scheduler runs, so the engine gives it itself. It is
         // still one select call.
         ++select_calls_;
-        if (events_.active()) publish_empty_decision(offer);
+        if (events_.active()) {
+          empty_decision_.begin(sim_.now(), type, tracker_index,
+                                [this] { return scheduler_->name(); });
+          empty_decision_.publish(events_);
+        }
       } else {
         heartbeat_slot_type_ = type;  // retargets start_sink_
         const auto t0 = std::chrono::steady_clock::now();
@@ -413,20 +417,6 @@ void Engine::heartbeat(std::size_t tracker_index) {
                                          tracker.free_slots(SlotType::kMap),
                                          tracker.free_slots(SlotType::kReduce)});
   }
-}
-
-void Engine::publish_empty_decision(const SlotOffer& offer) {
-  // Long-lived and published borrowed, like WOHA's decision event: the
-  // scheduler-name string is built once, so tracing allocates nothing here.
-  if (!std::holds_alternative<obs::SchedulerDecision>(empty_decision_.payload)) {
-    empty_decision_.payload.emplace<obs::SchedulerDecision>().scheduler =
-        scheduler_->name();
-  }
-  auto& d = std::get<obs::SchedulerDecision>(empty_decision_.payload);
-  d.slot = offer.type;
-  d.tracker = offer.tracker;
-  empty_decision_.time = sim_.now();
-  events_.publish_borrowed(empty_decision_);
 }
 
 bool Engine::map_is_local(JobRef ref, std::size_t tracker_index) {

@@ -42,6 +42,7 @@
 #include "hadoop/fault.hpp"
 #include "hadoop/job_tracker.hpp"
 #include "hadoop/scheduler.hpp"
+#include "obs/decision_publisher.hpp"
 #include "obs/event_bus.hpp"
 #include "obs/metrics_registry.hpp"
 #include "sim/simulation.hpp"
@@ -298,9 +299,6 @@ class Engine {
   /// Start tracker `tracker_index`'s heartbeat loop, first beat at `first`.
   void start_heartbeats(std::size_t tracker_index, SimTime first);
   void heartbeat(std::size_t tracker_index);
-  /// Publish the SchedulerDecision of an offer the engine answered itself
-  /// (nothing of its slot type is runnable): unassigned, nothing ranked.
-  void publish_empty_decision(const SlotOffer& offer);
   void activate_job(JobRef ref);
   void start_task(JobRef ref, SlotType type, std::size_t tracker_index);
   /// The one way an attempt starts, for a scheduler pick and a speculative
@@ -458,8 +456,9 @@ class Engine {
   // blacklist_filter_).
   std::function<void(JobRef)> start_sink_;
   SlotType heartbeat_slot_type_ = SlotType::kMap;
-  /// Decision-trace event for the offers the engine answers itself.
-  obs::Event empty_decision_;
+  /// Decision trace of the offers the engine answers itself (nothing of the
+  /// slot type is runnable): unassigned, nothing ranked.
+  obs::DecisionPublisher empty_decision_;
 
   // Hot-path attempt indices. Both are ordered sets so their iteration
   // reproduces, bit for bit, the (tracker ascending, launch order within

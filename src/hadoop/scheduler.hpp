@@ -14,9 +14,9 @@
 
 #include "common/types.hpp"
 #include "hadoop/job.hpp"
+#include "obs/decision_publisher.hpp"
 
 namespace woha::obs {
-class EventBus;
 class MetricsRegistry;
 }  // namespace woha::obs
 
@@ -151,9 +151,30 @@ class WorkflowScheduler {
                                      SimTime now);
 
  protected:
+  /// Publish this consult's SchedulerDecision if anyone listens: the offer,
+  /// the pick, and the candidates `rank(ranking)` appends (at most
+  /// obs::kMaxRankedCandidates, in the order the scheduler considered them).
+  template <class Rank>
+  void publish_decision(const SlotOffer& slot, const std::optional<JobRef>& choice,
+                        SimTime now, const Rank& rank) {
+    if (bus_ == nullptr || !bus_->active()) return;
+    obs::SchedulerDecision& d =
+        decision_.begin(now, slot.type, slot.tracker, [this] { return name(); });
+    if (choice) {
+      d.assigned = true;
+      d.workflow = choice->workflow;
+      d.job = choice->job;
+    }
+    rank(d.ranking);
+    decision_.publish(*bus_);
+  }
+
   const JobTracker* tracker_ = nullptr;
   obs::EventBus* bus_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
+
+ private:
+  obs::DecisionPublisher decision_;
 };
 
 }  // namespace woha::hadoop

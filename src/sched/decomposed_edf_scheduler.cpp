@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/event_bus.hpp"
 #include "workflow/analysis.hpp"
 
 namespace woha::sched {
@@ -53,27 +52,17 @@ std::optional<hadoop::JobRef> DecomposedEdfScheduler::select_task(
       break;
     }
   }
-  if (bus_ && bus_->active()) {
-    obs::SchedulerDecision d;
-    d.scheduler = name();
-    d.slot = slot.type;
-    d.tracker = slot.tracker;
-    d.assigned = choice.has_value();
-    if (choice) {
-      d.workflow = choice->workflow;
-      d.job = choice->job;
-    }
-    // Ranking = the active jobs runnable for this slot type by ascending
-    // virtual deadline; score is the decomposed per-job deadline.
+  // Ranking = the active jobs runnable for this slot type by ascending
+  // virtual deadline; score is the decomposed per-job deadline.
+  publish_decision(slot, choice, now, [&](auto& ranking) {
     for (const auto& [key, ref] : active_) {
-      if (d.ranking.size() >= obs::kMaxRankedCandidates) break;
+      if (ranking.size() >= obs::kMaxRankedCandidates) break;
       if (!tracker_->job(ref).has_available(slot.type)) continue;
-      d.ranking.push_back(obs::SchedulerDecision::Candidate{
+      ranking.push_back(obs::SchedulerDecision::Candidate{
           ref.workflow, ref.job, static_cast<std::int64_t>(std::get<0>(key)), 0,
           0});
     }
-    bus_->publish(now, std::move(d));
-  }
+  });
   return choice;
 }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/event_bus.hpp"
-
 namespace woha::sched {
 
 void EdfScheduler::on_workflow_submitted(WorkflowId wf, SimTime now) {
@@ -45,28 +43,18 @@ std::optional<hadoop::JobRef> EdfScheduler::select_task(const hadoop::SlotOffer&
     }
     if (choice) break;
   }
-  if (bus_ && bus_->active()) {
-    obs::SchedulerDecision d;
-    d.scheduler = name();
-    d.slot = slot.type;
-    d.tracker = slot.tracker;
-    d.assigned = choice.has_value();
-    if (choice) {
-      d.workflow = choice->workflow;
-      d.job = choice->job;
-    }
-    // Ranking = the workflows runnable for this slot type by ascending
-    // absolute deadline; score is the deadline itself.
+  // Ranking = the workflows runnable for this slot type by ascending
+  // absolute deadline; score is the deadline itself.
+  publish_decision(slot, choice, now, [&](auto& ranking) {
     for (const WorkflowId wf : by_deadline_) {
-      if (d.ranking.size() == obs::kMaxRankedCandidates) break;
+      if (ranking.size() == obs::kMaxRankedCandidates) break;
       const hadoop::WorkflowRuntime& rt = tracker_->workflow(wf);
       if (rt.available_jobs(slot.type) == 0) continue;
-      d.ranking.push_back(obs::SchedulerDecision::Candidate{
+      ranking.push_back(obs::SchedulerDecision::Candidate{
           wf.value(), obs::SchedulerDecision::kNoJob,
           static_cast<std::int64_t>(rt.deadline()), 0, 0});
     }
-    bus_->publish(now, std::move(d));
-  }
+  });
   return choice;
 }
 

@@ -1,7 +1,5 @@
 #include "sched/fair_scheduler.hpp"
 
-#include "obs/event_bus.hpp"
-
 namespace woha::sched {
 
 FairScheduler::~FairScheduler() {
@@ -86,26 +84,16 @@ std::optional<hadoop::JobRef> FairScheduler::select_task(const hadoop::SlotOffer
     }
     if (choice) break;
   }
-  if (bus_ && bus_->active()) {
-    obs::SchedulerDecision d;
-    d.scheduler = name();
-    d.slot = slot.type;
-    d.tracker = slot.tracker;
-    d.assigned = choice.has_value();
-    if (choice) {
-      d.workflow = choice->workflow;
-      d.job = choice->job;
-    }
-    // Ranking = the runnable workflows for this slot type in fairness order
-    // (pre-decision counts), score = running tasks.
+  // Ranking = the runnable workflows for this slot type in fairness order
+  // (pre-decision counts), score = running tasks.
+  publish_decision(slot, choice, now, [&order](auto& ranking) {
     for (const std::uint64_t k : order) {
-      if (d.ranking.size() == obs::kMaxRankedCandidates) break;
-      d.ranking.push_back(obs::SchedulerDecision::Candidate{
+      if (ranking.size() == obs::kMaxRankedCandidates) break;
+      ranking.push_back(obs::SchedulerDecision::Candidate{
           static_cast<std::uint32_t>(k), obs::SchedulerDecision::kNoJob,
           static_cast<std::int64_t>(k >> 32), 0, 0});
     }
-    bus_->publish(now, std::move(d));
-  }
+  });
   if (!choice) return std::nullopt;
   set_running(choice->workflow, shares_[choice->workflow].running_tasks + 1);
   return choice;
