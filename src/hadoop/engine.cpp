@@ -104,16 +104,20 @@ void Engine::set_task_observer(std::function<void(const TaskEvent&)> observer) {
   if (!observer) return;
   task_observer_subscription_ = events_.subscribe(
       [cb = std::move(observer)](const obs::Event& e) {
-        if (const auto* s = std::get_if<obs::TaskStarted>(&e.payload)) {
-          cb(TaskEvent{e.time, WorkflowId(s->workflow),
-                       JobRef{s->workflow, s->job}, s->slot, true, false, false,
-                       s->speculative, 0});
-        } else if (const auto* f = std::get_if<obs::TaskEnded>(&e.payload)) {
-          cb(TaskEvent{e.time, WorkflowId(f->workflow),
-                       JobRef{f->workflow, f->job}, f->slot, false, f->failed,
-                       f->killed, f->speculative, f->ran_for});
-        }
+        if (const std::optional<TaskEvent> task = task_event_of(e)) cb(*task);
       });
+}
+
+std::optional<TaskEvent> task_event_of(const obs::Event& event) {
+  if (const auto* s = std::get_if<obs::TaskStarted>(&event.payload)) {
+    return TaskEvent{event.time, WorkflowId(s->workflow), JobRef{s->workflow, s->job},
+                     s->slot, true, false, false, s->speculative, 0};
+  }
+  if (const auto* f = std::get_if<obs::TaskEnded>(&event.payload)) {
+    return TaskEvent{event.time, WorkflowId(f->workflow), JobRef{f->workflow, f->job},
+                     f->slot, false, f->failed, f->killed, f->speculative, f->ran_for};
+  }
+  return std::nullopt;
 }
 
 void Engine::submit(wf::WorkflowSpec spec) {

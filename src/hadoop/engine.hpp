@@ -142,6 +142,10 @@ struct TaskEvent {
   Duration duration = 0;
 };
 
+/// The TaskEvent an obs::TaskStarted or obs::TaskEnded stands for; nullopt
+/// for every other event.
+[[nodiscard]] std::optional<TaskEvent> task_event_of(const obs::Event& event);
+
 /// Final per-workflow outcome.
 struct WorkflowResult {
   WorkflowId id;

@@ -12,15 +12,8 @@ void TimelineRecorder::record(const hadoop::TaskEvent& event) {
 
 obs::EventBus::SubscriptionId TimelineRecorder::subscribe(obs::EventBus& bus) {
   return bus.subscribe([this](const obs::Event& e) {
-    if (const auto* s = std::get_if<obs::TaskStarted>(&e.payload)) {
-      record(hadoop::TaskEvent{e.time, WorkflowId(s->workflow),
-                               hadoop::JobRef{s->workflow, s->job}, s->slot,
-                               true, false, false, s->speculative, 0});
-    } else if (const auto* f = std::get_if<obs::TaskEnded>(&e.payload)) {
-      record(hadoop::TaskEvent{e.time, WorkflowId(f->workflow),
-                               hadoop::JobRef{f->workflow, f->job}, f->slot,
-                               false, f->failed, f->killed, f->speculative,
-                               f->ran_for});
+    if (const std::optional<hadoop::TaskEvent> task = hadoop::task_event_of(e)) {
+      record(*task);
     }
   });
 }
