@@ -118,9 +118,13 @@ std::uint64_t Cluster::crash(std::size_t tracker_index, SimTime now) {
   return ++tracker.epoch_;
 }
 
-void Cluster::unpool(std::size_t tracker_index, TrackerState::Life life,
-                     const char* transition) {
+TrackerState& Cluster::unpool(std::size_t tracker_index, TrackerState::Life from,
+                              TrackerState::Life to, const char* transition) {
   TrackerState& tracker = trackers_.at(tracker_index);
+  if (tracker.life_ != from) {
+    throw std::logic_error(std::string("Cluster::") + transition +
+                           ": tracker is not in the state it leaves");
+  }
   if (tracker.free_[0] != tracker.capacity_[0] ||
       tracker.free_[1] != tracker.capacity_[1]) {
     throw std::logic_error(std::string("Cluster::") + transition +
@@ -128,15 +132,14 @@ void Cluster::unpool(std::size_t tracker_index, TrackerState::Life life,
   }
   total_free_[0] -= tracker.capacity_[0];
   total_free_[1] -= tracker.capacity_[1];
-  tracker.life_ = life;
+  tracker.life_ = to;
   update_gauges();
+  return tracker;
 }
 
 void Cluster::declare_lost(std::size_t tracker_index) {
-  if (trackers_.at(tracker_index).life_ != TrackerState::Life::kDown) {
-    throw std::logic_error("Cluster::declare_lost: tracker is not down");
-  }
-  unpool(tracker_index, TrackerState::Life::kLost, "declare_lost");
+  unpool(tracker_index, TrackerState::Life::kDown, TrackerState::Life::kLost,
+         "declare_lost");
 }
 
 void Cluster::restart(std::size_t tracker_index) {
@@ -162,11 +165,8 @@ std::uint64_t Cluster::begin_drain(std::size_t tracker_index, TrackerState::Drai
 }
 
 void Cluster::retire(std::size_t tracker_index) {
-  TrackerState& tracker = trackers_.at(tracker_index);
-  if (tracker.life_ != TrackerState::Life::kUp) {
-    throw std::logic_error("Cluster::retire: tracker is not up");
-  }
-  unpool(tracker_index, TrackerState::Life::kRetired, "retire");
+  TrackerState& tracker = unpool(tracker_index, TrackerState::Life::kUp,
+                                 TrackerState::Life::kRetired, "retire");
   tracker.drain_ = TrackerState::Drain::kNone;
   ++tracker.epoch_;
 }

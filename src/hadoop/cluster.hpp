@@ -159,10 +159,10 @@ class Cluster {
 
  private:
   void update_gauges() const;
-  /// Take an emptied tracker's capacity out of the pool and move it to
-  /// `life`; `transition` names the caller in the error message.
-  void unpool(std::size_t tracker_index, TrackerState::Life life,
-              const char* transition);
+  /// Move an emptied tracker from `from` to `to` and take its capacity out
+  /// of the pool; `transition` names the caller in error messages.
+  TrackerState& unpool(std::size_t tracker_index, TrackerState::Life from,
+                       TrackerState::Life to, const char* transition);
 
   ClusterConfig config_;
   std::vector<TrackerState> trackers_;
