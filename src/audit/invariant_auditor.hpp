@@ -110,6 +110,8 @@ class InvariantAuditor {
   [[nodiscard]] std::uint64_t sweeps_run() const { return sweeps_run_; }
 
  private:
+  using Life = hadoop::TrackerState::Life;
+
   struct ShadowAttempt {
     std::size_t tracker = 0;
     std::size_t slot = 0;  ///< SlotType as index
@@ -119,8 +121,6 @@ class InvariantAuditor {
   void on_event(const obs::Event& event);
   /// Slot conservation for one tracker: free + shadow-running == capacity.
   void check_tracker_slots(std::size_t tracker, SimTime t) const;
-  using Life = hadoop::TrackerState::Life;
-
   /// The cluster records `tracker` in `expected` when `event` is published.
   void check_life(const char* invariant, std::size_t tracker, Life expected,
                   const char* event, SimTime t) const;
