@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <variant>
+#include <vector>
 
 #include "core/woha_scheduler.hpp"
 #include "hadoop/engine.hpp"
@@ -446,6 +447,60 @@ TEST(AttemptBudget, KilledAttemptsDoNotCountAgainstTheBudget) {
   EXPECT_EQ(summary.workflows_failed, 0u);
   EXPECT_GE(summary.workflows[0].finish_time, 0);
   EXPECT_FALSE(summary.workflows[0].failed);
+}
+
+
+TEST(NodeChurn, StaleFinishOfAKilledAttemptNeitherFiresNorCounts) {
+  // One tracker with one map slot. Attempt A starts at the t=3s heartbeat
+  // and is due to finish at t=13s. The tracker crashes at t=5s and
+  // re-registers at t=8s, well inside the lease, so A is killed on
+  // re-registration. Attempt B then takes the same slot at the t=8s
+  // heartbeat, which fires right after the restart, and runs past A's old
+  // finish time. A's finish event is still queued for t=13s: it must
+  // neither end B early nor count as fired.
+  EngineConfig config;
+  config.cluster.num_trackers = 1;
+  config.cluster.map_slots_per_tracker = 1;
+  config.cluster.reduce_slots_per_tracker = 1;
+  config.cluster.heartbeat_period = seconds(1);
+  config.faults.events.push_back({0, seconds(5), seconds(8)});
+  config.faults.expiry_interval = seconds(60);
+  Engine engine(config, std::make_unique<sched::FifoScheduler>());
+
+  struct Ended {
+    SimTime time;
+    std::uint64_t attempt;
+    bool killed;
+    obs::KillCause cause;
+  };
+  std::vector<SimTime> starts;
+  std::vector<Ended> ends;
+  engine.events().subscribe([&](const obs::Event& e) {
+    if (std::get_if<obs::TaskStarted>(&e.payload)) starts.push_back(e.time);
+    if (const auto* t = std::get_if<obs::TaskEnded>(&e.payload)) {
+      ends.push_back({e.time, t->attempt, t->killed, t->cause});
+    }
+  });
+
+  engine.submit(single_job(1, 0, seconds(10), 0));
+  engine.run();
+  const auto summary = engine.summarize();
+
+  EXPECT_EQ(starts, (std::vector<SimTime>{seconds(3), seconds(8)}));
+  ASSERT_EQ(ends.size(), 2u);
+  // A ends once, killed at the restart.
+  EXPECT_EQ(ends[0].attempt, 1u);
+  EXPECT_EQ(ends[0].time, seconds(8));
+  EXPECT_TRUE(ends[0].killed);
+  EXPECT_EQ(ends[0].cause, obs::KillCause::kNodeLoss);
+  // B ends at its own finish time.
+  EXPECT_EQ(ends[1].attempt, 2u);
+  EXPECT_EQ(ends[1].time, seconds(18));
+  EXPECT_FALSE(ends[1].killed);
+  EXPECT_EQ(summary.workflows[0].finish_time, seconds(18));
+  // 18 beats (t=0..17s), the submission, the activation, the crash, the
+  // restart and B's finish. A's cancelled finish is not among them.
+  EXPECT_EQ(summary.events_fired, 23u);
 }
 
 }  // namespace
