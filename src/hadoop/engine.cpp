@@ -13,6 +13,8 @@ namespace woha::hadoop {
 
 Engine::Engine(EngineConfig config, std::unique_ptr<WorkflowScheduler> scheduler)
     : config_(config),
+      sim_(config.cluster.heartbeat_period,
+           [this](std::uint32_t tracker) { heartbeat(tracker); }),
       cluster_(config.cluster),
       scheduler_(std::move(scheduler)),
       rng_(config.seed) {
@@ -31,9 +33,6 @@ Engine::Engine(EngineConfig config, std::unique_ptr<WorkflowScheduler> scheduler
   }
   if (config_.hdfs_replication == 0) {
     throw std::invalid_argument("Engine: hdfs_replication must be >= 1");
-  }
-  if (config_.cluster.heartbeat_period <= 0) {
-    throw std::invalid_argument("Engine: heartbeat_period must be positive");
   }
   config_.faults.validate(cluster_.tracker_count());
   config_.admission.validate();
@@ -206,10 +205,11 @@ void Engine::run() {
     }
   }
 
-  // Heartbeat loops, staggered so the master sees a steady request stream.
+  // Heartbeats, staggered so the master sees a steady request stream.
   const auto hb = static_cast<std::uint64_t>(config_.cluster.heartbeat_period);
   for (std::size_t i = 0; i < cluster_.tracker_count(); ++i) {
-    start_heartbeats(i, static_cast<SimTime>(i * hb / cluster_.tracker_count()));
+    sim_.add_beat(static_cast<std::uint32_t>(i),
+                  static_cast<SimTime>(i * hb / cluster_.tracker_count()));
   }
   // The heartbeat events above repeat forever; run with a stop condition:
   // when no workflow is active and no submission is pending, request stop.
@@ -229,16 +229,6 @@ void Engine::run() {
       break;
     }
   }
-}
-
-void Engine::start_heartbeats(std::size_t tracker_index, SimTime first) {
-  sim_.schedule_every(first, config_.cluster.heartbeat_period, [this, tracker_index]() {
-    // Stop heartbeating once everything finished, so run() terminates.
-    if (job_tracker_.active_workflows() == 0 && job_tracker_.workflow_count() > 0) {
-      return;
-    }
-    heartbeat(tracker_index);
-  });
 }
 
 void Engine::do_submit(wf::WorkflowSpec spec) {
@@ -337,6 +327,10 @@ void Engine::activate_job(JobRef ref) {
 }
 
 void Engine::heartbeat(std::size_t tracker_index) {
+  // Once every workflow finished the beats do nothing, so run() terminates.
+  if (job_tracker_.active_workflows() == 0 && job_tracker_.workflow_count() > 0) {
+    return;
+  }
   // Down nodes do not heartbeat, and draining ones keep running what they
   // have but take no new work, so their heartbeats schedule nothing
   // (skipping them here also keeps speculation off a leaving node).
@@ -1021,7 +1015,8 @@ void Engine::join_trackers(std::uint32_t count) {
     if (events_.active()) {
       events_.publish(sim_.now(), obs::TrackerJoined{i});
     }
-    start_heartbeats(i, sim_.now() + config_.cluster.heartbeat_period);
+    sim_.add_beat(static_cast<std::uint32_t>(i),
+                  sim_.now() + config_.cluster.heartbeat_period);
     if (config_.faults.tracker_mtbf > 0.0) schedule_next_mtbf_crash(i);
   }
 }

@@ -300,8 +300,8 @@ class Engine {
   };
 
   void do_submit(wf::WorkflowSpec spec);
-  /// Start tracker `tracker_index`'s heartbeat loop, first beat at `first`.
-  void start_heartbeats(std::size_t tracker_index, SimTime first);
+  /// A tracker's beat: offer its free slots to the scheduler. Does nothing
+  /// on a tracker that takes no work, or once every workflow finished.
   void heartbeat(std::size_t tracker_index);
   void activate_job(JobRef ref);
   void start_task(JobRef ref, SlotType type, std::size_t tracker_index);

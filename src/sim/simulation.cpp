@@ -1,6 +1,7 @@
 #include "sim/simulation.hpp"
 
 #include <bit>
+#include <cassert>
 #include <utility>
 
 namespace woha::sim {
@@ -9,7 +10,21 @@ void EventHandle::cancel() {
   if (token_) *token_ = true;
 }
 
-Simulation::Simulation() : ring_(kBuckets), bits_(kWords, 0) {}
+Simulation::Simulation(Duration beat_period, BeatHandler on_beat)
+    : ring_(kBuckets),
+      bits_(kWords, 0),
+      beat_period_(beat_period),
+      on_beat_(std::move(on_beat)) {
+  if (beat_period <= 0) throw std::invalid_argument("Simulation: beat period must be positive");
+}
+
+void Simulation::add_beat(std::uint32_t tracker, SimTime first) {
+  if (first < now_ || first > now_ + beat_period_ ||
+      (!beats_.empty() && first < beats_.back().time)) {
+    throw std::invalid_argument("Simulation::add_beat: first beat out of order");
+  }
+  beats_.push_back(Beat{first, next_seq_++, tracker});
+}
 
 EventHandle Simulation::schedule_at(SimTime when, Callback cb) {
   if (when < now_) {
@@ -50,6 +65,9 @@ void Simulation::push(Event&& ev) {
 }
 
 void Simulation::ring_push(Event&& ev) {
+  // A beat can fire before the queue's head and schedule ahead of it; pull
+  // the cursor back so the scan cannot pass the new event.
+  if (ev.time < sweep_) sweep_ = ev.time;
   const std::size_t b = bucket_of(ev.time);
   ring_[b].items.push_back(std::move(ev));
   bits_[b >> 6] |= std::uint64_t{1} << (b & 63);
@@ -124,28 +142,56 @@ Simulation::Event Simulation::heap_pop() {
   return out;
 }
 
+const Simulation::Event* Simulation::peek_event() {
+  if (ring_count_ > 0) {
+    const Bucket& bucket = ring_[find_next_bucket()];
+    return &bucket.items[bucket.head];
+  }
+  return overflow_.empty() ? nullptr : &overflow_.front();
+}
+
+Simulation::Event Simulation::pop_event() {
+  if (ring_count_ == 0) {
+    // Window exhausted: jump it to the next far-future event, which is the
+    // one about to fire.
+    base_ = sweep_ = overflow_.front().time;
+    drain_overflow();
+  }
+  const std::size_t b = find_next_bucket();
+  Bucket& bucket = ring_[b];
+  Event ev = std::move(bucket.items[bucket.head]);
+  if (++bucket.head == bucket.items.size()) {
+    bucket.items.clear();
+    bucket.head = 0;
+    bits_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+  }
+  --ring_count_;
+  --size_;
+  return ev;
+}
+
 bool Simulation::step(SimTime until) {
-  while (size_ > 0) {
-    if (ring_count_ == 0) {
-      // Window exhausted: jump it to the next far-future event. The check
-      // against `until` comes first so a no-op step never moves the window
-      // (callers may still schedule near-past events afterwards).
-      const SimTime next = overflow_.front().time;
-      if (next > until) return false;
-      base_ = sweep_ = next;
-      drain_overflow();
+  while (true) {
+    const Event* head = peek_event();
+    if (!beats_.empty() &&
+        (!head || beats_.front().time < head->time ||
+         (beats_.front().time == head->time && beats_.front().seq < head->seq))) {
+      const Beat beat = beats_.front();
+      if (beat.time > until) return false;
+      beats_.pop_front();
+      now_ = beat.time;
+      ++fired_;
+      on_beat_(beat.tracker);
+      // Re-armed after the handler, so what it scheduled for the next beat's
+      // tick keeps the smaller seq. Every pending beat is at most one period
+      // ahead, so the append keeps the FIFO sorted.
+      const Beat next{beat.time + beat_period_, next_seq_++, beat.tracker};
+      assert(beats_.empty() || beats_.back().time <= next.time);
+      beats_.push_back(next);
+      return true;
     }
-    const std::size_t b = find_next_bucket();
-    if (sweep_ > until) return false;
-    Bucket& bucket = ring_[b];
-    Event ev = std::move(bucket.items[bucket.head]);
-    if (++bucket.head == bucket.items.size()) {
-      bucket.items.clear();
-      bucket.head = 0;
-      bits_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-    }
-    --ring_count_;
-    --size_;
+    if (!head || head->time > until) return false;
+    Event ev = pop_event();
     // Skip cancelled events without advancing the clock for them.
     if (*ev.cancelled) continue;
     now_ = ev.time;
@@ -161,7 +207,6 @@ bool Simulation::step(SimTime until) {
     }
     return true;
   }
-  return false;
 }
 
 void Simulation::run(SimTime until) {

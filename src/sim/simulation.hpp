@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -53,8 +54,11 @@ class EventHandle {
 class Simulation {
  public:
   using Callback = std::function<void()>;
+  using BeatHandler = std::function<void(std::uint32_t tracker)>;
 
-  Simulation();
+  /// `beat_period` (> 0) spaces the beats of every tracker; `on_beat` runs
+  /// for each one.
+  explicit Simulation(Duration beat_period = 1, BeatHandler on_beat = {});
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -68,6 +72,13 @@ class Simulation {
   /// Schedule a repeating event every `period` ms, first firing at `first`.
   /// Returns a handle that cancels all future firings.
   EventHandle schedule_every(SimTime first, Duration period, Callback cb);
+
+  /// Start `tracker`'s beats, the first at `first`, then one every beat
+  /// period. Each tracker has exactly one pending beat and no beat is ever
+  /// cancelled, so the beats wait in one FIFO outside the calendar, sorted
+  /// by (time, seq). `first` must lie in [now(), now() + period] and not
+  /// before the last pending beat.
+  void add_beat(std::uint32_t tracker, SimTime first);
 
   /// Number of pending events (cancelled-but-not-yet-popped included).
   [[nodiscard]] std::size_t pending_events() const { return size_; }
@@ -102,12 +113,24 @@ class Simulation {
     std::size_t head = 0;
   };
 
+  struct Beat {
+    SimTime time = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t tracker = 0;
+  };
+
   static constexpr std::size_t kBuckets = static_cast<std::size_t>(kWindow);
   static constexpr std::size_t kWords = kBuckets / 64;
 
   [[nodiscard]] static std::size_t bucket_of(SimTime t) {
     return static_cast<std::size_t>(t) & (kBuckets - 1);
   }
+  /// The queue's next event, or null. Positions the sweep cursor but never
+  /// jumps the window: a beat may still fire first and schedule before it.
+  [[nodiscard]] const Event* peek_event();
+  /// Take the queue's next event, jumping the window to it if the ring is
+  /// empty. Only called when that event fires (or is skipped).
+  Event pop_event();
   void push(Event&& ev);
   void ring_push(Event&& ev);
   /// Move every overflow event inside [base_, base_ + kWindow) into the
@@ -127,6 +150,10 @@ class Simulation {
   std::size_t size_ = 0;             // total queued events (ring + overflow)
   SimTime base_ = 0;                 // window start (<= every queued time)
   SimTime sweep_ = 0;                // scan cursor, base_ <= sweep_ <= next event
+
+  std::deque<Beat> beats_;  // one pending beat per tracker, (time, seq) order
+  Duration beat_period_;
+  BeatHandler on_beat_;
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;

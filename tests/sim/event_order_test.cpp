@@ -120,7 +120,8 @@ class Reference final : public Core {
 
 class Production final : public Core {
  public:
-  Production(Duration period, Sink& sink) : period_(period), sink_(sink) {}
+  Production(Duration period, Sink& sink)
+      : sink_(sink), sim_(period, [this](std::uint32_t t) { sink_.on_beat(t); }) {}
 
   [[nodiscard]] SimTime now() const override { return sim_.now(); }
   [[nodiscard]] std::uint64_t events_fired() const override { return sim_.events_fired(); }
@@ -131,12 +132,11 @@ class Production final : public Core {
   }
   void cancel(std::uint64_t label) override { handles_.at(label).cancel(); }
   void add_beat(std::uint32_t tracker, SimTime first) override {
-    sim_.schedule_every(first, period_, [this, tracker] { sink_.on_beat(tracker); });
+    sim_.add_beat(tracker, first);
   }
   bool step(SimTime until) override { return sim_.step(until); }
 
  private:
-  Duration period_;
   Sink& sink_;
   Simulation sim_;
   std::vector<EventHandle> handles_;
