@@ -13,8 +13,7 @@ namespace woha::hadoop {
 
 Engine::Engine(EngineConfig config, std::unique_ptr<WorkflowScheduler> scheduler)
     : config_(config),
-      sim_(config.cluster.heartbeat_period,
-           [this](std::uint32_t tracker) { heartbeat(tracker); }),
+      sim_(config.cluster.heartbeat_period),
       cluster_(config.cluster),
       scheduler_(std::move(scheduler)),
       rng_(config.seed) {
@@ -122,7 +121,7 @@ std::optional<TaskEvent> task_event_of(const obs::Event& event) {
 void Engine::submit(wf::WorkflowSpec spec) {
   if (started_) throw std::logic_error("Engine::submit after run()");
   wf::validate(spec);
-  pending_submissions_.push_back(std::move(spec));
+  submissions_.push_back(std::move(spec));
 }
 
 Duration Engine::actual_duration(Duration estimated) {
@@ -139,33 +138,28 @@ void Engine::run() {
   if (started_) throw std::logic_error("Engine::run called twice");
   started_ = true;
 
-  const std::size_t expected_workflows = pending_submissions_.size();
+  const std::size_t expected_workflows = submissions_.size();
   if (expected_workflows == 0) return;  // nothing to run
 
   // Hand the scheduler the full submission list before the first event so
   // it can precompute (WOHA's parallel plan prewarm). Only when admission
   // control is off: every spec is then guaranteed to reach
   // on_workflow_submitted, keeping cache tallies identical to serial.
-  if (!admission_) scheduler_->on_pending_submissions(pending_submissions_);
+  if (!admission_) scheduler_->on_pending_submissions(submissions_);
 
   // Schedule workflow submissions.
-  for (auto& spec : pending_submissions_) {
-    const SimTime at = std::max<SimTime>(0, spec.submit_time);
+  for (std::size_t i = 0; i < submissions_.size(); ++i) {
+    const SimTime at = std::max<SimTime>(0, submissions_[i].submit_time);
     first_submit_ = std::min(first_submit_, at);
-    sim_.schedule_at(at, [this, spec = std::move(spec)]() mutable {
-      do_submit(std::move(spec));
-    });
+    schedule_at(at, EventKind::kSubmit, i);
   }
-  pending_submissions_.clear();
 
   // Fault-injection schedule: explicit outages plus MTBF-driven crashes.
   // Fault RNG streams are independent of rng_, so enabling churn never
   // perturbs task-duration or locality draws.
   if (config_.faults.churn_enabled()) {
-    for (const TrackerFaultEvent& ev : config_.faults.events) {
-      sim_.schedule_at(ev.crash_time, [this, ev]() {
-        crash_tracker(ev.tracker, ev.restart_time);
-      });
+    for (std::size_t i = 0; i < config_.faults.events.size(); ++i) {
+      schedule_at(config_.faults.events[i].crash_time, EventKind::kScriptedCrash, i);
     }
     if (config_.faults.tracker_mtbf > 0.0) {
       fault_rng_root_ = Rng(config_.faults.seed);
@@ -184,24 +178,19 @@ void Engine::run() {
   // elasticity never perturbs task-duration or locality sequences.
   if (elastic_on_) {
     last_capacity_change_ = first_submit_ == kTimeInfinity ? 0 : first_submit_;
-    for (const TrackerDecommissionEvent& d : config_.elasticity.decommissions) {
-      sim_.schedule_at(d.start_time, [this, d]() {
-        begin_decommission(d.tracker, d.drain_lease);
-      });
+    const ElasticityConfig& el = config_.elasticity;
+    for (std::size_t i = 0; i < el.decommissions.size(); ++i) {
+      schedule_at(el.decommissions[i].start_time, EventKind::kDecommission, i);
     }
-    for (const PreemptionWave& w : config_.elasticity.preemption_waves) {
-      sim_.schedule_at(w.time, [this, w]() { preemption_wave(w); });
+    for (std::size_t i = 0; i < el.preemption_waves.size(); ++i) {
+      schedule_at(el.preemption_waves[i].time, EventKind::kPreemptionWave, i);
     }
-    for (const TrackerJoinEvent& j : config_.elasticity.joins) {
+    for (std::size_t i = 0; i < el.joins.size(); ++i) {
       ++pending_joins_;
-      sim_.schedule_at(j.time, [this, j]() {
-        --pending_joins_;
-        join_trackers(j.count);
-      });
+      schedule_at(el.joins[i].time, EventKind::kJoin, i);
     }
-    if (config_.elasticity.autoscaler.enabled) {
-      const Duration period = config_.elasticity.autoscaler.check_period;
-      sim_.schedule_every(period, period, [this]() { autoscale_tick(); });
+    if (el.autoscaler.enabled) {
+      schedule_at(el.autoscaler.check_period, EventKind::kAutoscale);
     }
   }
 
@@ -211,11 +200,9 @@ void Engine::run() {
     sim_.add_beat(static_cast<std::uint32_t>(i),
                   static_cast<SimTime>(i * hb / cluster_.tracker_count()));
   }
-  // The heartbeat events above repeat forever; run with a stop condition:
-  // when no workflow is active and no submission is pending, request stop.
-  // We piggyback the check on every event via a small watcher loop.
-  while (true) {
-    if (!sim_.step(config_.horizon)) break;
+  // Heartbeats repeat forever, so the run stops on its own condition,
+  // checked after every event: every submitted workflow is done.
+  while (sim_.step(config_.horizon, *this)) {
     if (job_tracker_.workflow_count() + workflows_rejected_ == expected_workflows &&
         job_tracker_.active_workflows() == 0) {
       break;  // all submitted workflows finished (or failed, or were refused)
@@ -228,6 +215,69 @@ void Engine::run() {
           << "t=" << sim_.now() << " cluster permanently dead; stopping run";
       break;
     }
+  }
+}
+
+bool Engine::live(const sim::Event& ev) const {
+  if (static_cast<EventKind>(ev.kind) != EventKind::kFinish) return true;
+  const Attempt* a = attempts_.find(ev.b);
+  return a != nullptr && !cluster_.tracker(a->tracker).down();
+}
+
+void Engine::fire(const sim::Event& ev) {
+  const std::size_t tracker = ev.a;
+  // Loss detection, restart and drain completion stand down once their
+  // tracker moved past the epoch they were scheduled under (end_drain
+  // checks its own).
+  const auto current = [&] { return cluster_.tracker(tracker).epoch() == ev.b; };
+  switch (static_cast<EventKind>(ev.kind)) {
+    case EventKind::kSubmit:
+      do_submit(std::move(submissions_[ev.a]));
+      break;
+    case EventKind::kActivate:
+      activate_job(JobRef{ev.a, static_cast<std::uint32_t>(ev.b)});
+      break;
+    case EventKind::kFinish:
+      finish_attempt(ev.b);
+      break;
+    case EventKind::kScriptedCrash: {
+      const TrackerFaultEvent& crash = config_.faults.events[ev.a];
+      crash_tracker(crash.tracker, crash.restart_time);
+      break;
+    }
+    case EventKind::kMtbfCrash:
+      crash_tracker(tracker, sim_.now() + config_.faults.tracker_restart_delay);
+      break;
+    case EventKind::kDetectLoss:
+      if (current()) detect_tracker_loss(tracker);
+      break;
+    case EventKind::kRestart:
+      if (current()) restart_tracker(tracker);
+      break;
+    case EventKind::kDrainEnd:
+      end_drain(tracker, ev.b);
+      break;
+    case EventKind::kDrainComplete:
+      if (current()) retire_tracker(tracker, 0);
+      break;
+    case EventKind::kDecommission: {
+      const TrackerDecommissionEvent& d = config_.elasticity.decommissions[ev.a];
+      begin_decommission(d.tracker, d.drain_lease);
+      break;
+    }
+    case EventKind::kPreemptionWave:
+      preemption_wave(config_.elasticity.preemption_waves[ev.a]);
+      break;
+    case EventKind::kJoin:
+      --pending_joins_;
+      join_trackers(config_.elasticity.joins[ev.a].count);
+      break;
+    case EventKind::kAutoscale:
+      autoscale_tick();
+      // Re-armed after the tick, so what the tick scheduled for the next
+      // one's instant fires first.
+      schedule_after(config_.elasticity.autoscaler.check_period, EventKind::kAutoscale);
+      break;
   }
 }
 
@@ -268,8 +318,7 @@ void Engine::do_submit(wf::WorkflowSpec spec) {
   for (std::uint32_t j : wf::initial_jobs(wf_rt.spec())) {
     const JobRef ref{id.value(), j};
     wf_rt.job(j).mark_activating();
-    sim_.schedule_after(config_.activation_latency,
-                        [this, ref]() { activate_job(ref); });
+    schedule_after(config_.activation_latency, EventKind::kActivate, ref.workflow, ref.job);
   }
   if (admission_) enforce_pending_budget();
   // Pending-set accounting (cheap: two compares), kept even without
@@ -497,22 +546,20 @@ std::uint64_t Engine::launch_attempt(JobRef ref, SlotType type,
     events_.publish(sim_.now(), obs::TaskStarted{id, ref.workflow, ref.job, type,
                                                  tracker_index, dur, speculative});
   }
-  Attempt attempt{ref,         type,      tracker_index, sim_.now(), dur,
-                  retry_level, will_fail, speculative,   original,   {}};
-  attempt.finish_event =
-      sim_.schedule_after(dur, [this, id]() { finish_attempt(id); });
+  const Attempt attempt{ref,         type,      tracker_index, sim_.now(), dur,
+                        retry_level, will_fail, speculative,   original};
+  schedule_after(dur, EventKind::kFinish, 0, id);
   if (index_by_workflow_) {
     attempts_by_workflow_.emplace(ref.workflow, tracker_index, id);
   }
   spec_candidate_add(id, attempt);
-  attempts_.emplace(id, std::move(attempt));
+  attempts_.emplace(id, attempt);
   tracker_attempts_[tracker_index].push_back(id);
   return id;
 }
 
 Engine::Attempt Engine::remove_attempt(std::uint64_t attempt_id) {
   Attempt a = attempts_.take(attempt_id);
-  a.finish_event.cancel();
   if (index_by_workflow_) {
     attempts_by_workflow_.erase({a.ref.workflow, a.tracker, attempt_id});
   }
@@ -610,8 +657,7 @@ void Engine::finish_attempt(std::uint64_t attempt_id) {
   for (std::uint32_t j : unlocked) {
     const JobRef dep{a.ref.workflow, j};
     wf_rt.job(j).mark_activating();
-    sim_.schedule_after(config_.activation_latency,
-                        [this, dep]() { activate_job(dep); });
+    schedule_after(config_.activation_latency, EventKind::kActivate, dep.workflow, dep.job);
   }
   if (wf_rt.finished()) {
     job_tracker_.count_workflow_finished();
@@ -672,23 +718,12 @@ void Engine::crash_tracker(std::size_t tracker_index, SimTime restart_time) {
 
   // The node stops executing instantly, but the master stays oblivious: the
   // attempts remain in the running tables until the lease expires or the
-  // node re-registers. Their finish events must never fire, though.
-  for (const std::uint64_t id : tracker_attempts_[tracker_index]) {
-    attempts_.at(id).finish_event.cancel();
-  }
-
-  sim_.schedule_after(config_.faults.expiry_interval, [this, tracker_index, epoch]() {
-    if (cluster_.tracker(tracker_index).epoch() == epoch) {
-      detect_tracker_loss(tracker_index);
-    }
-  });
+  // node re-registers. Their finish events never fire (see live()).
+  schedule_after(config_.faults.expiry_interval, EventKind::kDetectLoss, tracker_index,
+                 epoch);
   if (restart_time != kTimeInfinity) {
     ++pending_restarts_;
-    sim_.schedule_at(restart_time, [this, tracker_index, epoch]() {
-      if (cluster_.tracker(tracker_index).epoch() == epoch) {
-        restart_tracker(tracker_index);
-      }
-    });
+    schedule_at(restart_time, EventKind::kRestart, tracker_index, epoch);
   }
 }
 
@@ -877,9 +912,7 @@ void Engine::schedule_next_mtbf_crash(std::size_t tracker_index) {
   const double wait =
       tracker_fault_rngs_[tracker_index].exponential(1.0 / config_.faults.tracker_mtbf);
   const Duration delay = std::max<Duration>(1, static_cast<Duration>(std::llround(wait)));
-  sim_.schedule_after(delay, [this, tracker_index]() {
-    crash_tracker(tracker_index, sim_.now() + config_.faults.tracker_restart_delay);
-  });
+  schedule_after(delay, EventKind::kMtbfCrash, tracker_index);
 }
 
 // ---- elastic membership -----------------------------------------------------
@@ -901,9 +934,7 @@ void Engine::begin_decommission(std::size_t tracker_index, Duration lease) {
     retire_tracker(tracker_index, 0);
     return;
   }
-  sim_.schedule_at(lease_deadline, [this, tracker_index, epoch]() {
-    end_drain(tracker_index, epoch);
-  });
+  schedule_at(lease_deadline, EventKind::kDrainEnd, tracker_index, epoch);
 }
 
 void Engine::end_drain(std::size_t tracker_index, std::uint64_t epoch) {
@@ -957,17 +988,12 @@ void Engine::maybe_complete_drain(std::size_t tracker_index) {
     return;
   }
   if (!tracker_attempts_[tracker_index].empty()) return;
-  const std::uint64_t epoch = tracker.epoch();
   // Same-tick deferral: let the in-flight attempt bookkeeping (TaskEnded
   // events, scheduler notifications) settle before the node retires, so
   // observers never see a retirement precede its last attempt's end. A
   // draining node starts nothing new, so an unmoved epoch means it is
   // still up, draining and idle.
-  sim_.schedule_at(sim_.now(), [this, tracker_index, epoch]() {
-    if (cluster_.tracker(tracker_index).epoch() == epoch) {
-      retire_tracker(tracker_index, 0);
-    }
-  });
+  schedule_at(sim_.now(), EventKind::kDrainComplete, tracker_index, tracker.epoch());
 }
 
 void Engine::preemption_wave(const PreemptionWave& wave) {
@@ -990,7 +1016,7 @@ void Engine::preemption_wave(const PreemptionWave& wave) {
     if (events_.active()) {
       events_.publish(sim_.now(), obs::PreemptionWarning{i, termination});
     }
-    sim_.schedule_at(termination, [this, i, epoch]() { end_drain(i, epoch); });
+    schedule_at(termination, EventKind::kDrainEnd, i, epoch);
   }
 }
 

@@ -296,8 +296,42 @@ class Engine {
     bool will_fail = false;
     bool speculative = false;
     std::uint64_t rival = 0;  ///< id of the speculation twin (0 = none)
-    sim::EventHandle finish_event;
   };
+
+  /// What a scheduled sim::Event stands for, and the ids it carries.
+  enum class EventKind : std::uint32_t {
+    kSubmit,          ///< a: index into submissions_
+    kActivate,        ///< a: workflow, b: job
+    kFinish,          ///< b: attempt id
+    kScriptedCrash,   ///< a: index into faults.events
+    kMtbfCrash,       ///< a: tracker
+    kDetectLoss,      ///< a: tracker, b: the epoch it was scheduled under
+    kRestart,         ///< a: tracker, b: epoch
+    kDrainEnd,        ///< a: tracker, b: epoch
+    kDrainComplete,   ///< a: tracker, b: epoch
+    kDecommission,    ///< a: index into elasticity.decommissions
+    kPreemptionWave,  ///< a: index into elasticity.preemption_waves
+    kJoin,            ///< a: index into elasticity.joins
+    kAutoscale,       ///< re-armed one check period after each tick
+  };
+
+  // --- event dispatch: sim::Simulation::step calls heartbeat, live, fire --
+  friend class sim::Simulation;
+  void schedule_at(SimTime when, EventKind kind, std::size_t a = 0, std::uint64_t b = 0) {
+    sim_.schedule_at(when, static_cast<std::uint32_t>(kind), static_cast<std::uint32_t>(a), b);
+  }
+  void schedule_after(Duration delay, EventKind kind, std::size_t a = 0,
+                      std::uint64_t b = 0) {
+    sim_.schedule_after(delay, static_cast<std::uint32_t>(kind),
+                        static_cast<std::uint32_t>(a), b);
+  }
+  /// False only for a cancelled finish: its attempt was removed, or its
+  /// node crashed (a down node executes nothing). Such an event neither
+  /// fires nor counts.
+  [[nodiscard]] bool live(const sim::Event& ev) const;
+  /// The one switch over every event kind. Tracker events whose epoch moved
+  /// since they were scheduled still fire, and stand down.
+  void fire(const sim::Event& ev);
 
   void do_submit(wf::WorkflowSpec spec);
   /// A tracker's beat: offer its free slots to the scheduler. Does nothing
@@ -410,7 +444,8 @@ class Engine {
   JobTracker job_tracker_;
   std::unique_ptr<WorkflowScheduler> scheduler_;
   Rng rng_;
-  std::vector<wf::WorkflowSpec> pending_submissions_;
+  /// Specs by submission index; each is moved out when its submission fires.
+  std::vector<wf::WorkflowSpec> submissions_;
   bool started_ = false;
 
   // Observability. The bus is owned here so every component shares one

@@ -2,20 +2,28 @@
 
 #include <bit>
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 namespace woha::sim {
 
-void EventHandle::cancel() {
-  if (token_) *token_ = true;
+Simulation::Simulation(Duration beat_period)
+    : beat_period_(beat_period), ring_(kBuckets), bits_(kWords, 0) {
+  if (beat_period <= 0) throw std::invalid_argument("Simulation: beat period must be positive");
 }
 
-Simulation::Simulation(Duration beat_period, BeatHandler on_beat)
-    : ring_(kBuckets),
-      bits_(kWords, 0),
-      beat_period_(beat_period),
-      on_beat_(std::move(on_beat)) {
-  if (beat_period <= 0) throw std::invalid_argument("Simulation: beat period must be positive");
+void Simulation::schedule_at(SimTime when, std::uint32_t kind, std::uint32_t a,
+                             std::uint64_t b) {
+  if (when < now_) {
+    throw std::invalid_argument("Simulation::schedule_at: time in the past");
+  }
+  push(Event{when, next_seq_++, kind, a, b});
+}
+
+void Simulation::schedule_after(Duration delay, std::uint32_t kind, std::uint32_t a,
+                                std::uint64_t b) {
+  if (delay < 0) throw std::invalid_argument("Simulation::schedule_after: negative delay");
+  schedule_at(now_ + delay, kind, a, b);
 }
 
 void Simulation::add_beat(std::uint32_t tracker, SimTime first) {
@@ -26,50 +34,42 @@ void Simulation::add_beat(std::uint32_t tracker, SimTime first) {
   beats_.push_back(Beat{first, next_seq_++, tracker});
 }
 
-EventHandle Simulation::schedule_at(SimTime when, Callback cb) {
-  if (when < now_) {
-    throw std::invalid_argument("Simulation::schedule_at: time in the past");
-  }
-  auto token = std::make_shared<bool>(false);
-  push(Event{when, next_seq_++, std::move(cb), token, 0});
-  return EventHandle(std::move(token));
+bool Simulation::beat_first(const Event* head) const {
+  if (beats_.empty()) return false;
+  if (head == nullptr) return true;
+  const Beat& beat = beats_.front();
+  return beat.time < head->time || (beat.time == head->time && beat.seq < head->seq);
 }
 
-EventHandle Simulation::schedule_after(Duration delay, Callback cb) {
-  if (delay < 0) throw std::invalid_argument("Simulation::schedule_after: negative delay");
-  return schedule_at(now_ + delay, std::move(cb));
+void Simulation::rearm(const Beat& beat) {
+  // The seq is taken after the handler returned, so what the handler
+  // scheduled for the next beat's tick fires first. Every pending beat lies
+  // at most one period ahead, so the append keeps the FIFO sorted.
+  const Beat next{beat.time + beat_period_, next_seq_++, beat.tracker};
+  assert(beats_.empty() || beats_.back().time <= next.time);
+  beats_.push_back(next);
 }
 
-EventHandle Simulation::schedule_every(SimTime first, Duration period, Callback cb) {
-  if (period <= 0) throw std::invalid_argument("Simulation::schedule_every: period <= 0");
-  // A shared cancellation token covers every future firing; step() re-arms
-  // the event (moving the callback back in) after each firing.
-  auto token = std::make_shared<bool>(false);
-  if (first < now_) first = now_;
-  push(Event{first, next_seq_++, std::move(cb), token, period});
-  return EventHandle(std::move(token));
-}
-
-void Simulation::push(Event&& ev) {
+void Simulation::push(const Event& ev) {
   if (size_ == 0) {
-    // Empty queue: re-anchor the window at the clock so every schedulable
+    // Empty calendar: re-anchor the window at the clock so every schedulable
     // time (>= now) is representable.
     base_ = sweep_ = now_;
   }
   ++size_;
   if (ev.time < base_ + kWindow) {
-    ring_push(std::move(ev));
+    ring_push(ev);
   } else {
-    heap_push(std::move(ev));
+    heap_push(ev);
   }
 }
 
-void Simulation::ring_push(Event&& ev) {
-  // A beat can fire before the queue's head and schedule ahead of it; pull
-  // the cursor back so the scan cannot pass the new event.
+void Simulation::ring_push(const Event& ev) {
+  // A beat can fire before the calendar's head and schedule ahead of it;
+  // pull the cursor back so the scan cannot pass the new event.
   if (ev.time < sweep_) sweep_ = ev.time;
   const std::size_t b = bucket_of(ev.time);
-  ring_[b].items.push_back(std::move(ev));
+  ring_[b].items.push_back(ev);
   bits_[b >> 6] |= std::uint64_t{1} << (b & 63);
   ++ring_count_;
 }
@@ -77,7 +77,7 @@ void Simulation::ring_push(Event&& ev) {
 void Simulation::drain_overflow() {
   // Heap pops come out in (time, seq) order, so per-tick append order stays
   // FIFO. Events already in the ring for the same tick cannot exist: the
-  // ring is empty whenever the window advances (see step()).
+  // ring is empty whenever the window advances (see pop_event()).
   while (!overflow_.empty() && overflow_.front().time < base_ + kWindow) {
     ring_push(heap_pop());
   }
@@ -105,8 +105,8 @@ std::size_t Simulation::find_next_bucket() {
   throw std::logic_error("Simulation: ring bitmap inconsistent");
 }
 
-void Simulation::heap_push(Event&& ev) {
-  overflow_.push_back(std::move(ev));
+void Simulation::heap_push(const Event& ev) {
+  overflow_.push_back(ev);
   std::size_t i = overflow_.size() - 1;
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
@@ -118,9 +118,9 @@ void Simulation::heap_push(Event&& ev) {
   }
 }
 
-Simulation::Event Simulation::heap_pop() {
-  Event out = std::move(overflow_.front());
-  if (overflow_.size() > 1) overflow_.front() = std::move(overflow_.back());
+Event Simulation::heap_pop() {
+  const Event out = overflow_.front();
+  overflow_.front() = overflow_.back();
   overflow_.pop_back();
   const std::size_t n = overflow_.size();
   std::size_t i = 0;
@@ -142,7 +142,7 @@ Simulation::Event Simulation::heap_pop() {
   return out;
 }
 
-const Simulation::Event* Simulation::peek_event() {
+const Event* Simulation::peek_event() {
   if (ring_count_ > 0) {
     const Bucket& bucket = ring_[find_next_bucket()];
     return &bucket.items[bucket.head];
@@ -150,16 +150,16 @@ const Simulation::Event* Simulation::peek_event() {
   return overflow_.empty() ? nullptr : &overflow_.front();
 }
 
-Simulation::Event Simulation::pop_event() {
+Event Simulation::pop_event() {
   if (ring_count_ == 0) {
-    // Window exhausted: jump it to the next far-future event, which is the
-    // one about to fire.
+    // Window exhausted: jump it to the next far-future event, the one about
+    // to fire or be dropped.
     base_ = sweep_ = overflow_.front().time;
     drain_overflow();
   }
   const std::size_t b = find_next_bucket();
   Bucket& bucket = ring_[b];
-  Event ev = std::move(bucket.items[bucket.head]);
+  const Event ev = bucket.items[bucket.head];
   if (++bucket.head == bucket.items.size()) {
     bucket.items.clear();
     bucket.head = 0;
@@ -168,51 +168,6 @@ Simulation::Event Simulation::pop_event() {
   --ring_count_;
   --size_;
   return ev;
-}
-
-bool Simulation::step(SimTime until) {
-  while (true) {
-    const Event* head = peek_event();
-    if (!beats_.empty() &&
-        (!head || beats_.front().time < head->time ||
-         (beats_.front().time == head->time && beats_.front().seq < head->seq))) {
-      const Beat beat = beats_.front();
-      if (beat.time > until) return false;
-      beats_.pop_front();
-      now_ = beat.time;
-      ++fired_;
-      on_beat_(beat.tracker);
-      // Re-armed after the handler, so what it scheduled for the next beat's
-      // tick keeps the smaller seq. Every pending beat is at most one period
-      // ahead, so the append keeps the FIFO sorted.
-      const Beat next{beat.time + beat_period_, next_seq_++, beat.tracker};
-      assert(beats_.empty() || beats_.back().time <= next.time);
-      beats_.push_back(next);
-      return true;
-    }
-    if (!head || head->time > until) return false;
-    Event ev = pop_event();
-    // Skip cancelled events without advancing the clock for them.
-    if (*ev.cancelled) continue;
-    now_ = ev.time;
-    ++fired_;
-    ev.cb();
-    if (ev.period > 0 && !*ev.cancelled) {
-      // Re-arm the periodic event under the same token. The re-push happens
-      // after the callback (matching the legacy recursive-lambda order), so
-      // events the callback scheduled for the next tick keep smaller seqs.
-      ev.time += ev.period;
-      ev.seq = next_seq_++;
-      push(std::move(ev));
-    }
-    return true;
-  }
-}
-
-void Simulation::run(SimTime until) {
-  stop_requested_ = false;
-  while (!stop_requested_ && step(until)) {
-  }
 }
 
 }  // namespace woha::sim

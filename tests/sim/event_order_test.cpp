@@ -120,26 +120,29 @@ class Reference final : public Core {
 
 class Production final : public Core {
  public:
-  Production(Duration period, Sink& sink)
-      : sink_(sink), sim_(period, [this](std::uint32_t t) { sink_.on_beat(t); }) {}
+  Production(Duration period, Sink& sink) : sink_(sink), sim_(period) {}
 
   [[nodiscard]] SimTime now() const override { return sim_.now(); }
   [[nodiscard]] std::uint64_t events_fired() const override { return sim_.events_fired(); }
   void schedule(SimTime when, std::uint64_t label) override {
-    handles_.resize(label + 1);
-    handles_[label] =
-        sim_.schedule_at(when, [this, label] { sink_.on_event(label); });
+    sim_.schedule_at(when, 0, 0, label);
   }
-  void cancel(std::uint64_t label) override { handles_.at(label).cancel(); }
+  void cancel(std::uint64_t label) override { cancelled_.insert(label); }
   void add_beat(std::uint32_t tracker, SimTime first) override {
     sim_.add_beat(tracker, first);
   }
-  bool step(SimTime until) override { return sim_.step(until); }
+  bool step(SimTime until) override { return sim_.step(until, *this); }
+
+  // The dispatcher: labels ride in `b`, and a cancelled label is dropped at
+  // pop time.
+  void heartbeat(std::uint32_t tracker) { sink_.on_beat(tracker); }
+  [[nodiscard]] bool live(const Event& ev) const { return !cancelled_.contains(ev.b); }
+  void fire(const Event& ev) { sink_.on_event(ev.b); }
 
  private:
   Sink& sink_;
   Simulation sim_;
-  std::vector<EventHandle> handles_;
+  std::set<std::uint64_t> cancelled_;
 };
 
 // --- scripts --------------------------------------------------------------------
