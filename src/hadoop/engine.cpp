@@ -220,7 +220,7 @@ void Engine::run() {
 
 bool Engine::live(const sim::Event& ev) const {
   if (static_cast<EventKind>(ev.kind) != EventKind::kFinish) return true;
-  const Attempt* a = attempts_.find(ev.b);
+  const Attempt* a = attempts_.find(finish_ref(ev));
   return a != nullptr && !cluster_.tracker(a->tracker).down();
 }
 
@@ -238,7 +238,7 @@ void Engine::fire(const sim::Event& ev) {
       activate_job(JobRef{ev.a, static_cast<std::uint32_t>(ev.b)});
       break;
     case EventKind::kFinish:
-      finish_attempt(ev.b);
+      finish_attempt(finish_ref(ev));
       break;
     case EventKind::kScriptedCrash: {
       const TrackerFaultEvent& crash = config_.faults.events[ev.a];
@@ -522,13 +522,11 @@ void Engine::start_task(JobRef ref, SlotType type, std::size_t tracker_index) {
   }
   const std::uint32_t retry_level = job.start_task(type);
   job_tracker_.workflow(WorkflowId(ref.workflow)).count_scheduled_task();
-  launch_attempt(ref, type, tracker_index, retry_level, 0);
+  launch_attempt(ref, type, tracker_index, retry_level, SlotRef{});
 }
 
-std::uint64_t Engine::launch_attempt(JobRef ref, SlotType type,
-                                     std::size_t tracker_index,
-                                     std::uint32_t retry_level,
-                                     std::uint64_t original) {
+SlotRef Engine::launch_attempt(JobRef ref, SlotType type, std::size_t tracker_index,
+                               std::uint32_t retry_level, SlotRef original) {
   cluster_.occupy(tracker_index, type);
   ++tasks_executed_;
   if (handles_.tasks_started) handles_.tasks_started->add();
@@ -537,63 +535,64 @@ std::uint64_t Engine::launch_attempt(JobRef ref, SlotType type,
   busy_ms_[static_cast<std::size_t>(type)] += static_cast<double>(dur);
 
   const std::uint64_t id = next_attempt_id_++;
-  const bool speculative = original != 0;
+  const bool speculative = static_cast<bool>(original);
   if (events_.active()) {
     if (speculative) {
-      events_.publish(sim_.now(), obs::SpeculativeLaunched{id, original, ref.workflow,
-                                                           ref.job, type, tracker_index});
+      events_.publish(sim_.now(),
+                      obs::SpeculativeLaunched{id, attempts_.at(original).id, ref.workflow,
+                                               ref.job, type, tracker_index});
     }
     events_.publish(sim_.now(), obs::TaskStarted{id, ref.workflow, ref.job, type,
                                                  tracker_index, dur, speculative});
   }
-  const Attempt attempt{ref,         type,      tracker_index, sim_.now(), dur,
-                        retry_level, will_fail, speculative,   original};
-  schedule_after(dur, EventKind::kFinish, 0, id);
+  const Attempt attempt{id,          ref,       type,        tracker_index, sim_.now(),
+                        dur,         retry_level, will_fail, speculative,   original};
+  const SlotRef slot = attempts_.insert(attempt);
+  schedule_after(dur, EventKind::kFinish, slot.slot, slot.generation);
   if (index_by_workflow_) {
-    attempts_by_workflow_.emplace(ref.workflow, tracker_index, id);
+    attempts_by_workflow_.emplace(ref.workflow, tracker_index, id, slot);
   }
-  spec_candidate_add(id, attempt);
-  attempts_.emplace(id, attempt);
-  tracker_attempts_[tracker_index].push_back(id);
-  return id;
+  spec_candidate_add(slot, attempt);
+  tracker_attempts_[tracker_index].push_back(slot);
+  return slot;
 }
 
-Engine::Attempt Engine::remove_attempt(std::uint64_t attempt_id) {
-  Attempt a = attempts_.take(attempt_id);
+Engine::Attempt Engine::remove_attempt(SlotRef attempt) {
+  Attempt a = attempts_.take(attempt);
   if (index_by_workflow_) {
-    attempts_by_workflow_.erase({a.ref.workflow, a.tracker, attempt_id});
+    attempts_by_workflow_.erase({a.ref.workflow, a.tracker, a.id, attempt});
   }
   if (config_.faults.speculative_execution) {
-    spec_candidates_[static_cast<std::size_t>(a.type)].erase({a.tracker, attempt_id});
+    spec_candidates_[static_cast<std::size_t>(a.type)].erase({a.tracker, a.id, attempt});
   }
-  if (a.rival != 0) {
+  if (a.rival) {
     // The speculation twin, if it still runs, carries the task on alone and
     // may receive a backup of its own again.
     if (Attempt* rival = attempts_.find(a.rival)) {
-      rival->rival = 0;
+      rival->rival = SlotRef{};
       spec_candidate_add(a.rival, *rival);
     }
   }
-  std::erase(tracker_attempts_[a.tracker], attempt_id);
+  std::erase(tracker_attempts_[a.tracker], attempt);
   cluster_.release(a.tracker, a.type);
   maybe_complete_drain(a.tracker);
   return a;
 }
 
-void Engine::spec_candidate_add(std::uint64_t id, const Attempt& a) {
+void Engine::spec_candidate_add(SlotRef ref, const Attempt& a) {
   if (!config_.faults.speculative_execution) return;
-  if (a.speculative || a.rival != 0) return;
-  spec_candidates_[static_cast<std::size_t>(a.type)].emplace(a.tracker, id);
+  if (a.speculative || a.rival) return;
+  spec_candidates_[static_cast<std::size_t>(a.type)].emplace(a.tracker, a.id, ref);
 }
 
-void Engine::finish_attempt(std::uint64_t attempt_id) {
-  const Attempt a = remove_attempt(attempt_id);
+void Engine::finish_attempt(SlotRef attempt) {
+  const Attempt a = remove_attempt(attempt);
   JobInProgress& job = job_tracker_.job(a.ref);
 
   const auto publish_ended = [&](bool failed) {
     if (!events_.active()) return;
     events_.publish(sim_.now(),
-                    obs::TaskEnded{attempt_id, a.ref.workflow, a.ref.job, a.type,
+                    obs::TaskEnded{a.id, a.ref.workflow, a.ref.job, a.type,
                                    a.tracker, failed, false, a.speculative,
                                    a.duration});
   };
@@ -602,7 +601,7 @@ void Engine::finish_attempt(std::uint64_t attempt_id) {
     ++tasks_failed_;
     if (handles_.tasks_failed) handles_.tasks_failed->add();
     record_attempt_failure(a.ref, a.tracker);
-    if (a.rival != 0) {
+    if (a.rival) {
       // The speculation twin keeps running the task alone; this failure
       // burns an attempt but re-queues nothing.
       publish_ended(true);
@@ -624,7 +623,7 @@ void Engine::finish_attempt(std::uint64_t attempt_id) {
 
   // Success. A speculation race has a winner: kill the loser (first finish
   // wins, Hadoop's speculative-execution contract).
-  if (a.rival != 0) {
+  if (a.rival) {
     const Attempt loser = kill_attempt(a.rival, obs::KillCause::kSpeculationRace);
     speculative_wasted_ms_ += static_cast<double>(loser.duration);
     if (a.speculative) ++speculative_won_;
@@ -675,8 +674,8 @@ void Engine::finish_attempt(std::uint64_t attempt_id) {
   }
 }
 
-Engine::Attempt Engine::kill_attempt(std::uint64_t attempt_id, obs::KillCause cause) {
-  Attempt a = remove_attempt(attempt_id);
+Engine::Attempt Engine::kill_attempt(SlotRef attempt, obs::KillCause cause) {
+  Attempt a = remove_attempt(attempt);
   // A zombie stopped executing when its node crashed; anything else stops
   // now. Busy time was charged for the full scheduled duration at start;
   // refund the part that never executed.
@@ -690,7 +689,7 @@ Engine::Attempt Engine::kill_attempt(std::uint64_t attempt_id, obs::KillCause ca
   if (handles_.attempts_killed) handles_.attempts_killed->add();
   if (events_.active()) {
     events_.publish(sim_.now(),
-                    obs::TaskEnded{attempt_id, a.ref.workflow, a.ref.job, a.type,
+                    obs::TaskEnded{a.id, a.ref.workflow, a.ref.job, a.type,
                                    a.tracker, false, true, a.speculative,
                                    executed, cause});
   }
@@ -767,15 +766,15 @@ void Engine::detect_tracker_loss(std::size_t tracker_index) {
 std::uint32_t Engine::evict_tracker(std::size_t tracker_index, obs::KillCause cause) {
   // KILLED, not FAILED: losing the node never counts against a task's
   // attempt budget.
-  const std::vector<std::uint64_t> ids = tracker_attempts_[tracker_index];
-  for (const std::uint64_t id : ids) {
-    const Attempt a = kill_attempt(id, cause);
-    if (a.rival != 0) continue;  // the task lives on in its speculation twin
+  const std::vector<SlotRef> victims = tracker_attempts_[tracker_index];
+  for (const SlotRef victim : victims) {
+    const Attempt a = kill_attempt(victim, cause);
+    if (a.rival) continue;  // the task lives on in its speculation twin
     job_tracker_.job(a.ref).requeue_running(a.type, a.retry_level);
     scheduler_->on_task_finished(a.ref, a.type, sim_.now());
     scheduler_->on_tasks_lost(a.ref, a.type, 1, sim_.now());
   }
-  return static_cast<std::uint32_t>(ids.size());
+  return static_cast<std::uint32_t>(victims.size());
 }
 
 std::uint32_t Engine::drop_tracker(std::size_t tracker_index) {
@@ -824,12 +823,12 @@ std::uint32_t Engine::kill_workflow_attempts(std::uint32_t workflow,
   // the order of a full-cluster sweep — trackers ascending, launch order
   // within a tracker — without touching any other tracker's list. Collect
   // first: kill_attempt mutates the index.
-  std::vector<std::uint64_t> victims;
-  for (auto it = attempts_by_workflow_.lower_bound({workflow, 0, 0});
+  std::vector<SlotRef> victims;
+  for (auto it = attempts_by_workflow_.lower_bound({workflow, 0, 0, SlotRef{}});
        it != attempts_by_workflow_.end() && std::get<0>(*it) == workflow; ++it) {
-    victims.push_back(std::get<2>(*it));
+    victims.push_back(std::get<3>(*it));
   }
-  for (const std::uint64_t id : victims) kill_attempt(id, cause);
+  for (const SlotRef victim : victims) kill_attempt(victim, cause);
   return static_cast<std::uint32_t>(victims.size());
 }
 
@@ -862,9 +861,9 @@ bool Engine::try_speculate(SlotType type, std::size_t tracker_index) {
   // estimate (the simulator knows the true remaining time); an attempt on a
   // silently-dead node reports no progress at all, which is exactly what
   // LATE flags first — so zombies are always eligible.
-  for (const auto& [cand_tracker, id] :
+  for (const auto& [cand_tracker, id, slot] :
        spec_candidates_[static_cast<std::size_t>(type)]) {
-    const Attempt& a = attempts_.at(id);
+    const Attempt& a = attempts_.at(slot);
     if (a.tracker == tracker_index) continue;  // back up on another node
     if (now - a.start_time < config_.faults.speculative_min_runtime) continue;
     const bool zombie = cluster_.tracker(a.tracker).down();
@@ -887,12 +886,13 @@ bool Engine::try_speculate(SlotType type, std::size_t tracker_index) {
     // table `a` points into. The backup occupies a slot and burns budget
     // metrics but is NOT new task progress: no job/rho accounting.
     const std::uint64_t original_id = id;
+    const SlotRef original = slot;
     const std::size_t original_tracker = a.tracker;
     const JobRef ref = a.ref;
     ++speculative_launched_;
     if (handles_.speculative_launched) handles_.speculative_launched->add();
-    const std::uint64_t backup_id =
-        launch_attempt(ref, type, tracker_index, a.retry_level, original_id);
+    const SlotRef backup =
+        launch_attempt(ref, type, tracker_index, a.retry_level, original);
     WOHA_LOG(LogLevel::kDebug, "engine")
         << "t=" << now << " speculative backup for w" << ref.workflow << "/j"
         << ref.job << " on tracker " << tracker_index;
@@ -900,8 +900,8 @@ bool Engine::try_speculate(SlotType type, std::size_t tracker_index) {
     // return immediately, so the invalidated loop iterator is never
     // advanced.
     spec_candidates_[static_cast<std::size_t>(type)].erase(
-        {original_tracker, original_id});
-    attempts_.at(original_id).rival = backup_id;
+        {original_tracker, original_id, original});
+    attempts_.at(original).rival = backup;
     return true;
   }
   return false;

@@ -34,8 +34,8 @@
 #include <utility>
 #include <vector>
 
-#include "common/dense_id_table.hpp"
 #include "common/rng.hpp"
+#include "common/slot_table.hpp"
 #include "common/types.hpp"
 #include "hadoop/admission.hpp"
 #include "hadoop/cluster.hpp"
@@ -287,6 +287,7 @@ class Engine {
   /// One running attempt (Hadoop TaskAttempt): the unit that occupies a
   /// slot, can finish, fail, or be KILLED by a node fault / lost race.
   struct Attempt {
+    std::uint64_t id = 0;  ///< the monotonic attempt id every obs event carries
     JobRef ref;
     SlotType type = SlotType::kMap;
     std::size_t tracker = 0;
@@ -295,14 +296,14 @@ class Engine {
     std::uint32_t retry_level = 0;
     bool will_fail = false;
     bool speculative = false;
-    std::uint64_t rival = 0;  ///< id of the speculation twin (0 = none)
+    SlotRef rival;  ///< the speculation twin (default: none)
   };
 
   /// What a scheduled sim::Event stands for, and the ids it carries.
   enum class EventKind : std::uint32_t {
     kSubmit,          ///< a: index into submissions_
     kActivate,        ///< a: workflow, b: job
-    kFinish,          ///< b: attempt id
+    kFinish,          ///< a: attempt slot, b: its generation
     kScriptedCrash,   ///< a: index into faults.events
     kMtbfCrash,       ///< a: tracker
     kDetectLoss,      ///< a: tracker, b: the epoch it was scheduled under
@@ -329,6 +330,9 @@ class Engine {
   /// node crashed (a down node executes nothing). Such an event neither
   /// fires nor counts.
   [[nodiscard]] bool live(const sim::Event& ev) const;
+  [[nodiscard]] static SlotRef finish_ref(const sim::Event& ev) {
+    return {ev.a, static_cast<std::uint32_t>(ev.b)};
+  }
   /// The one switch over every event kind. Tracker events whose epoch moved
   /// since they were scheduled still fire, and stand down.
   void fire(const sim::Event& ev);
@@ -340,21 +344,22 @@ class Engine {
   void activate_job(JobRef ref);
   void start_task(JobRef ref, SlotType type, std::size_t tracker_index);
   /// The one way an attempt starts, for a scheduler pick and a speculative
-  /// backup of attempt `original` (0 = none) alike: occupy the slot, draw
-  /// the duration, charge busy time, take the id, publish TaskStarted
-  /// (preceded by SpeculativeLaunched for a backup), schedule the finish
-  /// and index the attempt. Takes plain values, never references into
-  /// attempts_, which the launch can reallocate. Returns the new id.
-  std::uint64_t launch_attempt(JobRef ref, SlotType type, std::size_t tracker_index,
-                               std::uint32_t retry_level, std::uint64_t original);
-  /// The one way an attempt leaves: take it out of the table, cancel its
-  /// finish event, unindex it, drop it from its tracker's list, release the
-  /// slot and check whether a drain has completed. A speculation twin that
-  /// still runs becomes an ordinary attempt again (eligible for a backup of
-  /// its own). Returns the removed record, `rival` unchanged.
-  Attempt remove_attempt(std::uint64_t attempt_id);
+  /// backup of attempt `original` (default: none) alike: occupy the slot,
+  /// draw the duration, charge busy time, take the id, publish TaskStarted
+  /// (preceded by SpeculativeLaunched for a backup), store and index the
+  /// attempt and schedule its finish. Takes plain values, never references
+  /// into attempts_, which the launch can reallocate. Returns the new
+  /// attempt's ref.
+  SlotRef launch_attempt(JobRef ref, SlotType type, std::size_t tracker_index,
+                         std::uint32_t retry_level, SlotRef original);
+  /// The one way an attempt leaves: take it out of the table (which leaves
+  /// its finish event stale), unindex it, drop it from its tracker's list,
+  /// release the slot and check whether a drain has completed. A speculation
+  /// twin that still runs becomes an ordinary attempt again (eligible for a
+  /// backup of its own). Returns the removed record, `rival` unchanged.
+  Attempt remove_attempt(SlotRef attempt);
   /// Attempt finished on its own: success or injected failure.
-  void finish_attempt(std::uint64_t attempt_id);
+  void finish_attempt(SlotRef attempt);
   [[nodiscard]] Duration actual_duration(Duration estimated);
   /// True when the map input split of the next task of `ref` has a replica
   /// on `tracker_index` under the randomized HDFS placement model.
@@ -387,7 +392,7 @@ class Engine {
   /// `cause` names the kill site on the emitted TaskEnded so forensics can
   /// classify it. Returns the removed record, `duration` cut to the part
   /// that executed.
-  Attempt kill_attempt(std::uint64_t attempt_id, obs::KillCause cause);
+  Attempt kill_attempt(SlotRef attempt, obs::KillCause cause);
   /// Task exhausted its attempt budget: fail the whole workflow, kill its
   /// other running attempts, notify the scheduler.
   void fail_workflow(std::uint32_t workflow, SimTime now);
@@ -402,7 +407,7 @@ class Engine {
   /// Enter a running attempt into the speculation scan's candidate set.
   /// Eligibility is (non-speculative, no rival); a no-op for ineligible
   /// attempts or when speculation is off.
-  void spec_candidate_add(std::uint64_t id, const Attempt& a);
+  void spec_candidate_add(SlotRef ref, const Attempt& a);
   void schedule_next_mtbf_crash(std::size_t tracker_index);
   [[nodiscard]] bool blacklisted(JobRef ref, std::size_t tracker_index) const {
     return blacklist_.find({ref, tracker_index}) != blacklist_.end();
@@ -475,13 +480,14 @@ class Engine {
   MetricHandles handles_;
   obs::EventBus::SubscriptionId task_observer_subscription_ = 0;
 
-  // Running attempts, keyed by attempt id (ids start at 1 so 0 can mean "no
-  // rival"). Lookup only — all iteration goes through tracker_attempts_,
-  // whose per-tracker insertion order is deterministic. Ids are handed out
-  // monotonically and live briefly, so the flat sliding-window arena
-  // replaces hashing with an index subtract (see dense_id_table.hpp).
-  DenseIdTable<Attempt> attempts_;
-  std::vector<std::vector<std::uint64_t>> tracker_attempts_;
+  // Running attempts in recycled slots (slot_table.hpp): memory follows the
+  // live attempts, and a finish event or rival link names a slot and its
+  // generation, so it misses once its attempt is gone. Lookup only — all
+  // iteration goes through tracker_attempts_ (launch order per tracker) and
+  // the ordered indexes below. Attempt ids are a separate monotonic counter
+  // starting at 1.
+  SlotTable<Attempt> attempts_;
+  std::vector<std::vector<SlotRef>> tracker_attempts_;
   std::uint64_t next_attempt_id_ = 1;
 
   // Blacklist eligibility callable, built once and retargeted per heartbeat
@@ -502,18 +508,21 @@ class Engine {
   // Hot-path attempt indices. Both are ordered sets so their iteration
   // reproduces, bit for bit, the (tracker ascending, launch order within
   // tracker) sweep the engine used to perform over every tracker — attempt
-  // ids are handed out monotonically, so launch order == id order.
+  // ids are handed out monotonically, so launch order == id order. Each key
+  // ends in the attempt's ref, which the unique id before it never lets
+  // take part in the order.
   //
   // spec_candidates_[type]: running attempts eligible to *receive* a backup
-  // (non-speculative, no rival), keyed (tracker, attempt id). Only
+  // (non-speculative, no rival), keyed (tracker, attempt id, ref). Only
   // maintained when faults.speculative_execution is on.
-  std::set<std::pair<std::size_t, std::uint64_t>> spec_candidates_[2];
+  std::set<std::tuple<std::size_t, std::uint64_t, SlotRef>> spec_candidates_[2];
   // attempts_by_workflow_: every running attempt keyed (workflow, tracker,
-  // attempt id), so the kill sweeps of fail_workflow and shed_workflow touch
-  // only the dying workflow's attempts. Only maintained when one of the two
-  // can run (index_by_workflow_: faults.max_attempts > 0 or the shedding
-  // admission policy is active).
-  std::set<std::tuple<std::uint32_t, std::size_t, std::uint64_t>> attempts_by_workflow_;
+  // attempt id, ref), so the kill sweeps of fail_workflow and shed_workflow
+  // touch only the dying workflow's attempts. Only maintained when one of
+  // the two can run (index_by_workflow_: faults.max_attempts > 0 or the
+  // shedding admission policy is active).
+  std::set<std::tuple<std::uint32_t, std::size_t, std::uint64_t, SlotRef>>
+      attempts_by_workflow_;
   bool index_by_workflow_ = false;
 
   // Fault state. map_outputs_[t][job] counts completed maps of `job` whose
