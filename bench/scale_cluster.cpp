@@ -32,7 +32,11 @@
 // latency) — the CI perf smoke uses it to deflake its wall assertion;
 // the deterministic columns are verified identical across repeats, and
 // the metrics snapshot comes from the first repeat only, so the exported
-// histogram sample counts match a --repeat-free run.
+// histogram sample counts match a --repeat-free run. With --metrics-json
+// the snapshot also carries the gauge process.peak_rss_mb: the process's
+// peak resident memory over all repeats (getrusage).
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -207,5 +211,12 @@ int main(int argc, char** argv) {
   bench::note("select_us/call and wall_s are wall-clock and machine-dependent "
               "(medians across --repeat); makespan, events and selects are "
               "deterministic at any --jobs and verified across repeats.");
+  // The process's peak resident memory over every repeat, for the CI
+  // memory ceiling (ru_maxrss is in KiB on Linux).
+  if (obs::MetricsRegistry* registry = metrics_session.registry()) {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    registry->gauge("process.peak_rss_mb").set(static_cast<double>(usage.ru_maxrss) / 1024.0);
+  }
   return 0;
 }
