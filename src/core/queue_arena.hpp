@@ -11,9 +11,10 @@
 // paths (insert, remove, progress loss, runnable reports) — assign()
 // carries slot indices end to end.
 //
-// Ids may be reused after removal (a workflow that finishes can, in tests
-// and fuzzing, be re-queued under the same id), so the id -> slot map is a
-// real hash map rather than a monotonic-id DenseIdTable.
+// Ids are the caller's and may be reused after removal (a workflow that
+// finishes can, in tests and fuzzing, be re-queued under the same id), so
+// the id -> slot map is a real hash map; the arena cannot hand out its own
+// refs the way common/slot_table.hpp does for the engine's attempts.
 #pragma once
 
 #include <cstdint>

@@ -330,6 +330,7 @@ class Engine {
   /// node crashed (a down node executes nothing). Such an event neither
   /// fires nor counts.
   [[nodiscard]] bool live(const sim::Event& ev) const;
+  /// The attempt a kFinish event names.
   [[nodiscard]] static SlotRef finish_ref(const sim::Event& ev) {
     return {ev.a, static_cast<std::uint32_t>(ev.b)};
   }
