@@ -216,7 +216,8 @@ int main(int argc, char** argv) {
   if (obs::MetricsRegistry* registry = metrics_session.registry()) {
     rusage usage{};
     getrusage(RUSAGE_SELF, &usage);
-    registry->gauge("process.peak_rss_mb").set(static_cast<double>(usage.ru_maxrss) / 1024.0);
+    const double peak_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
+    registry->gauge("process.peak_rss_mb").set(peak_mb);
   }
   return 0;
 }

@@ -318,7 +318,8 @@ void Engine::do_submit(wf::WorkflowSpec spec) {
   for (std::uint32_t j : wf::initial_jobs(wf_rt.spec())) {
     const JobRef ref{id.value(), j};
     wf_rt.job(j).mark_activating();
-    schedule_after(config_.activation_latency, EventKind::kActivate, ref.workflow, ref.job);
+    schedule_after(config_.activation_latency, EventKind::kActivate, ref.workflow,
+                   ref.job);
   }
   if (admission_) enforce_pending_budget();
   // Pending-set accounting (cheap: two compares), kept even without
@@ -538,9 +539,9 @@ SlotRef Engine::launch_attempt(JobRef ref, SlotType type, std::size_t tracker_in
   const bool speculative = static_cast<bool>(original);
   if (events_.active()) {
     if (speculative) {
-      events_.publish(sim_.now(),
-                      obs::SpeculativeLaunched{id, attempts_.at(original).id, ref.workflow,
-                                               ref.job, type, tracker_index});
+      const std::uint64_t original_id = attempts_.at(original).id;
+      events_.publish(sim_.now(), obs::SpeculativeLaunched{id, original_id, ref.workflow,
+                                                           ref.job, type, tracker_index});
     }
     events_.publish(sim_.now(), obs::TaskStarted{id, ref.workflow, ref.job, type,
                                                  tracker_index, dur, speculative});
@@ -656,7 +657,8 @@ void Engine::finish_attempt(SlotRef attempt) {
   for (std::uint32_t j : unlocked) {
     const JobRef dep{a.ref.workflow, j};
     wf_rt.job(j).mark_activating();
-    schedule_after(config_.activation_latency, EventKind::kActivate, dep.workflow, dep.job);
+    schedule_after(config_.activation_latency, EventKind::kActivate, dep.workflow,
+                   dep.job);
   }
   if (wf_rt.finished()) {
     job_tracker_.count_workflow_finished();

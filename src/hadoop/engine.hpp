@@ -319,7 +319,8 @@ class Engine {
   // --- event dispatch: sim::Simulation::step calls heartbeat, live, fire --
   friend class sim::Simulation;
   void schedule_at(SimTime when, EventKind kind, std::size_t a = 0, std::uint64_t b = 0) {
-    sim_.schedule_at(when, static_cast<std::uint32_t>(kind), static_cast<std::uint32_t>(a), b);
+    sim_.schedule_at(when, static_cast<std::uint32_t>(kind),
+                     static_cast<std::uint32_t>(a), b);
   }
   void schedule_after(Duration delay, EventKind kind, std::size_t a = 0,
                       std::uint64_t b = 0) {

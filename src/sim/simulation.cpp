@@ -9,7 +9,9 @@ namespace woha::sim {
 
 Simulation::Simulation(Duration beat_period)
     : beat_period_(beat_period), ring_(kBuckets), bits_(kWords, 0) {
-  if (beat_period <= 0) throw std::invalid_argument("Simulation: beat period must be positive");
+  if (beat_period <= 0) {
+    throw std::invalid_argument("Simulation: beat period must be positive");
+  }
 }
 
 void Simulation::schedule_at(SimTime when, std::uint32_t kind, std::uint32_t a,
@@ -22,7 +24,9 @@ void Simulation::schedule_at(SimTime when, std::uint32_t kind, std::uint32_t a,
 
 void Simulation::schedule_after(Duration delay, std::uint32_t kind, std::uint32_t a,
                                 std::uint64_t b) {
-  if (delay < 0) throw std::invalid_argument("Simulation::schedule_after: negative delay");
+  if (delay < 0) {
+    throw std::invalid_argument("Simulation::schedule_after: negative delay");
+  }
   schedule_at(now_ + delay, kind, a, b);
 }
 
@@ -90,7 +94,8 @@ std::size_t Simulation::find_next_bucket() {
   std::uint64_t w = bits_[word] & (~std::uint64_t{0} << (b & 63));
   for (std::size_t scanned = 0; scanned <= kWords; ++scanned) {
     if (w != 0) {
-      const std::size_t found = (word << 6) + static_cast<std::size_t>(std::countr_zero(w));
+      const std::size_t found =
+          (word << 6) + static_cast<std::size_t>(std::countr_zero(w));
       // Translate the circular bucket index back to an absolute tick at or
       // after sweep_ (the ring spans less than one full window).
       const std::size_t cur = bucket_of(sweep_);

@@ -123,7 +123,9 @@ class Production final : public Core {
   Production(Duration period, Sink& sink) : sink_(sink), sim_(period) {}
 
   [[nodiscard]] SimTime now() const override { return sim_.now(); }
-  [[nodiscard]] std::uint64_t events_fired() const override { return sim_.events_fired(); }
+  [[nodiscard]] std::uint64_t events_fired() const override {
+    return sim_.events_fired();
+  }
   void schedule(SimTime when, std::uint64_t label) override {
     sim_.schedule_at(when, 0, 0, label);
   }
@@ -215,10 +217,14 @@ class Script final : public Sink {
  private:
   SimTime initial_time() {
     switch (draws_.below(4)) {
-      case 0: return 0;
-      case 1: return static_cast<SimTime>(draws_.below(static_cast<std::uint64_t>(period_)));
-      case 2: return kW - 1 + static_cast<SimTime>(draws_.below(3));
-      default: return static_cast<SimTime>(draws_.below(3 * kW));
+      case 0:
+        return 0;
+      case 1:
+        return static_cast<SimTime>(draws_.below(static_cast<std::uint64_t>(period_)));
+      case 2:
+        return kW - 1 + static_cast<SimTime>(draws_.below(3));
+      default:
+        return static_cast<SimTime>(draws_.below(3 * kW));
     }
   }
 
@@ -227,17 +233,28 @@ class Script final : public Sink {
     const SimTime next_edge = (now / kW + 1) * kW;  // a bucket-index wrap
     switch (draws_.below(12)) {
       case 0:
-      case 1: return now;
-      case 2: return now + 1;
-      case 3: return now + 1 + static_cast<SimTime>(draws_.below(50));
-      case 4: return now + period_;
-      case 5: return now + static_cast<SimTime>(draws_.below(4000));
-      case 6: return now + kW - 1;
-      case 7: return now + kW;
-      case 8: return now + kW + 1;
-      case 9: return next_edge - 1 + static_cast<SimTime>(draws_.below(3));
-      case 10: return now + 2 * kW + static_cast<SimTime>(draws_.below(kW));
-      default: return now + 3 * kW - 2;
+      case 1:
+        return now;
+      case 2:
+        return now + 1;
+      case 3:
+        return now + 1 + static_cast<SimTime>(draws_.below(50));
+      case 4:
+        return now + period_;
+      case 5:
+        return now + static_cast<SimTime>(draws_.below(4000));
+      case 6:
+        return now + kW - 1;
+      case 7:
+        return now + kW;
+      case 8:
+        return now + kW + 1;
+      case 9:
+        return next_edge - 1 + static_cast<SimTime>(draws_.below(3));
+      case 10:
+        return now + 2 * kW + static_cast<SimTime>(draws_.below(kW));
+      default:
+        return now + 3 * kW - 2;
     }
   }
 
@@ -279,25 +296,25 @@ Outcome run_script(std::uint64_t seed) {
   // Stops come from their own stream, so they do not shift the script's.
   Draws stop_draws(seed ^ 0x5eedULL);
   const SimTime end = script.horizon();
+  const auto draw_below = [&stop_draws](SimTime n) {
+    return static_cast<SimTime>(stop_draws.below(static_cast<std::uint64_t>(n)));
+  };
   Outcome out;
   SimTime horizon = 0;
   for (int round = 0; round < 6; ++round) {
+    SimTime next = 0;
     switch (stop_draws.below(3)) {
       case 0:  // a beat tick: every event of that tick fires, none after
-        horizon = std::max(horizon, static_cast<SimTime>(stop_draws.below(
-                                        static_cast<std::uint64_t>(end / script.period()) + 1)) *
-                                        script.period());
+        next = draw_below(end / script.period() + 1) * script.period();
         break;
       case 1:  // next to a window edge
-        horizon = std::max(horizon, static_cast<SimTime>(1 + stop_draws.below(5)) * kW - 1 +
-                                        static_cast<SimTime>(stop_draws.below(3)));
+        next = (1 + draw_below(5)) * kW - 1 + draw_below(3);
         break;
       default:
-        horizon = std::max(horizon, static_cast<SimTime>(
-                                        stop_draws.below(static_cast<std::uint64_t>(end))));
+        next = draw_below(end);
         break;
     }
-    horizon = std::min(horizon, end);
+    horizon = std::min(std::max(horizon, next), end);
     while (core.step(horizon)) {
     }
     out.stops.push_back({core.now(), core.events_fired()});

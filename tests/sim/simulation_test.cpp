@@ -246,7 +246,8 @@ TEST(Simulation, BeatCanScheduleAheadOfTheCalendarHead) {
   ASSERT_GE(rec.fired.size(), 4u);
   EXPECT_EQ(rec.fired[1], (std::pair<SimTime, std::uint32_t>{0, 1}));
   EXPECT_EQ(rec.fired[2], (std::pair<SimTime, std::uint32_t>{3, 2}));
-  EXPECT_EQ(rec.fired.back(), (std::pair<SimTime, std::uint32_t>{2 * Simulation::kWindow, 3}));
+  EXPECT_EQ(rec.fired.back(),
+            (std::pair<SimTime, std::uint32_t>{2 * Simulation::kWindow, 3}));
 }
 
 }  // namespace
