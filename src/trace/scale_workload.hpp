@@ -18,7 +18,10 @@ inline constexpr std::uint64_t kScaleWorkloadSeed = 42;
 /// r drawn with `seed + r`. Offered load grows with the slot pool, so the
 /// cluster stays saturated at every size and select_task cost is measured
 /// under pressure, not on an idle queue. Do not change this recipe: the
-/// scale-determinism goldens and the numbers in EXPERIMENTS.md depend on it.
+/// scale-determinism goldens and the numbers in EXPERIMENTS.md depend on it
+/// (ScaleWorkload.* in tests/trace pins it against fig8_trace directly).
+/// Generation is linear in the replica count: the output is reserved once
+/// and each replica is moved in.
 [[nodiscard]] std::vector<wf::WorkflowSpec> scale_workload(
     std::uint32_t trackers, std::uint64_t seed = kScaleWorkloadSeed);
 

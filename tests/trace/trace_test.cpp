@@ -5,6 +5,7 @@
 #include "common/stats.hpp"
 #include "trace/deadlines.hpp"
 #include "trace/paper_workloads.hpp"
+#include "trace/scale_workload.hpp"
 #include "trace/yahoo_like.hpp"
 #include "workflow/analysis.hpp"
 
@@ -198,6 +199,66 @@ TEST(PaperWorkloads, Fig8TraceReady) {
   EXPECT_EQ(workflows.size(), 46u);
   for (const auto& w : workflows) {
     EXPECT_GT(w.relative_deadline, 0);
+  }
+}
+
+// The scale recipe, spelled out: one fig8_trace replica per 80 trackers
+// (at least one), replica r drawn with seed + r, concatenated in replica
+// order. The scale goldens check it only through whole runs.
+constexpr std::uint32_t kScaleTrackers[] = {0, 79, 80, 800, 8000};
+constexpr std::uint64_t kScaleSeeds[] = {42, 1042};
+
+::testing::AssertionResult SameSpec(const wf::WorkflowSpec& got,
+                                    const wf::WorkflowSpec& want) {
+  if (got.name != want.name || got.submit_time != want.submit_time ||
+      got.relative_deadline != want.relative_deadline) {
+    return ::testing::AssertionFailure()
+           << got.name << " @" << got.submit_time << " +" << got.relative_deadline
+           << " != " << want.name << " @" << want.submit_time << " +"
+           << want.relative_deadline;
+  }
+  if (got.jobs.size() != want.jobs.size()) {
+    return ::testing::AssertionFailure()
+           << got.name << ": " << got.jobs.size() << " jobs != " << want.jobs.size();
+  }
+  for (std::size_t j = 0; j < got.jobs.size(); ++j) {
+    const wf::JobSpec& a = got.jobs[j];
+    const wf::JobSpec& b = want.jobs[j];
+    if (a.name != b.name || a.num_maps != b.num_maps ||
+        a.num_reduces != b.num_reduces || a.map_duration != b.map_duration ||
+        a.reduce_duration != b.reduce_duration || a.prerequisites != b.prerequisites) {
+      return ::testing::AssertionFailure() << got.name << ": job " << j << " ("
+                                           << a.name << ") differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(ScaleWorkload, HasOneFig8ReplicaPer80Trackers) {
+  for (const std::uint32_t trackers : kScaleTrackers) {
+    for (const std::uint64_t seed : kScaleSeeds) {
+      const std::size_t replicas = std::max<std::uint32_t>(1, trackers / 80);
+      EXPECT_EQ(scale_workload(trackers, seed).size(), replicas * 46)
+          << trackers << " trackers, seed " << seed;
+    }
+  }
+}
+
+TEST(ScaleWorkload, EqualsFig8ReplicasConcatenatedInOrder) {
+  for (const std::uint32_t trackers : kScaleTrackers) {
+    for (const std::uint64_t seed : kScaleSeeds) {
+      const auto got = scale_workload(trackers, seed);
+      std::vector<wf::WorkflowSpec> want;
+      const std::uint32_t replicas = std::max<std::uint32_t>(1, trackers / 80);
+      for (std::uint32_t r = 0; r < replicas; ++r) {
+        for (auto& w : fig8_trace(seed + r)) want.push_back(std::move(w));
+      }
+      ASSERT_EQ(got.size(), want.size()) << trackers << " trackers, seed " << seed;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_TRUE(SameSpec(got[i], want[i]))
+            << trackers << " trackers, seed " << seed << ", spec " << i;
+      }
+    }
   }
 }
 
