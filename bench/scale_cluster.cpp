@@ -11,8 +11,8 @@
 //
 // Usage:
 //   bench_scale_cluster [--points 80,500,2000] [--schedulers WOHA-LPF,FIFO]
-//                       [--jobs N] [--plan-jobs N]
-//                       [--repeat N] [--metrics-json out.json]
+//                       [--horizon-min N] [--repeat N] [--jobs N]
+//                       [--plan-jobs N] [--metrics-json out.json]
 // Defaults sweep 80/200/500/1000/2000 for every scheduler; pass
 // --points 10000 (or 100000 for the 100k-tracker CI smoke) for the
 // full-scale run (minutes of wall clock pre-optimisation, seconds after).
@@ -35,11 +35,25 @@
 // histogram sample counts match a --repeat-free run. With --metrics-json
 // the snapshot also carries the gauge process.peak_rss_mb: the process's
 // peak resident memory over all repeats (getrusage).
+//
+// Set-up is measured too: each point's trace::scale_workload call is timed
+// and its minor page faults counted (getrusage), and both are printed below
+// the table. With --metrics-json their sums over the points are the gauges
+// run.setup_s and run.setup_minflt, and process.wall_s is the wall time
+// from the start of main to the snapshot. The CI perf smoke gates the fault
+// count, which unlike a wall time does not depend on the runner's speed.
+//
+// --points, --horizon-min and --repeat take plain decimals (no sign, no
+// trailing text), non-zero and at most kMaxTrackers, kMaxHorizonMin and
+// kMaxRepeat. Any other value exits 2 with the usage line before a run
+// starts, as a malformed --jobs does.
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -55,19 +69,61 @@
 
 namespace {
 
+constexpr std::uint64_t kMaxTrackers = 1'000'000;
+constexpr std::uint64_t kMaxHorizonMin = 1'000'000;  // about 1.9 simulated years
+constexpr std::uint64_t kMaxRepeat = 1'000;
+
+constexpr const char* kUsage =
+    "usage: bench_scale_cluster [--points N[,N...]] [--schedulers NAME[,NAME...]]\n"
+    "                           [--horizon-min N] [--repeat N] [--jobs N]\n"
+    "                           [--plan-jobs N] [--metrics-json PATH]\n";
+
+[[noreturn]] void usage_error(const std::string& message) {
+  std::fprintf(stderr, "bench_scale_cluster: %s\n%s", message.c_str(), kUsage);
+  std::exit(2);
+}
+
+std::uint64_t parse_flag(const char* flag, const std::string& text,
+                         std::uint64_t max) {
+  const auto v = woha::metrics::parse_decimal(text.c_str(), 1, max);
+  if (!v) {
+    usage_error(std::string(flag) + " expects a plain decimal in [1, " +
+                std::to_string(max) + "], got \"" + text + "\"");
+  }
+  return *v;
+}
+
 std::vector<std::uint32_t> parse_points(const std::string& arg) {
   std::vector<std::uint32_t> out;
   std::size_t pos = 0;
-  while (pos < arg.size()) {
+  while (true) {
     const std::size_t comma = arg.find(',', pos);
     const std::string tok =
         arg.substr(pos, comma == std::string::npos ? arg.npos : comma - pos);
-    if (!tok.empty()) out.push_back(static_cast<std::uint32_t>(std::stoul(tok)));
+    out.push_back(static_cast<std::uint32_t>(parse_flag("--points", tok, kMaxTrackers)));
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
   return out;
 }
+
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// One point's trace generation: wall seconds and minor page faults.
+struct Setup {
+  std::uint32_t trackers;
+  double seconds;
+  long minflt;
+};
 
 double median(std::vector<double> xs) {
   std::sort(xs.begin(), xs.end());
@@ -78,6 +134,7 @@ double median(std::vector<double> xs) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const auto process_start = std::chrono::steady_clock::now();
   using namespace woha;
   bench::MetricsSession metrics_session(argc, argv);
   const bench::JobsFlag jobs(argc, argv);
@@ -91,23 +148,16 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--points") == 0 && i + 1 < argc) {
       points = parse_points(argv[++i]);
     } else if (std::strcmp(argv[i], "--horizon-min") == 0 && i + 1 < argc) {
-      horizon_min = std::stoll(argv[++i]);
-      if (horizon_min <= 0) {
-        std::fprintf(stderr, "--horizon-min must be positive\n");
-        return 2;
-      }
+      horizon_min = static_cast<long long>(
+          parse_flag("--horizon-min", argv[++i], kMaxHorizonMin));
     } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      repeat = static_cast<unsigned>(std::stoul(argv[++i]));
-      if (repeat == 0) {
-        std::fprintf(stderr, "--repeat must be >= 1\n");
-        return 2;
-      }
+      repeat = static_cast<unsigned>(parse_flag("--repeat", argv[++i], kMaxRepeat));
     } else if (std::strcmp(argv[i], "--plan-jobs") == 0 && i + 1 < argc) {
       const auto parsed = metrics::parse_jobs(argv[++i]);
       if (!parsed) {
-        std::fprintf(stderr, "--plan-jobs expects a plain decimal in [0, %u]\n",
-                     metrics::kMaxJobs);
-        return 2;
+        usage_error("--plan-jobs expects a plain decimal in [0, " +
+                    std::to_string(metrics::kMaxJobs) + "], got \"" + argv[i] +
+                    "\"");
       }
       plan_jobs = *parsed;
     } else if (std::strcmp(argv[i], "--schedulers") == 0 && i + 1 < argc) {
@@ -121,8 +171,7 @@ int main(int argc, char** argv) {
         pos = comma + 1;
       }
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 2;
+      usage_error(std::string("unknown argument: ") + argv[i]);
     }
   }
 
@@ -136,14 +185,18 @@ int main(int argc, char** argv) {
   std::vector<std::unique_ptr<std::vector<wf::WorkflowSpec>>> workloads;
   std::vector<metrics::GridPoint> grid;
   std::vector<std::uint32_t> row_trackers;  // parallel to grid
+  std::vector<Setup> setups;                // one per point
   for (const std::uint32_t n : points) {
     hadoop::EngineConfig config;
     config.cluster.num_trackers = n;
     config.cluster.map_slots_per_tracker = 2;
     config.cluster.reduce_slots_per_tracker = 1;
     if (horizon_min > 0) config.horizon = minutes(horizon_min);
+    const long minflt_before = minor_faults();
+    const auto generate_start = std::chrono::steady_clock::now();
     workloads.push_back(std::make_unique<std::vector<wf::WorkflowSpec>>(
         trace::scale_workload(n, trace::kScaleWorkloadSeed)));
+    setups.push_back({n, seconds_since(generate_start), minor_faults() - minflt_before});
     for (const auto& entry : metrics::paper_schedulers(plan_jobs)) {
       if (!only_schedulers.empty()) {
         bool wanted = false;
@@ -185,8 +238,7 @@ int main(int argc, char** argv) {
       select_walls[i].push_back(b.select_wall_ms);
     }
   }
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  const double elapsed = seconds_since(t0);
 
   for (std::size_t i = 0; i < results.size(); ++i) {
     const hadoop::RunSummary& s = results[i].summary;
@@ -202,6 +254,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.select_calls),
                 us_per_select, median(walls[i]));
   }
+  double setup_s = 0.0;
+  long setup_minflt = 0;
+  for (const Setup& setup : setups) {
+    std::printf("setup: %u trackers, scale_workload %.3f s, %ld minor page faults\n",
+                setup.trackers, setup.seconds, setup.minflt);
+    setup_s += setup.seconds;
+    setup_minflt += setup.minflt;
+  }
   double run_seconds = 0.0;
   for (const auto& w : walls) {
     for (const double x : w) run_seconds += x;
@@ -212,12 +272,16 @@ int main(int argc, char** argv) {
               "(medians across --repeat); makespan, events and selects are "
               "deterministic at any --jobs and verified across repeats.");
   // The process's peak resident memory over every repeat, for the CI
-  // memory ceiling (ru_maxrss is in KiB on Linux).
+  // memory ceiling (ru_maxrss is in KiB on Linux), and the set-up cost,
+  // for the CI page-fault ceiling.
   if (obs::MetricsRegistry* registry = metrics_session.registry()) {
     rusage usage{};
     getrusage(RUSAGE_SELF, &usage);
     const double peak_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
     registry->gauge("process.peak_rss_mb").set(peak_mb);
+    registry->gauge("run.setup_s").set(setup_s);
+    registry->gauge("run.setup_minflt").set(static_cast<double>(setup_minflt));
+    registry->gauge("process.wall_s").set(seconds_since(process_start));
   }
   return 0;
 }

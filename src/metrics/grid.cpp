@@ -116,15 +116,23 @@ std::vector<ExperimentResult> run_grid(const std::vector<GridPoint>& points,
   return results;
 }
 
-std::optional<unsigned> parse_jobs(const char* text) {
+std::optional<std::uint64_t> parse_decimal(const char* text, std::uint64_t min,
+                                           std::uint64_t max) {
   if (text == nullptr || *text == '\0') return std::nullopt;
-  unsigned long v = 0;
+  std::uint64_t v = 0;
   for (const char* p = text; *p != '\0'; ++p) {
     if (*p < '0' || *p > '9') return std::nullopt;
-    v = v * 10 + static_cast<unsigned long>(*p - '0');
-    if (v > kMaxJobs) return std::nullopt;
+    v = v * 10 + static_cast<std::uint64_t>(*p - '0');
+    if (v > max) return std::nullopt;
   }
-  return static_cast<unsigned>(v);
+  if (v < min) return std::nullopt;
+  return v;
+}
+
+std::optional<unsigned> parse_jobs(const char* text) {
+  const std::optional<std::uint64_t> v = parse_decimal(text, 0, kMaxJobs);
+  if (!v) return std::nullopt;
+  return static_cast<unsigned>(*v);
 }
 
 unsigned jobs_from_env() {

@@ -75,12 +75,18 @@ struct GridOptions {
     const std::vector<GridPoint>& points, const GridOptions& options = {},
     const ObsHooks& hooks = {});
 
-/// Strict parser behind every jobs knob (`--jobs N`, WOHA_JOBS). Accepts
-/// only a plain decimal: 0 = hardware concurrency, N = exactly N workers.
-/// Anything else — empty, a sign (so "-1" can never wrap through strtoul
-/// into a four-billion-thread pool), non-digits, trailing garbage, or a
-/// value above kMaxJobs — returns nullopt so callers can fail loudly
-/// instead of silently running serial.
+/// Strict parser behind every numeric bench flag. Accepts only a plain
+/// decimal in [min, max]. Anything else — empty, a sign (so "-1" can never
+/// wrap through strtoul into four billion of something), non-digits,
+/// trailing garbage, or a value out of range — returns nullopt so callers
+/// can fail loudly instead of running something nobody asked for.
+/// Requires max <= 10^18, so the running value cannot overflow.
+[[nodiscard]] std::optional<std::uint64_t> parse_decimal(const char* text,
+                                                         std::uint64_t min,
+                                                         std::uint64_t max);
+
+/// The jobs knobs (`--jobs N`, WOHA_JOBS): parse_decimal in [0, kMaxJobs].
+/// 0 = hardware concurrency, N = exactly N workers.
 inline constexpr unsigned kMaxJobs = 4096;
 [[nodiscard]] std::optional<unsigned> parse_jobs(const char* text);
 

@@ -166,6 +166,21 @@ TEST(JobsKnob, ParseJobsRejectsEverythingElse) {
   EXPECT_EQ(parse_jobs(nullptr), std::nullopt);
 }
 
+TEST(JobsKnob, ParseDecimalHonoursBothBounds) {
+  EXPECT_EQ(parse_decimal("1", 1, 10), 1u);
+  EXPECT_EQ(parse_decimal("10", 1, 10), 10u);
+  EXPECT_EQ(parse_decimal("0010", 1, 10), 10u);
+  for (const char* bad : {"0", "00", "11", "-1", "5x", "4294967296", ""}) {
+    EXPECT_EQ(parse_decimal(bad, 1, 10), std::nullopt) << '"' << bad << '"';
+  }
+  // The running value stops at max, so a 40-digit string cannot wrap.
+  const std::uint64_t big = 1'000'000'000'000'000'000ULL;
+  EXPECT_EQ(parse_decimal("1000000000000000000", 0, big), big);
+  EXPECT_EQ(parse_decimal("1000000000000000001", 0, big), std::nullopt);
+  EXPECT_EQ(parse_decimal("9999999999999999999999999999999999999999", 0, big),
+            std::nullopt);
+}
+
 TEST(JobsKnob, JobsFromEnvParsesThrowsAndDefaults) {
   ASSERT_EQ(unsetenv("WOHA_JOBS"), 0);
   EXPECT_EQ(jobs_from_env(), 1u);  // absent = serial
