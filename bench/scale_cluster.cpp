@@ -45,7 +45,8 @@
 //
 // --points, --horizon-min and --repeat take plain decimals (no sign, no
 // trailing text), non-zero and at most kMaxTrackers, kMaxHorizonMin and
-// kMaxRepeat. Any other value exits 2 with the usage line before a run
+// kMaxRepeat; --schedulers takes labels of metrics::paper_schedulers, with
+// no empty entry. Any other value exits 2 with the usage line before a run
 // starts, as a malformed --jobs does.
 #include <sys/resource.h>
 
@@ -93,16 +94,39 @@ std::uint64_t parse_flag(const char* flag, const std::string& text,
   return *v;
 }
 
-std::vector<std::uint32_t> parse_points(const std::string& arg) {
-  std::vector<std::uint32_t> out;
+/// The comma-separated entries of `arg`, empty ones included.
+std::vector<std::string> split_commas(const std::string& arg) {
+  std::vector<std::string> out;
   std::size_t pos = 0;
   while (true) {
     const std::size_t comma = arg.find(',', pos);
-    const std::string tok =
-        arg.substr(pos, comma == std::string::npos ? arg.npos : comma - pos);
-    out.push_back(static_cast<std::uint32_t>(parse_flag("--points", tok, kMaxTrackers)));
+    out.push_back(arg.substr(pos, comma == std::string::npos ? arg.npos : comma - pos));
     if (comma == std::string::npos) break;
     pos = comma + 1;
+  }
+  return out;
+}
+
+std::vector<std::uint32_t> parse_points(const std::string& arg) {
+  std::vector<std::uint32_t> out;
+  for (const std::string& tok : split_commas(arg)) {
+    out.push_back(static_cast<std::uint32_t>(parse_flag("--points", tok, kMaxTrackers)));
+  }
+  return out;
+}
+
+std::vector<std::string> parse_schedulers(const std::string& arg) {
+  std::vector<std::string> known;
+  std::string listed;
+  for (const auto& entry : woha::metrics::paper_schedulers()) {
+    known.push_back(entry.label);
+    listed += (listed.empty() ? "" : ", ") + entry.label;
+  }
+  const std::vector<std::string> out = split_commas(arg);
+  for (const std::string& name : out) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      usage_error("--schedulers expects names from " + listed + ", got \"" + arg + "\"");
+    }
   }
   return out;
 }
@@ -161,15 +185,7 @@ int main(int argc, char** argv) {
       }
       plan_jobs = *parsed;
     } else if (std::strcmp(argv[i], "--schedulers") == 0 && i + 1 < argc) {
-      std::size_t pos = 0;
-      const std::string arg = argv[++i];
-      while (pos < arg.size()) {
-        const std::size_t comma = arg.find(',', pos);
-        only_schedulers.push_back(arg.substr(
-            pos, comma == std::string::npos ? arg.npos : comma - pos));
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
+      only_schedulers = parse_schedulers(argv[++i]);
     } else {
       usage_error(std::string("unknown argument: ") + argv[i]);
     }

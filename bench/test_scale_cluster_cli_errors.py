@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Error-path tests for bench_scale_cluster's numeric flags.
+"""Error-path tests for bench_scale_cluster's flags.
 
 --points, --horizon-min and --repeat take plain decimals, non-zero and in
-range. A malformed value must exit 2 with the usage line on stderr before
-any run starts (no banner on stdout), never abort on an uncaught exception,
-wrap around to 0 or to four billion repeats, or silently drop trailing
-text. Every case runs with --jobs 1 under a per-case timeout, so a value
-that starts an endless run fails this test instead of hanging it. Run as:
+range; --schedulers takes scheduler labels with no empty entry. A malformed
+value must exit 2 with the usage line on stderr before any run starts (no
+banner on stdout), never abort on an uncaught exception, wrap around to 0
+or to four billion repeats, silently drop trailing text, or run nothing
+and exit 0. Every case runs with --jobs 1 under a per-case timeout, so a
+value that starts an endless run fails this test instead of hanging it.
+Run as:
 
     test_scale_cluster_cli_errors.py <path-to-bench_scale_cluster>
 """
@@ -43,6 +45,11 @@ MALFORMED = [
     ("--plan-jobs", "-1"),
 ]
 
+# Unknown labels and empty entries. Each case also names a short valid point,
+# so a build that ignores the bad entry finishes its runs quickly and fails
+# the "starts no run" check instead of the timeout.
+MALFORMED_SCHEDULERS = ["WOHA_LPF", "", "FIFO,", ",FIFO", "FIFO,,Fair"]
+
 
 def run(binary, args, timeout):
     try:
@@ -66,6 +73,8 @@ def main():
     failures = 0
 
     cases = [[flag, value, "--jobs", "1"] for flag, value in MALFORMED]
+    cases += [["--schedulers", names, "--points", "80", "--horizon-min", "1",
+               "--jobs", "1"] for names in MALFORMED_SCHEDULERS]
     cases.append(["--jobs", "1", "--points"])  # a flag without its value
     for args in cases:
         name = " ".join(repr(a) if a == "" else a for a in args)

@@ -14,7 +14,7 @@
 // Ids are the caller's and may be reused after removal (a workflow that
 // finishes can, in tests and fuzzing, be re-queued under the same id), so
 // the id -> slot map is a real hash map; the arena cannot hand out its own
-// refs the way common/slot_table.hpp does for the engine's attempts.
+// refs the way hadoop/attempt_store.hpp does for the engine's attempts.
 #pragma once
 
 #include <cstdint>

@@ -72,6 +72,10 @@ class TrackerState {
   [[nodiscard]] std::uint32_t capacity(SlotType t) const {
     return capacity_[static_cast<std::size_t>(t)];
   }
+  /// Every slot free: no attempt runs here.
+  [[nodiscard]] bool idle() const {
+    return free_[0] == capacity_[0] && free_[1] == capacity_[1];
+  }
 
   [[nodiscard]] Life life() const { return life_; }
   [[nodiscard]] Drain drain() const { return drain_; }

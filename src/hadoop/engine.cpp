@@ -16,7 +16,9 @@ Engine::Engine(EngineConfig config, std::unique_ptr<WorkflowScheduler> scheduler
       sim_(config.cluster.heartbeat_period),
       cluster_(config.cluster),
       scheduler_(std::move(scheduler)),
-      rng_(config.seed) {
+      rng_(config.seed),
+      attempts_(cluster_.tracker_count(), config.cluster.map_slots_per_tracker,
+                config.cluster.reduce_slots_per_tracker) {
   if (!scheduler_) throw std::invalid_argument("Engine: scheduler is null");
   if (config_.activation_latency < 0) {
     throw std::invalid_argument("Engine: negative activation latency");
@@ -36,7 +38,6 @@ Engine::Engine(EngineConfig config, std::unique_ptr<WorkflowScheduler> scheduler
   config_.faults.validate(cluster_.tracker_count());
   config_.admission.validate();
   config_.elasticity.validate(cluster_.tracker_count());
-  tracker_attempts_.resize(cluster_.tracker_count());
   map_outputs_.resize(cluster_.tracker_count());
   live_trackers_ = cluster_.tracker_count();
   elastic_on_ = config_.elasticity.any_enabled();
@@ -44,11 +45,6 @@ Engine::Engine(EngineConfig config, std::unique_ptr<WorkflowScheduler> scheduler
     admission_ = std::make_unique<AdmissionController>(
         config_.admission, &job_tracker_, config_.cluster.total_slots());
   }
-  // fail_workflow (attempt budgets) and shed_workflow both sweep the
-  // per-workflow attempt index; maintain it iff either can run.
-  index_by_workflow_ =
-      config_.faults.max_attempts > 0 ||
-      config_.admission.policy == AdmissionPolicy::kShedLatestDeadlineFirst;
   current_capacity_[0] = config_.cluster.total_map_slots();
   current_capacity_[1] = config_.cluster.total_reduce_slots();
   events_.set_time_source([this] { return sim_.now(); });
@@ -354,7 +350,9 @@ void Engine::shed_workflow(std::uint32_t workflow, SimTime now) {
   ++workflows_shed_;
   if (handles_.workflows_shed) handles_.workflows_shed->add();
 
-  const std::uint32_t killed = kill_workflow_attempts(workflow, obs::KillCause::kShed);
+  const std::vector<SlotRef> victims = attempts_.of_workflow(workflow);
+  for (const SlotRef victim : victims) kill_attempt(victim, obs::KillCause::kShed);
+  const auto killed = static_cast<std::uint32_t>(victims.size());
   if (events_.active()) {
     events_.publish(now, obs::WorkflowShed{workflow, wf_rt.deadline(), killed});
   }
@@ -392,18 +390,10 @@ void Engine::heartbeat(std::size_t tracker_index) {
   // timer never touches the clock when the histogram handle is null).
   const obs::ScopedTimer hb_timer(handles_.heartbeat_ns);
 
-  // Per-job blacklisting: the offered slot carries an eligibility filter so
-  // a blacklisted job can still run elsewhere but never again on this node.
-  const std::function<bool(JobRef)>* filter = nullptr;
-  heartbeat_tracker_ = tracker_index;  // retargets blacklist_filter_ and start_sink_
-  if (!blacklist_.empty()) {
-    if (!blacklist_filter_) {
-      blacklist_filter_ = [this](JobRef ref) {
-        return !blacklisted(ref, heartbeat_tracker_);
-      };
-    }
-    filter = &blacklist_filter_;
-  }
+  // Per-job blacklisting: the offered slot carries the blacklist so a
+  // blacklisted job can still run elsewhere but never again on this node.
+  const Blacklist* blacklist = blacklist_.empty() ? nullptr : &blacklist_;
+  heartbeat_tracker_ = tracker_index;  // retargets start_sink_
   if (!start_sink_) {
     start_sink_ = [this](JobRef ref) {
       start_task(ref, heartbeat_slot_type_, heartbeat_tracker_);
@@ -420,7 +410,7 @@ void Engine::heartbeat(std::size_t tracker_index) {
     const auto ti = static_cast<std::size_t>(type);
     const std::uint32_t limit = tracker.free_slots(type);
     if (limit > 0) {
-      const SlotOffer offer{type, tracker_index, filter};
+      const SlotOffer offer{type, tracker_index, blacklist};
       if (job_tracker_.available_jobs(type) == 0) {
         // No job anywhere has a task of this type, and select_task may only
         // return a job that has one: the master's answer is "nothing"
@@ -550,31 +540,19 @@ SlotRef Engine::launch_attempt(JobRef ref, SlotType type, std::size_t tracker_in
                         dur,         retry_level, will_fail, speculative,   original};
   const SlotRef slot = attempts_.insert(attempt);
   schedule_after(dur, EventKind::kFinish, slot.slot, slot.generation);
-  if (index_by_workflow_) {
-    attempts_by_workflow_.emplace(ref.workflow, tracker_index, id, slot);
-  }
   spec_candidate_add(slot, attempt);
-  tracker_attempts_[tracker_index].push_back(slot);
   return slot;
 }
 
-Engine::Attempt Engine::remove_attempt(SlotRef attempt) {
+Attempt Engine::remove_attempt(SlotRef attempt) {
   Attempt a = attempts_.take(attempt);
-  if (index_by_workflow_) {
-    attempts_by_workflow_.erase({a.ref.workflow, a.tracker, a.id, attempt});
+  spec_candidates_[static_cast<std::size_t>(a.type)].erase({a.tracker, a.id, attempt});
+  // The speculation twin, if it still runs, carries the task on alone and
+  // may receive a backup of its own again.
+  if (Attempt* rival = attempts_.find(a.rival)) {
+    rival->rival = SlotRef{};
+    spec_candidate_add(a.rival, *rival);
   }
-  if (config_.faults.speculative_execution) {
-    spec_candidates_[static_cast<std::size_t>(a.type)].erase({a.tracker, a.id, attempt});
-  }
-  if (a.rival) {
-    // The speculation twin, if it still runs, carries the task on alone and
-    // may receive a backup of its own again.
-    if (Attempt* rival = attempts_.find(a.rival)) {
-      rival->rival = SlotRef{};
-      spec_candidate_add(a.rival, *rival);
-    }
-  }
-  std::erase(tracker_attempts_[a.tracker], attempt);
   cluster_.release(a.tracker, a.type);
   maybe_complete_drain(a.tracker);
   return a;
@@ -676,7 +654,7 @@ void Engine::finish_attempt(SlotRef attempt) {
   }
 }
 
-Engine::Attempt Engine::kill_attempt(SlotRef attempt, obs::KillCause cause) {
+Attempt Engine::kill_attempt(SlotRef attempt, obs::KillCause cause) {
   Attempt a = remove_attempt(attempt);
   // A zombie stopped executing when its node crashed; anything else stops
   // now. Busy time was charged for the full scheduled duration at start;
@@ -718,7 +696,7 @@ void Engine::crash_tracker(std::size_t tracker_index, SimTime restart_time) {
               : " (restart at " + std::to_string(restart_time) + ")");
 
   // The node stops executing instantly, but the master stays oblivious: the
-  // attempts remain in the running tables until the lease expires or the
+  // attempts keep their records and slots until the lease expires or the
   // node re-registers. Their finish events never fire (see live()).
   schedule_after(config_.faults.expiry_interval, EventKind::kDetectLoss, tracker_index,
                  epoch);
@@ -768,7 +746,7 @@ void Engine::detect_tracker_loss(std::size_t tracker_index) {
 std::uint32_t Engine::evict_tracker(std::size_t tracker_index, obs::KillCause cause) {
   // KILLED, not FAILED: losing the node never counts against a task's
   // attempt budget.
-  const std::vector<SlotRef> victims = tracker_attempts_[tracker_index];
+  const std::vector<SlotRef> victims = attempts_.on_tracker(tracker_index);
   for (const SlotRef victim : victims) {
     const Attempt a = kill_attempt(victim, cause);
     if (a.rival) continue;  // the task lives on in its speculation twin
@@ -814,24 +792,11 @@ void Engine::fail_workflow(std::uint32_t workflow, SimTime now) {
     events_.publish(now, obs::WorkflowFailed{workflow});
   }
 
-  kill_workflow_attempts(workflow, obs::KillCause::kWorkflowFailed);
+  for (const SlotRef victim : attempts_.of_workflow(workflow)) {
+    kill_attempt(victim, obs::KillCause::kWorkflowFailed);
+  }
   job_tracker_.count_workflow_finished();
   scheduler_->on_workflow_failed(WorkflowId(workflow), now);
-}
-
-std::uint32_t Engine::kill_workflow_attempts(std::uint32_t workflow,
-                                             obs::KillCause cause) {
-  // The (workflow, tracker, attempt) index yields the workflow's attempts in
-  // the order of a full-cluster sweep — trackers ascending, launch order
-  // within a tracker — without touching any other tracker's list. Collect
-  // first: kill_attempt mutates the index.
-  std::vector<SlotRef> victims;
-  for (auto it = attempts_by_workflow_.lower_bound({workflow, 0, 0, SlotRef{}});
-       it != attempts_by_workflow_.end() && std::get<0>(*it) == workflow; ++it) {
-    victims.push_back(std::get<3>(*it));
-  }
-  for (const SlotRef victim : victims) kill_attempt(victim, cause);
-  return static_cast<std::uint32_t>(victims.size());
 }
 
 void Engine::record_attempt_failure(JobRef ref, std::size_t tracker_index) {
@@ -881,29 +846,22 @@ bool Engine::try_speculate(SlotType type, std::size_t tracker_index) {
         continue;  // a backup would not beat the original anyway
       }
     }
-    if (blacklisted(a.ref, tracker_index)) continue;
+    if (blacklist_.contains({a.ref, tracker_index})) continue;
 
-    // Launch the backup. Copies, not references: `id` lives in the
-    // candidate-set node erased below, and the launch can reallocate the
-    // table `a` points into. The backup occupies a slot and burns budget
-    // metrics but is NOT new task progress: no job/rho accounting.
-    const std::uint64_t original_id = id;
-    const SlotRef original = slot;
-    const std::size_t original_tracker = a.tracker;
-    const JobRef ref = a.ref;
+    // Launch the backup. It occupies a slot and burns budget metrics but is
+    // NOT new task progress: no job/rho accounting. A launch moves no
+    // record, so `a` stays valid.
     ++speculative_launched_;
     if (handles_.speculative_launched) handles_.speculative_launched->add();
-    const SlotRef backup =
-        launch_attempt(ref, type, tracker_index, a.retry_level, original);
+    attempts_.at(slot).rival =
+        launch_attempt(a.ref, type, tracker_index, a.retry_level, slot);
     WOHA_LOG(LogLevel::kDebug, "engine")
-        << "t=" << now << " speculative backup for w" << ref.workflow << "/j"
-        << ref.job << " on tracker " << tracker_index;
-    // The original now has a rival: retire it from the candidate set. We
-    // return immediately, so the invalidated loop iterator is never
-    // advanced.
-    spec_candidates_[static_cast<std::size_t>(type)].erase(
-        {original_tracker, original_id, original});
-    attempts_.at(original).rival = backup;
+        << "t=" << now << " speculative backup for w" << a.ref.workflow << "/j"
+        << a.ref.job << " on tracker " << tracker_index;
+    // The original now has a rival: retire it from the candidate set (the
+    // key is a copy: `slot` lives in the node this erases). We return
+    // immediately, so the invalidated loop iterator is never advanced.
+    spec_candidates_[static_cast<std::size_t>(type)].erase({a.tracker, a.id, slot});
     return true;
   }
   return false;
@@ -932,7 +890,7 @@ void Engine::begin_decommission(std::size_t tracker_index, Duration lease) {
   if (events_.active()) {
     events_.publish(sim_.now(), obs::TrackerDraining{tracker_index, lease_deadline});
   }
-  if (tracker_attempts_[tracker_index].empty()) {
+  if (cluster_.tracker(tracker_index).idle()) {
     retire_tracker(tracker_index, 0);
     return;
   }
@@ -989,7 +947,7 @@ void Engine::maybe_complete_drain(std::size_t tracker_index) {
       tracker.drain() != TrackerState::Drain::kDecommission) {
     return;
   }
-  if (!tracker_attempts_[tracker_index].empty()) return;
+  if (!tracker.idle()) return;
   // Same-tick deferral: let the in-flight attempt bookkeeping (TaskEnded
   // events, scheduler notifications) settle before the node retires, so
   // observers never see a retirement precede its last attempt's end. A
@@ -1025,7 +983,7 @@ void Engine::preemption_wave(const PreemptionWave& wave) {
 void Engine::join_trackers(std::uint32_t count) {
   for (std::uint32_t n = 0; n < count; ++n) {
     const std::size_t i = cluster_.add_tracker();
-    tracker_attempts_.emplace_back();
+    attempts_.add_tracker();
     map_outputs_.emplace_back();
     if (config_.faults.tracker_mtbf > 0.0) {
       // Fresh split off the fault root: churn on joined nodes is as

@@ -30,14 +30,13 @@
 #include <optional>
 #include <set>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/slot_table.hpp"
 #include "common/types.hpp"
 #include "hadoop/admission.hpp"
+#include "hadoop/attempt_store.hpp"
 #include "hadoop/cluster.hpp"
 #include "hadoop/fault.hpp"
 #include "hadoop/job_tracker.hpp"
@@ -284,26 +283,11 @@ class Engine {
   }
 
  private:
-  /// One running attempt (Hadoop TaskAttempt): the unit that occupies a
-  /// slot, can finish, fail, or be KILLED by a node fault / lost race.
-  struct Attempt {
-    std::uint64_t id = 0;  ///< the monotonic attempt id every obs event carries
-    JobRef ref;
-    SlotType type = SlotType::kMap;
-    std::size_t tracker = 0;
-    SimTime start_time = 0;
-    Duration duration = 0;  ///< scheduled runtime (truncated when will_fail)
-    std::uint32_t retry_level = 0;
-    bool will_fail = false;
-    bool speculative = false;
-    SlotRef rival;  ///< the speculation twin (default: none)
-  };
-
   /// What a scheduled sim::Event stands for, and the ids it carries.
   enum class EventKind : std::uint32_t {
     kSubmit,          ///< a: index into submissions_
     kActivate,        ///< a: workflow, b: job
-    kFinish,          ///< a: attempt slot, b: its generation
+    kFinish,          ///< a: attempt record, b: its generation
     kScriptedCrash,   ///< a: index into faults.events
     kMtbfCrash,       ///< a: tracker
     kDetectLoss,      ///< a: tracker, b: the epoch it was scheduled under
@@ -348,14 +332,13 @@ class Engine {
   /// The one way an attempt starts, for a scheduler pick and a speculative
   /// backup of attempt `original` (default: none) alike: occupy the slot,
   /// draw the duration, charge busy time, take the id, publish TaskStarted
-  /// (preceded by SpeculativeLaunched for a backup), store and index the
-  /// attempt and schedule its finish. Takes plain values, never references
-  /// into attempts_, which the launch can reallocate. Returns the new
-  /// attempt's ref.
+  /// (preceded by SpeculativeLaunched for a backup), store the attempt in
+  /// a record of its slot, schedule its finish and enter it into the
+  /// speculation candidates. Returns the new attempt's ref.
   SlotRef launch_attempt(JobRef ref, SlotType type, std::size_t tracker_index,
                          std::uint32_t retry_level, SlotRef original);
-  /// The one way an attempt leaves: take it out of the table (which leaves
-  /// its finish event stale), unindex it, drop it from its tracker's list,
+  /// The one way an attempt leaves: take it out of its record (which leaves
+  /// its finish event stale), drop it from the speculation candidates,
   /// release the slot and check whether a drain has completed. A speculation
   /// twin that still runs becomes an ordinary attempt again (eligible for a
   /// backup of its own). Returns the removed record, `rival` unchanged.
@@ -381,8 +364,9 @@ class Engine {
   /// it lost and invalidate its map outputs. A no-op unless the tracker is
   /// down and not yet declared lost.
   void detect_tracker_loss(std::size_t tracker_index);
-  /// Kill every attempt on the tracker and re-queue each task that has no
-  /// running speculation twin. Returns the number of attempts killed.
+  /// Kill every attempt on the tracker in launch order and re-queue each
+  /// task that has no running speculation twin. Returns the number of
+  /// attempts killed.
   std::uint32_t evict_tracker(std::size_t tracker_index, obs::KillCause cause);
   /// A tracker just left the pool: invalidate the map outputs on its local
   /// disk and retire its offered capacity. Returns the number of map outputs
@@ -398,9 +382,6 @@ class Engine {
   /// Task exhausted its attempt budget: fail the whole workflow, kill its
   /// other running attempts, notify the scheduler.
   void fail_workflow(std::uint32_t workflow, SimTime now);
-  /// Kill every running attempt of a failed or shed workflow; returns how
-  /// many.
-  std::uint32_t kill_workflow_attempts(std::uint32_t workflow, obs::KillCause cause);
   /// Charge one injected failure toward (job, tracker) blacklisting.
   void record_attempt_failure(JobRef ref, std::size_t tracker_index);
   /// Launch at most one speculative backup into a free slot of
@@ -411,9 +392,6 @@ class Engine {
   /// attempts or when speculation is off.
   void spec_candidate_add(SlotRef ref, const Attempt& a);
   void schedule_next_mtbf_crash(std::size_t tracker_index);
-  [[nodiscard]] bool blacklisted(JobRef ref, std::size_t tracker_index) const {
-    return blacklist_.find({ref, tracker_index}) != blacklist_.end();
-  }
 
   // --- overload & elasticity machinery ------------------------------------
   /// Shed an admitted workflow (deadline-aware load shedding): tear it
@@ -482,57 +460,37 @@ class Engine {
   MetricHandles handles_;
   obs::EventBus::SubscriptionId task_observer_subscription_ = 0;
 
-  // Running attempts in recycled slots (slot_table.hpp): memory follows the
-  // live attempts, and a finish event or rival link names a slot and its
-  // generation, so it misses once its attempt is gone. Lookup only — all
-  // iteration goes through tracker_attempts_ (launch order per tracker) and
-  // the ordered indexes below. Attempt ids are a separate monotonic counter
-  // starting at 1.
-  SlotTable<Attempt> attempts_;
-  std::vector<std::vector<SlotRef>> tracker_attempts_;
+  // Running attempts, one record per tracker slot (attempt_store.hpp). A
+  // finish event or rival link names a record and its generation, so it
+  // misses once its attempt is gone. Attempt ids are a separate monotonic
+  // counter starting at 1, so launch order is id order.
+  AttemptStore attempts_;
   std::uint64_t next_attempt_id_ = 1;
 
-  // Blacklist eligibility callable, built once and retargeted per heartbeat
-  // through heartbeat_tracker_ so churn-heavy runs do not heap-allocate a
-  // std::function per heartbeat.
-  std::function<bool(JobRef)> blacklist_filter_;
-  std::size_t heartbeat_tracker_ = 0;
   // Start-task sink handed to WorkflowScheduler::select_tasks, built once
-  // and retargeted per offer through heartbeat_tracker_ /
-  // heartbeat_slot_type_ (same no-per-heartbeat-allocation idiom as
-  // blacklist_filter_).
+  // and retargeted per offer through heartbeat_tracker_ and
+  // heartbeat_slot_type_, so a heartbeat allocates no std::function.
   std::function<void(JobRef)> start_sink_;
+  std::size_t heartbeat_tracker_ = 0;
   SlotType heartbeat_slot_type_ = SlotType::kMap;
   /// Decision trace of the offers the engine answers itself (nothing of the
   /// slot type is runnable): unassigned, nothing ranked.
   obs::DecisionPublisher empty_decision_;
 
-  // Hot-path attempt indices. Both are ordered sets so their iteration
-  // reproduces, bit for bit, the (tracker ascending, launch order within
-  // tracker) sweep the engine used to perform over every tracker — attempt
-  // ids are handed out monotonically, so launch order == id order. Each key
-  // ends in the attempt's ref, which the unique id before it never lets
-  // take part in the order.
-  //
-  // spec_candidates_[type]: running attempts eligible to *receive* a backup
-  // (non-speculative, no rival), keyed (tracker, attempt id, ref). Only
-  // maintained when faults.speculative_execution is on.
+  // spec_candidates_[type]: running attempts eligible to *receive* a
+  // speculative backup (non-speculative, no rival), keyed (tracker, attempt
+  // id, ref): the (tracker ascending, launch order within tracker) order of
+  // a sweep over every tracker, without visiting the attempts that cannot
+  // take a backup. The unique id never lets the ref take part in the order.
+  // Only maintained when faults.speculative_execution is on.
   std::set<std::tuple<std::size_t, std::uint64_t, SlotRef>> spec_candidates_[2];
-  // attempts_by_workflow_: every running attempt keyed (workflow, tracker,
-  // attempt id, ref), so the kill sweeps of fail_workflow and shed_workflow
-  // touch only the dying workflow's attempts. Only maintained when one of
-  // the two can run (index_by_workflow_: faults.max_attempts > 0 or the
-  // shedding admission policy is active).
-  std::set<std::tuple<std::uint32_t, std::size_t, std::uint64_t, SlotRef>>
-      attempts_by_workflow_;
-  bool index_by_workflow_ = false;
 
   // Fault state. map_outputs_[t][job] counts completed maps of `job` whose
   // output sits on tracker t's local disk (only tracked for jobs with
   // reduces, and only when churn is enabled). std::map/std::set keep every
   // iteration order deterministic.
   std::vector<std::map<JobRef, std::uint32_t>> map_outputs_;
-  std::set<std::pair<JobRef, std::size_t>> blacklist_;
+  Blacklist blacklist_;  ///< handed to every offer while not empty
   std::map<std::pair<JobRef, std::size_t>, std::uint32_t> job_tracker_failures_;
   std::vector<Rng> tracker_fault_rngs_;
   /// Root of the fault RNG streams; joined trackers draw fresh splits from

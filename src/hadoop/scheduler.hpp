@@ -9,7 +9,9 @@
 
 #include <functional>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -24,18 +26,21 @@ namespace woha::hadoop {
 
 class JobTracker;
 
+/// The (job, tracker) pairs where the job may no longer run.
+using Blacklist = std::set<std::pair<JobRef, std::size_t>>;
+
 /// One idle slot being offered to the scheduler. Hadoop-1's
 /// assignTasks(TaskTracker) knows which slave is asking; per-job tracker
-/// blacklisting needs that context, so the engine passes it along with an
-/// optional eligibility filter (a job failing the filter must not be
-/// returned for this slot — it may still run elsewhere).
+/// blacklisting needs that context, so the engine passes it along with its
+/// blacklist (a job blacklisted on this tracker must not be returned for
+/// this slot — it may still run elsewhere).
 struct SlotOffer {
   SlotType type = SlotType::kMap;
   std::size_t tracker = 0;
-  const std::function<bool(JobRef)>* eligible = nullptr;  ///< null = no filter
+  const Blacklist* blacklist = nullptr;  ///< null = nothing blacklisted
 
   [[nodiscard]] bool allows(JobRef ref) const {
-    return eligible == nullptr || (*eligible)(ref);
+    return blacklist == nullptr || !blacklist->contains({ref, tracker});
   }
 };
 
