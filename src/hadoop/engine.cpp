@@ -38,7 +38,7 @@ Engine::Engine(EngineConfig config, std::unique_ptr<WorkflowScheduler> scheduler
   config_.faults.validate(cluster_.tracker_count());
   config_.admission.validate();
   config_.elasticity.validate(cluster_.tracker_count());
-  map_outputs_.resize(cluster_.tracker_count());
+  fault_rows_.resize(cluster_.tracker_count());
   live_trackers_ = cluster_.tracker_count();
   elastic_on_ = config_.elasticity.any_enabled();
   if (config_.admission.enabled()) {
@@ -390,9 +390,11 @@ void Engine::heartbeat(std::size_t tracker_index) {
   // timer never touches the clock when the histogram handle is null).
   const obs::ScopedTimer hb_timer(handles_.heartbeat_ns);
 
-  // Per-job blacklisting: the offered slot carries the blacklist so a
-  // blacklisted job can still run elsewhere but never again on this node.
-  const Blacklist* blacklist = blacklist_.empty() ? nullptr : &blacklist_;
+  // Per-job blacklisting: the offered slot carries this tracker's blacklist
+  // so a blacklisted job can still run elsewhere but never again on this
+  // node. Until the first blacklisting the row is not even read.
+  const Blacklist* blacklist =
+      blacklistings_ == 0 ? nullptr : &fault_rows_[tracker_index].blacklist;
   heartbeat_tracker_ = tracker_index;  // retargets start_sink_
   if (!start_sink_) {
     start_sink_ = [this](JobRef ref) {
@@ -614,7 +616,10 @@ void Engine::finish_attempt(SlotRef attempt) {
   // track.
   if (a.type == SlotType::kMap && config_.faults.churn_enabled() &&
       job.spec().num_reduces > 0) {
-    ++map_outputs_[a.tracker][a.ref];
+    auto& outputs = fault_rows_[a.tracker].map_outputs;
+    auto it = std::ranges::lower_bound(outputs, a.ref, {}, &MapOutput::first);
+    if (it == outputs.end() || it->first != a.ref) it = outputs.insert(it, {a.ref, 0});
+    ++it->second;
   }
 
   const bool job_done = job.finish_task(a.type, sim_.now());
@@ -762,7 +767,8 @@ std::uint32_t Engine::drop_tracker(std::size_t tracker_index) {
   // unfetched partitions are gone, so those maps re-execute from scratch
   // (fresh tasks — re-execution is not a retry).
   std::uint32_t lost = 0;
-  for (const auto& [ref, count] : map_outputs_[tracker_index]) {
+  auto& outputs = fault_rows_[tracker_index].map_outputs;
+  for (const auto& [ref, count] : outputs) {
     WorkflowRuntime& w = job_tracker_.workflow(WorkflowId(ref.workflow));
     if (w.finished() || w.failed()) continue;
     JobInProgress& job = job_tracker_.job(ref);
@@ -772,7 +778,7 @@ std::uint32_t Engine::drop_tracker(std::size_t tracker_index) {
     lost += count;
     scheduler_->on_tasks_lost(ref, SlotType::kMap, count, sim_.now());
   }
-  map_outputs_[tracker_index].clear();
+  outputs.clear();
   const TrackerState& ts = cluster_.tracker(tracker_index);
   account_capacity_change(-static_cast<std::int64_t>(ts.capacity(SlotType::kMap)),
                           -static_cast<std::int64_t>(ts.capacity(SlotType::kReduce)));
@@ -803,19 +809,21 @@ void Engine::record_attempt_failure(JobRef ref, std::size_t tracker_index) {
   if (config_.faults.blacklist_task_failures == 0) return;
   const auto key = std::make_pair(ref, tracker_index);
   if (++job_tracker_failures_[key] < config_.faults.blacklist_task_failures) return;
+  Blacklist& refused = fault_rows_[tracker_index].blacklist;
+  if (std::ranges::find(refused, ref) != refused.end()) return;
   // Hadoop-1 caps per-job blacklisting at 25% of the cluster (JobInProgress
   // CLUSTER_BLACKLIST_PERCENT) so a flaky job can never starve itself of
   // every tracker. Always leave the majority of nodes usable.
   const std::size_t cap =
       std::max<std::size_t>(1, cluster_.tracker_count() / 4);
-  std::size_t already = 0;
-  for (const auto& entry : blacklist_) already += entry.first == ref;
-  if (already < cap && blacklist_.insert(key).second) {
-    ++blacklistings_;
-    WOHA_LOG(LogLevel::kInfo, "engine")
-        << "t=" << sim_.now() << " tracker " << tracker_index
-        << " blacklisted for job w" << ref.workflow << "/j" << ref.job;
-  }
+  std::size_t& already = blacklisted_trackers_[ref];
+  if (already >= cap) return;
+  ++already;
+  refused.push_back(ref);
+  ++blacklistings_;
+  WOHA_LOG(LogLevel::kInfo, "engine")
+      << "t=" << sim_.now() << " tracker " << tracker_index
+      << " blacklisted for job w" << ref.workflow << "/j" << ref.job;
 }
 
 bool Engine::try_speculate(SlotType type, std::size_t tracker_index) {
@@ -828,6 +836,7 @@ bool Engine::try_speculate(SlotType type, std::size_t tracker_index) {
   // estimate (the simulator knows the true remaining time); an attempt on a
   // silently-dead node reports no progress at all, which is exactly what
   // LATE flags first — so zombies are always eligible.
+  const SlotOffer offer{type, tracker_index, &fault_rows_[tracker_index].blacklist};
   for (const auto& [cand_tracker, id, slot] :
        spec_candidates_[static_cast<std::size_t>(type)]) {
     const Attempt& a = attempts_.at(slot);
@@ -846,7 +855,7 @@ bool Engine::try_speculate(SlotType type, std::size_t tracker_index) {
         continue;  // a backup would not beat the original anyway
       }
     }
-    if (blacklist_.contains({a.ref, tracker_index})) continue;
+    if (!offer.allows(a.ref)) continue;
 
     // Launch the backup. It occupies a slot and burns budget metrics but is
     // NOT new task progress: no job/rho accounting. A launch moves no
@@ -984,7 +993,7 @@ void Engine::join_trackers(std::uint32_t count) {
   for (std::uint32_t n = 0; n < count; ++n) {
     const std::size_t i = cluster_.add_tracker();
     attempts_.add_tracker();
-    map_outputs_.emplace_back();
+    fault_rows_.emplace_back();
     if (config_.faults.tracker_mtbf > 0.0) {
       // Fresh split off the fault root: churn on joined nodes is as
       // deterministic as on initial ones (split order == join order).

@@ -485,13 +485,24 @@ class Engine {
   // Only maintained when faults.speculative_execution is on.
   std::set<std::tuple<std::size_t, std::uint64_t, SlotRef>> spec_candidates_[2];
 
-  // Fault state. map_outputs_[t][job] counts completed maps of `job` whose
-  // output sits on tracker t's local disk (only tracked for jobs with
-  // reduces, and only when churn is enabled). std::map/std::set keep every
-  // iteration order deterministic.
-  std::vector<std::map<JobRef, std::uint32_t>> map_outputs_;
-  Blacklist blacklist_;  ///< handed to every offer while not empty
+  // Fault state, one row per tracker: built for the initial trackers,
+  // appended by join_trackers, as the attempt store's rows are.
+  //  * map_outputs: (job, count) of the job's completed maps whose output
+  //    sits on the tracker's local disk, in JobRef order, so drop_tracker
+  //    reports losses in that order. Only tracked for jobs with reduces,
+  //    and only when churn is enabled.
+  //  * blacklist: the jobs the tracker refuses. An offer points at it once
+  //    anything is blacklisted (blacklistings_ > 0), and carries null before.
+  using MapOutput = std::pair<JobRef, std::uint32_t>;
+  struct FaultRow {
+    std::vector<MapOutput> map_outputs;
+    Blacklist blacklist;
+  };
+  std::vector<FaultRow> fault_rows_;
+  /// Injected failures per (job, tracker), toward blacklist_task_failures.
   std::map<std::pair<JobRef, std::size_t>, std::uint32_t> job_tracker_failures_;
+  /// Trackers blacklisted per job, toward the 25 % cap.
+  std::map<JobRef, std::size_t> blacklisted_trackers_;
   std::vector<Rng> tracker_fault_rngs_;
   /// Root of the fault RNG streams; joined trackers draw fresh splits from
   /// it, so churn stays deterministic under dynamic membership.

@@ -7,11 +7,10 @@
 // here by passing a different factory to the engine.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <optional>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -26,21 +25,23 @@ namespace woha::hadoop {
 
 class JobTracker;
 
-/// The (job, tracker) pairs where the job may no longer run.
-using Blacklist = std::set<std::pair<JobRef, std::size_t>>;
+/// The jobs one tracker refuses (per-job tracker blacklisting), in the order
+/// they were blacklisted there; a lookup scans the row.
+using Blacklist = std::vector<JobRef>;
 
 /// One idle slot being offered to the scheduler. Hadoop-1's
 /// assignTasks(TaskTracker) knows which slave is asking; per-job tracker
-/// blacklisting needs that context, so the engine passes it along with its
-/// blacklist (a job blacklisted on this tracker must not be returned for
-/// this slot — it may still run elsewhere).
+/// blacklisting needs that context, so the engine passes along the offered
+/// tracker's blacklist (a job blacklisted on this tracker must not be
+/// returned for this slot — it may still run elsewhere).
 struct SlotOffer {
   SlotType type = SlotType::kMap;
   std::size_t tracker = 0;
-  const Blacklist* blacklist = nullptr;  ///< null = nothing blacklisted
+  /// The jobs `tracker` refuses; null while nothing is blacklisted anywhere.
+  const Blacklist* blacklist = nullptr;
 
   [[nodiscard]] bool allows(JobRef ref) const {
-    return blacklist == nullptr || !blacklist->contains({ref, tracker});
+    return blacklist == nullptr || std::ranges::find(*blacklist, ref) == blacklist->end();
   }
 };
 

@@ -19,15 +19,18 @@ const char* to_string(ArrivalShape shape) {
 }
 
 void ArrivalConfig::validate() const {
-  if (rho <= 0.0) {
-    throw std::invalid_argument("ArrivalConfig: rho must be positive");
+  // Each check states the valid range, so NaN (which fails every
+  // comparison) is rejected with the rest; infinity is rejected by name.
+  if (!(rho > 0.0 && std::isfinite(rho))) {
+    throw std::invalid_argument("ArrivalConfig: rho must be finite and positive");
   }
   if (cluster_slots == 0) {
     throw std::invalid_argument("ArrivalConfig: cluster_slots must be >= 1");
   }
   if (shape == ArrivalShape::kMmpp) {
-    if (burst_rate_factor <= 1.0) {
-      throw std::invalid_argument("ArrivalConfig: burst_rate_factor must be > 1");
+    if (!(burst_rate_factor > 1.0 && std::isfinite(burst_rate_factor))) {
+      throw std::invalid_argument(
+          "ArrivalConfig: burst_rate_factor must be finite and > 1");
     }
     if (calm_mean <= 0 || burst_mean <= 0) {
       throw std::invalid_argument(
@@ -35,7 +38,7 @@ void ArrivalConfig::validate() const {
     }
   }
   if (shape == ArrivalShape::kFlashCrowd) {
-    if (flash_fraction < 0.0 || flash_fraction >= 1.0) {
+    if (!(flash_fraction >= 0.0 && flash_fraction < 1.0)) {
       throw std::invalid_argument(
           "ArrivalConfig: flash_fraction must be in [0, 1)");
     }

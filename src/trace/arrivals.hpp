@@ -59,8 +59,9 @@ struct ArrivalConfig {
   /// The spike's width: flash workflows arrive inside this window.
   Duration flash_duration = minutes(2);
 
-  /// Throws std::invalid_argument on nonsensical settings (non-positive
-  /// rho/rates/means, cluster_slots == 0, flash_fraction outside [0, 1)).
+  /// Throws std::invalid_argument on nonsensical settings (non-positive or
+  /// non-finite rho/rates, non-positive means, cluster_slots == 0,
+  /// flash_fraction outside [0, 1) or NaN).
   void validate() const;
 };
 

@@ -3,7 +3,9 @@
 // execution (see fault.hpp and DESIGN.md "Fault model").
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
 #include <variant>
 #include <vector>
 
@@ -203,6 +205,75 @@ TEST(Blacklisting, CapNeverStarvesAJob) {
   const auto summary = engine.summarize();
   ASSERT_GE(summary.workflows[0].finish_time, 0);
   EXPECT_LE(summary.blacklistings, 1u);  // cap = max(1, 2/4) = 1
+}
+
+TEST(Blacklisting, NoAttemptStartsOnATrackerThatRefusesItsJob) {
+  // Replays the bus stream against Hadoop-1's per-job blacklist: with one
+  // strike, a job's blacklist is the first max(1, T/4) distinct trackers it
+  // failed on, and no later attempt of the job, backup or not, may start on
+  // one of them. FIFO offers walk the activated jobs and WOHA offers walk
+  // its queue, so both filtered consults are covered, and speculation covers
+  // the backup placement.
+  constexpr std::uint32_t kTrackers = 8;
+  constexpr std::size_t kCap = kTrackers / 4;  // max(1, T/4)
+  for (const bool woha : {false, true}) {
+    auto config = small_cluster(kTrackers);
+    config.task_failure_prob = 0.3;
+    config.duration_jitter_sigma = 0.5;
+    config.faults.blacklist_task_failures = 1;
+    config.faults.speculative_execution = true;
+    std::unique_ptr<WorkflowScheduler> scheduler;
+    if (woha) {
+      core::WohaConfig woha_config;
+      woha_config.job_priority = core::JobPriorityPolicy::kLpf;
+      scheduler = std::make_unique<core::WohaScheduler>(woha_config);
+    } else {
+      scheduler = std::make_unique<sched::FifoScheduler>();
+    }
+    Engine engine(config, std::move(scheduler));
+
+    std::map<JobRef, std::set<std::size_t>> refused;  // job -> its trackers
+    std::uint64_t blacklistings = 0;
+    std::uint64_t filtered_starts = 0;  // starts of a job some tracker refuses
+    std::uint64_t filtered_backups = 0;
+    engine.events().subscribe([&](const obs::Event& e) {
+      if (const auto* started = std::get_if<obs::TaskStarted>(&e.payload)) {
+        const auto it = refused.find({started->workflow, started->job});
+        if (it == refused.end()) return;
+        ++filtered_starts;
+        filtered_backups += started->speculative;
+        EXPECT_FALSE(it->second.contains(started->tracker))
+            << "attempt " << started->attempt << " of w" << started->workflow << "/j"
+            << started->job << " started on tracker " << started->tracker
+            << ", which refuses the job (t=" << e.time << ")";
+      } else if (const auto* ended = std::get_if<obs::TaskEnded>(&e.payload)) {
+        if (!ended->failed) return;
+        std::set<std::size_t>& trackers = refused[{ended->workflow, ended->job}];
+        if (trackers.size() < kCap && trackers.insert(ended->tracker).second) {
+          ++blacklistings;
+        }
+      }
+    });
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      auto spec = wf::paper_fig7_topology();
+      spec.submit_time = minutes(5) * i;
+      spec.relative_deadline = hours(3);
+      engine.submit(spec);
+    }
+    engine.run();
+    const auto summary = engine.summarize();
+
+    const char* name = woha ? "WOHA-LPF" : "FIFO";
+    for (const auto& w : summary.workflows) EXPECT_GE(w.finish_time, 0) << name;
+    EXPECT_EQ(summary.blacklistings, blacklistings) << name;
+    // Coverage floors: some job reached its cap, and the stream holds both
+    // plain and backup starts of jobs that some tracker refuses.
+    std::size_t capped = 0;
+    for (const auto& [job, trackers] : refused) capped += trackers.size() == kCap;
+    EXPECT_GE(capped, 1u) << name;
+    EXPECT_GT(filtered_starts, filtered_backups) << name;
+    EXPECT_GT(filtered_backups, 0u) << name;
+  }
 }
 
 TEST(Speculation, BackupsRescueTasksStuckOnASilentlyDeadNode) {

@@ -588,9 +588,10 @@ TEST(RunnableIndex, FilteredOfferSkipsTheHeadOfTheIndex) {
     }
     for (std::uint32_t w = 0; w < 3; ++w) bench.submit(one_job(2));
     for (std::uint32_t w = 0; w < 3; ++w) bench.activate({w, 0});
-    const hadoop::Blacklist not_head = {{JobRef{0, 0}, 0}};
+    // Tracker 0's rows: one refuses the head of the index, one every job.
+    const hadoop::Blacklist not_head = {JobRef{0, 0}};
     hadoop::Blacklist none;
-    for (std::uint32_t w = 0; w < 3; ++w) none.insert({JobRef{w, 0}, 0});
+    for (std::uint32_t w = 0; w < 3; ++w) none.push_back(JobRef{w, 0});
     EXPECT_EQ(bench.pick({SlotType::kMap, 0, &not_head}), (JobRef{1, 0}))
         << bench.schedulers.front()->name();
     EXPECT_EQ(bench.pick({SlotType::kMap, 0, &none}), std::nullopt);

@@ -3,6 +3,7 @@
 // degenerate DeadlinePolicy shapes the overload experiments lean on.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -146,6 +147,28 @@ TEST(ArrivalValidation, RejectsNonsense) {
     c.shape = ArrivalShape::kFlashCrowd;
     c.flash_fraction = 1.0;
     EXPECT_THROW(c.validate(), std::invalid_argument);
+  }
+  // Plain comparisons let NaN through, and +inf through the lower bounds.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf}) {
+    {
+      auto c = base;
+      c.rho = bad;
+      EXPECT_THROW(c.validate(), std::invalid_argument) << "rho " << bad;
+    }
+    {
+      auto c = base;
+      c.shape = ArrivalShape::kMmpp;
+      c.burst_rate_factor = bad;
+      EXPECT_THROW(c.validate(), std::invalid_argument) << "burst_rate_factor " << bad;
+    }
+    {
+      auto c = base;
+      c.shape = ArrivalShape::kFlashCrowd;
+      c.flash_fraction = bad;
+      EXPECT_THROW(c.validate(), std::invalid_argument) << "flash_fraction " << bad;
+    }
   }
 }
 

@@ -7,19 +7,25 @@
 // the largest tardiness.
 //
 //   --scenario overload|fig8   which canned run (default overload)
-//   --rho R                    overload arrival intensity (default 1.3)
-//   --workflow N               narrate workflow N instead of the worst miss
+//   --rho R                    overload arrival intensity, finite and > 0
+//                              (default 1.3)
+//   --workflow N               narrate workflow N (a plain decimal id)
+//                              instead of the worst miss
 //   --spans-jsonl PATH         dump the span tree as JSONL
 //   --attribution-jsonl PATH   dump per-workflow attribution records
 //   --trace PATH               Chrome/Perfetto trace with DAG flow arrows
 //
+// A malformed flag value exits 2 with the usage line before the run.
 // Everything is seeded; two invocations with the same flags are
 // byte-identical (CI diffs exactly that).
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +35,7 @@
 #include "forensics/span_recorder.hpp"
 #include "hadoop/admission.hpp"
 #include "hadoop/engine.hpp"
+#include "metrics/grid.hpp"
 #include "metrics/report.hpp"
 #include "obs/export_chrome.hpp"
 #include "trace/arrivals.hpp"
@@ -43,7 +50,7 @@ namespace {
 struct Options {
   std::string scenario = "overload";
   double rho = 1.3;
-  std::int64_t workflow = -1;  ///< -1 = pick the worst miss
+  std::optional<std::uint32_t> workflow;  ///< unset = pick the worst miss
   std::string spans_path;
   std::string attribution_path;
   std::string trace_path;
@@ -56,6 +63,18 @@ int usage(const char* argv0) {
                "          [--trace PATH]\n",
                argv0);
   return 2;
+}
+
+/// A --rho value: the whole text is one finite number greater than 0.
+std::optional<double> parse_rho(const char* text) {
+  if (text == nullptr) return std::nullopt;
+  const char* end = text + std::strlen(text);
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v) || !(v > 0.0)) {
+    return std::nullopt;
+  }
+  return v;
 }
 
 /// The overload chaos scenario (mirrors the OverloadDeterminism fixture):
@@ -110,13 +129,14 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       opt.scenario = v;
     } else if (arg == "--rho") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      opt.rho = std::strtod(v, nullptr);
+      const std::optional<double> rho = parse_rho(next());
+      if (!rho) return usage(argv[0]);
+      opt.rho = *rho;
     } else if (arg == "--workflow") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      opt.workflow = std::strtol(v, nullptr, 10);
+      const std::optional<std::uint64_t> id =
+          metrics::parse_decimal(next(), 0, std::numeric_limits<std::uint32_t>::max());
+      if (!id) return usage(argv[0]);
+      opt.workflow = static_cast<std::uint32_t>(*id);
     } else if (arg == "--spans-jsonl") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -212,8 +232,8 @@ int main(int argc, char** argv) {
   // Pick the narrated workflow: requested id, else the worst miss.
   const forensics::WorkflowAttribution* pick = nullptr;
   for (const auto& r : records) {
-    if (opt.workflow >= 0) {
-      if (r.workflow == static_cast<std::uint32_t>(opt.workflow)) pick = &r;
+    if (opt.workflow) {
+      if (r.workflow == *opt.workflow) pick = &r;
     } else if (r.status == "completed" && r.tardiness > 0 &&
                (pick == nullptr || r.tardiness > pick->tardiness)) {
       pick = &r;
@@ -222,13 +242,13 @@ int main(int argc, char** argv) {
   int status = 0;
   if (pick != nullptr) {
     std::printf("%s", forensics::format_workflow_detail(*pick).c_str());
-  } else if (opt.workflow >= 0) {
+  } else if (opt.workflow) {
     // A typo'd id must not exit 0: scripts diffing explain output would
     // treat "was not recorded" as a healthy run.
     std::fprintf(stderr,
-                 "error: workflow %lld was not recorded in this scenario "
+                 "error: workflow %u was not recorded in this scenario "
                  "(%zu workflows, ids dense from 0)\n",
-                 static_cast<long long>(opt.workflow), records.size());
+                 *opt.workflow, records.size());
     status = 1;
   } else {
     std::printf("no deadline misses — nothing to explain\n");
