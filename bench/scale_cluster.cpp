@@ -45,9 +45,10 @@
 //
 // --points, --horizon-min and --repeat take plain decimals (no sign, no
 // trailing text), non-zero and at most kMaxTrackers, kMaxHorizonMin and
-// kMaxRepeat; --schedulers takes labels of metrics::paper_schedulers, with
-// no empty entry. Any other value exits 2 with the usage line before a run
-// starts, as a malformed --jobs does.
+// kMaxRepeat; --schedulers takes labels of metrics::extended_schedulers
+// (the paper's six and EDF-JOB), with no empty entry. Any other value
+// exits 2 with the usage line before a run starts, as a malformed --jobs
+// does.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -118,7 +119,7 @@ std::vector<std::uint32_t> parse_points(const std::string& arg) {
 std::vector<std::string> parse_schedulers(const std::string& arg) {
   std::vector<std::string> known;
   std::string listed;
-  for (const auto& entry : woha::metrics::paper_schedulers()) {
+  for (const auto& entry : woha::metrics::extended_schedulers()) {
     known.push_back(entry.label);
     listed += (listed.empty() ? "" : ", ") + entry.label;
   }
@@ -213,7 +214,11 @@ int main(int argc, char** argv) {
     workloads.push_back(std::make_unique<std::vector<wf::WorkflowSpec>>(
         trace::scale_workload(n, trace::kScaleWorkloadSeed)));
     setups.push_back({n, seconds_since(generate_start), minor_faults() - minflt_before});
-    for (const auto& entry : metrics::paper_schedulers(plan_jobs)) {
+    // The default grid is the paper's roster; a --schedulers list may also
+    // name the schedulers this repo adds (EDF-JOB).
+    for (const auto& entry : only_schedulers.empty()
+                                 ? metrics::paper_schedulers(plan_jobs)
+                                 : metrics::extended_schedulers(plan_jobs)) {
       if (!only_schedulers.empty()) {
         bool wanted = false;
         for (const auto& s : only_schedulers) wanted |= s == entry.label;

@@ -2,11 +2,11 @@
 """Error-path tests for bench_scale_cluster's flags.
 
 --points, --horizon-min and --repeat take plain decimals, non-zero and in
-range; --schedulers takes scheduler labels with no empty entry. A malformed
-value must exit 2 with the usage line on stderr before any run starts (no
-banner on stdout), never abort on an uncaught exception, wrap around to 0
-or to four billion repeats, silently drop trailing text, or run nothing
-and exit 0. Every case runs with --jobs 1 under a per-case timeout, so a
+range; --schedulers takes labels of the extended roster (the paper's six
+and EDF-JOB) with no empty entry. A malformed value must exit 2 with the
+usage line on stderr before any run starts (no banner on stdout), never
+abort on an uncaught exception, wrap around to 0 or to four billion
+repeats, silently drop trailing text, or run nothing and exit 0. Every case runs with --jobs 1 under a per-case timeout, so a
 value that starts an endless run fails this test instead of hanging it.
 Run as:
 
@@ -50,6 +50,10 @@ MALFORMED = [
 # the "starts no run" check instead of the timeout.
 MALFORMED_SCHEDULERS = ["WOHA_LPF", "", "FIFO,", ",FIFO", "FIFO,,Fair"]
 
+# Labels of metrics::extended_schedulers that must run: a paper scheduler and
+# the repo-added EDF-JOB.
+POSITIVE_SCHEDULERS = ["FIFO", "EDF-JOB"]
+
 
 def run(binary, args, timeout):
     try:
@@ -90,16 +94,20 @@ def main():
         failures += not check(f"{name} starts no run", "Scale sweep" not in r.stdout,
                               repr(r.stdout[:200]))
 
-    # Positive control: well-formed flags run the point and exit 0.
-    args = ["--points", "80", "--schedulers", "FIFO", "--horizon-min", "1",
-            "--jobs", "1"]
-    r = run(binary, args, CONTROL_TIMEOUT_S)
-    failures += not check("valid invocation finishes", r is not None)
-    if r is not None:
-        failures += not check("valid invocation exits 0", r.returncode == 0,
+    # Positive controls: well-formed flags run the point and exit 0, for a
+    # paper scheduler and for EDF-JOB, which only the extended roster has.
+    for scheduler in POSITIVE_SCHEDULERS:
+        args = ["--points", "80", "--schedulers", scheduler, "--horizon-min", "1",
+                "--jobs", "1"]
+        name = f"valid invocation with {scheduler}"
+        r = run(binary, args, CONTROL_TIMEOUT_S)
+        failures += not check(f"{name} finishes", r is not None)
+        if r is None:
+            continue
+        failures += not check(f"{name} exits 0", r.returncode == 0,
                               f"exit={r.returncode} stderr={r.stderr[:200]!r}")
-        failures += not check("valid invocation prints its row",
-                              any(line.split()[:2] == ["80", "FIFO"]
+        failures += not check(f"{name} prints its row",
+                              any(line.split()[:2] == ["80", scheduler]
                                   for line in r.stdout.splitlines()),
                               repr(r.stdout[-300:]))
 

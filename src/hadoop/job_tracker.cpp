@@ -54,8 +54,9 @@ void JobTracker::on_job_availability_changed(JobInProgress& job, SlotType t,
     --index.count;
     while (index.low < index.words.size() && index.words[index.low] == 0) ++index.low;
   }
-  if (workflow_listener_ != nullptr &&
-      workflows_[job.ref().workflow]->available_jobs(t) == (available ? 1u : 0u)) {
+  if (workflow_listener_ == nullptr) return;
+  workflow_listener_->on_job_runnable_changed(job.ref(), t, available);
+  if (workflows_[job.ref().workflow]->available_jobs(t) == (available ? 1u : 0u)) {
     workflow_listener_->on_workflow_runnable_changed(WorkflowId(job.ref().workflow), t,
                                                      available);
   }

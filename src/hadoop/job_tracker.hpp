@@ -18,14 +18,25 @@ class EventBus;
 
 namespace woha::hadoop {
 
-/// Receives each workflow's available_jobs(t) crossing zero (Fair keeps
-/// its ordering of runnable workflows with it).
+/// Receives the runnable flips the JobTracker computes: each job's
+/// has_available(t) and each workflow's available_jobs(t) crossing zero.
+/// Fair, EDF and WOHA keep their orderings of runnable workflows with the
+/// second, EDF-JOB its ordering of runnable jobs with the first.
 class RunnableWorkflowListener {
  public:
   virtual ~RunnableWorkflowListener() = default;
+  /// has_available(t) of `job` went false -> true (`runnable`) or back.
+  virtual void on_job_runnable_changed(JobRef job, SlotType t, bool runnable) {
+    (void)job;
+    (void)t;
+    (void)runnable;
+  }
   /// available_jobs(t) of `wf` went 0 -> 1 (`runnable`) or 1 -> 0.
-  virtual void on_workflow_runnable_changed(WorkflowId wf, SlotType t,
-                                            bool runnable) = 0;
+  virtual void on_workflow_runnable_changed(WorkflowId wf, SlotType t, bool runnable) {
+    (void)wf;
+    (void)t;
+    (void)runnable;
+  }
 };
 
 class JobTracker : public AvailabilityListener {
@@ -81,10 +92,11 @@ class JobTracker : public AvailabilityListener {
     }
   }
 
-  /// Report every workflow's available_jobs(t) crossing zero to `listener`
-  /// (nullptr stops the reports). One listener at a time. Registering does
-  /// not change tracker state, so a scheduler may do it through the const
-  /// tracker that WorkflowScheduler::attach hands it.
+  /// Report every job's runnable flip and every workflow's
+  /// available_jobs(t) crossing zero to `listener` (nullptr stops the
+  /// reports). One listener at a time. Registering does not change tracker
+  /// state, so a scheduler may do it through the const tracker that
+  /// WorkflowScheduler::attach hands it.
   void watch_runnable_workflows(RunnableWorkflowListener* listener) const {
     workflow_listener_ = listener;
   }

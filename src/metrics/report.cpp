@@ -48,8 +48,10 @@ std::vector<SchedulerEntry> paper_schedulers(unsigned plan_jobs) {
   return entries;
 }
 
-std::vector<SchedulerEntry> extended_schedulers() {
-  auto entries = paper_schedulers();
+std::vector<SchedulerEntry> extended_schedulers() { return extended_schedulers(1); }
+
+std::vector<SchedulerEntry> extended_schedulers(unsigned plan_jobs) {
+  auto entries = paper_schedulers(plan_jobs);
   entries.push_back(SchedulerEntry{
       "EDF-JOB", []() { return std::make_unique<sched::DecomposedEdfScheduler>(); }});
   return entries;

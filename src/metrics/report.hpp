@@ -38,6 +38,9 @@ struct SchedulerEntry {
 /// (job-level EDF with critical-path deadline decomposition).
 [[nodiscard]] std::vector<SchedulerEntry> extended_schedulers();
 
+/// Same roster with the WOHA entries' plan_jobs set, as paper_schedulers.
+[[nodiscard]] std::vector<SchedulerEntry> extended_schedulers(unsigned plan_jobs);
+
 struct ExperimentResult {
   std::string scheduler;
   hadoop::RunSummary summary;

@@ -1,13 +1,19 @@
 #include "sched/decomposed_edf_scheduler.hpp"
 
-#include <algorithm>
-
 #include "workflow/analysis.hpp"
 
 namespace woha::sched {
 
-void DecomposedEdfScheduler::on_workflow_submitted(WorkflowId wf, SimTime now) {
-  (void)now;
+DecomposedEdfScheduler::~DecomposedEdfScheduler() {
+  if (tracker_ != nullptr) tracker_->watch_runnable_workflows(nullptr);
+}
+
+void DecomposedEdfScheduler::attach(const hadoop::JobTracker* tracker) {
+  WorkflowScheduler::attach(tracker);
+  tracker_->watch_runnable_workflows(this);
+}
+
+void DecomposedEdfScheduler::on_workflow_submitted(WorkflowId wf, SimTime) {
   const hadoop::WorkflowRuntime& rt = tracker_->workflow(wf);
   const auto& spec = rt.spec();
   std::vector<SimTime> deadlines(spec.jobs.size(), kTimeInfinity);
@@ -23,46 +29,25 @@ void DecomposedEdfScheduler::on_workflow_submitted(WorkflowId wf, SimTime now) {
   deadlines_[wf.value()] = std::move(deadlines);
 }
 
-void DecomposedEdfScheduler::on_job_activated(hadoop::JobRef job, SimTime now) {
-  (void)now;
-  const SimTime d = deadlines_.at(job.workflow)[job.job];
-  active_.emplace(std::make_tuple(d, job.workflow, job.job), job);
-}
-
-void DecomposedEdfScheduler::on_job_completed(hadoop::JobRef job, SimTime now) {
-  (void)now;
-  const SimTime d = deadlines_.at(job.workflow)[job.job];
-  active_.erase(std::make_tuple(d, job.workflow, job.job));
-}
-
-void DecomposedEdfScheduler::on_workflow_failed(WorkflowId wf, SimTime now) {
-  (void)now;
-  std::erase_if(active_, [wf](const auto& entry) {
-    return entry.second.workflow == wf.value();
-  });
-  deadlines_.erase(wf.value());
+void DecomposedEdfScheduler::on_job_runnable_changed(hadoop::JobRef job, SlotType t,
+                                                     bool runnable) {
+  const RunnableKey key{deadlines_.at(job.workflow)[job.job], job.workflow, job.job};
+  runnable ? runnable_.insert(t, key) : runnable_.erase(t, key);
 }
 
 std::optional<hadoop::JobRef> DecomposedEdfScheduler::select_task(
     const hadoop::SlotOffer& slot, SimTime now) {
   std::optional<hadoop::JobRef> choice;
-  for (const auto& [key, ref] : active_) {
-    if (tracker_->job(ref).has_available(slot.type) && slot.allows(ref)) {
-      choice = ref;
+  for (const RunnableKey& key : runnable_.walk(slot.type)) {
+    if (slot.allows({key.workflow, key.job})) {
+      choice = hadoop::JobRef{key.workflow, key.job};
       break;
     }
   }
-  // Ranking = the active jobs runnable for this slot type by ascending
-  // virtual deadline; score is the decomposed per-job deadline.
-  publish_decision(slot, choice, now, [&](auto& ranking) {
-    for (const auto& [key, ref] : active_) {
-      if (ranking.size() >= obs::kMaxRankedCandidates) break;
-      if (!tracker_->job(ref).has_available(slot.type)) continue;
-      ranking.push_back(obs::SchedulerDecision::Candidate{
-          ref.workflow, ref.job, static_cast<std::int64_t>(std::get<0>(key)), 0,
-          0});
-    }
-  });
+  // Ranking = the runnable jobs for this slot type by ascending virtual
+  // deadline; score is the decomposed per-job deadline.
+  publish_decision(slot, choice, now,
+                   [&](auto& ranking) { runnable_.rank(slot.type, ranking); });
   return choice;
 }
 

@@ -14,36 +14,48 @@
 // bench_ablation_decomposition.
 #pragma once
 
-#include <map>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "hadoop/job_tracker.hpp"
 #include "hadoop/scheduler.hpp"
+#include "sched/runnable_order.hpp"
 
 namespace woha::sched {
 
-class DecomposedEdfScheduler final : public hadoop::WorkflowScheduler {
+class DecomposedEdfScheduler final : public hadoop::WorkflowScheduler,
+                                     private hadoop::RunnableWorkflowListener {
  public:
+  DecomposedEdfScheduler() = default;
+  DecomposedEdfScheduler(const DecomposedEdfScheduler&) = delete;
+  DecomposedEdfScheduler& operator=(const DecomposedEdfScheduler&) = delete;
+  ~DecomposedEdfScheduler() override;
+
   [[nodiscard]] std::string name() const override { return "EDF-JOB"; }
 
+  /// Also registers for the tracker's runnable-job reports.
+  void attach(const hadoop::JobTracker* tracker) override;
   void on_workflow_submitted(WorkflowId wf, SimTime now) override;
-  void on_job_activated(hadoop::JobRef job, SimTime now) override;
-  void on_job_completed(hadoop::JobRef job, SimTime now) override;
-  void on_workflow_failed(WorkflowId wf, SimTime now) override;
+  void on_job_activated(hadoop::JobRef, SimTime) override {}
+  /// Completion and failure leave no runnable job (their last reports took
+  /// the jobs out of both orders), so the deadlines can go.
+  void on_workflow_completed(WorkflowId wf, SimTime) override {
+    deadlines_.erase(wf.value());
+  }
   std::optional<hadoop::JobRef> select_task(const hadoop::SlotOffer& slot,
                                             SimTime now) override;
 
   /// Virtual deadline assigned to a job (kTimeInfinity when the workflow
-  /// has no deadline). Exposed for tests.
+  /// has no deadline, or has completed or failed). Exposed for tests.
   [[nodiscard]] SimTime job_deadline(hadoop::JobRef job) const;
 
  private:
-  /// Virtual deadlines per workflow, indexed by wjob.
+  void on_job_runnable_changed(hadoop::JobRef job, SlotType t, bool runnable) override;
+
+  /// Virtual deadlines per unfinished workflow, indexed by wjob.
   std::unordered_map<std::uint32_t, std::vector<SimTime>> deadlines_;
-  /// Active jobs ordered by (virtual deadline, workflow, job).
-  std::map<std::tuple<SimTime, std::uint32_t, std::uint32_t>, hadoop::JobRef> active_;
+  /// Per slot type, the runnable jobs by (virtual deadline, workflow, job).
+  RunnableOrder runnable_;
 };
 
 }  // namespace woha::sched

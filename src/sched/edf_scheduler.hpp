@@ -7,31 +7,22 @@
 // offered it.
 #pragma once
 
-#include <unordered_map>
-#include <vector>
+#include <string>
 
-#include "hadoop/job_tracker.hpp"
-#include "hadoop/scheduler.hpp"
+#include "sched/workflow_order_scheduler.hpp"
 
 namespace woha::sched {
 
-class EdfScheduler final : public hadoop::WorkflowScheduler {
+/// Orders runnable workflows by (deadline, id); a workflow without a
+/// deadline (kTimeInfinity) sorts last.
+class EdfScheduler final : public WorkflowOrderScheduler {
  public:
   [[nodiscard]] std::string name() const override { return "EDF"; }
 
-  void on_workflow_submitted(WorkflowId wf, SimTime now) override;
-  void on_job_activated(hadoop::JobRef job, SimTime now) override;
-  void on_workflow_completed(WorkflowId wf, SimTime now) override;
-  std::optional<hadoop::JobRef> select_task(const hadoop::SlotOffer& slot,
-                                            SimTime now) override;
-
  private:
-  // Unfinished workflows sorted by (deadline, id). Insertion keeps order;
-  // the list is small relative to the cluster's heartbeat rate, and the
-  // scalability experiment (Fig. 13a) benchmarks the dedicated queue
-  // structures in src/core instead.
-  std::vector<WorkflowId> by_deadline_;
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> active_jobs_;
+  [[nodiscard]] std::int64_t initial_score(WorkflowId wf) const override {
+    return tracker_->workflow(wf).deadline();
+  }
 };
 
 }  // namespace woha::sched

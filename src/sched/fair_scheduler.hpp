@@ -8,54 +8,41 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
-#include <vector>
+#include <optional>
+#include <string>
 
-#include "hadoop/job_tracker.hpp"
-#include "hadoop/scheduler.hpp"
+#include "sched/workflow_order_scheduler.hpp"
 
 namespace woha::sched {
 
-class FairScheduler final : public hadoop::WorkflowScheduler,
-                            private hadoop::RunnableWorkflowListener {
+/// Orders runnable workflows by (running tasks, id): most-starved first,
+/// ties by id (submission order). Within a workflow, jobs are served in
+/// activation order (Oozie submits them independently; FairScheduler treats
+/// each as an equal job — we share at workflow granularity per the paper's
+/// port). Each pick and each finish re-keys the workflow.
+class FairScheduler final : public WorkflowOrderScheduler {
  public:
-  FairScheduler() = default;
-  FairScheduler(const FairScheduler&) = delete;
-  FairScheduler& operator=(const FairScheduler&) = delete;
-  ~FairScheduler() override;
-
   [[nodiscard]] std::string name() const override { return "Fair"; }
 
-  /// Also registers for the tracker's runnable-workflow reports.
-  void attach(const hadoop::JobTracker* tracker) override;
-  void on_workflow_submitted(WorkflowId wf, SimTime now) override;
-  void on_job_activated(hadoop::JobRef job, SimTime now) override;
-  void on_task_finished(hadoop::JobRef job, SlotType t, SimTime now) override;
-  void on_workflow_completed(WorkflowId wf, SimTime now) override;
+  void on_task_finished(hadoop::JobRef job, SlotType, SimTime) override {
+    add_running(job.workflow, -1);
+  }
   std::optional<hadoop::JobRef> select_task(const hadoop::SlotOffer& slot,
-                                            SimTime now) override;
+                                            SimTime now) override {
+    const std::optional<hadoop::JobRef> choice =
+        WorkflowOrderScheduler::select_task(slot, now);
+    if (choice) add_running(choice->workflow, 1);
+    return choice;
+  }
 
  private:
-  struct Share {
-    bool live = false;  ///< submitted and not yet completed or failed
-    std::uint32_t running_tasks = 0;
-    // Within a workflow, jobs are served in activation order (Oozie submits
-    // them independently; FairScheduler treats each as an equal job — we
-    // share at workflow granularity per the paper's port).
-    std::vector<std::uint32_t> jobs;
-  };
-  /// Ordering key (running tasks, id): most-starved first, ties by id
-  /// (submission order).
-  static std::uint64_t key(std::uint32_t running_tasks, std::uint32_t wf) {
-    return (std::uint64_t{running_tasks} << 32) | wf;
+  [[nodiscard]] std::int64_t initial_score(WorkflowId) const override { return 0; }
+  /// Move `wf`'s running-task count by `delta`. Unsigned on purpose:
+  /// finishes of attempts Fair never picked (speculative backups) can wrap
+  /// the count, and a wrapped count sorts last.
+  void add_running(std::uint32_t wf, int delta) {
+    rescore(wf, static_cast<std::uint32_t>(score(wf) + delta));
   }
-  void on_workflow_runnable_changed(WorkflowId wf, SlotType t, bool runnable) override;
-  /// Re-key `wf` in every ordering that holds it after its count moved.
-  void set_running(std::uint32_t wf, std::uint32_t running_tasks);
-
-  std::vector<Share> shares_;  ///< by workflow id
-  /// Per slot type, the live workflows with available_jobs(t) > 0.
-  std::set<std::uint64_t> runnable_[2];
 };
 
 }  // namespace woha::sched

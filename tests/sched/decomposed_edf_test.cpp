@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/log.hpp"
 #include "hadoop/engine.hpp"
 #include "metrics/report.hpp"
 #include "trace/paper_workloads.hpp"
+#include "trace/scale_workload.hpp"
 #include "workflow/topology.hpp"
 
 namespace woha::sched {
@@ -96,6 +98,40 @@ TEST(DecomposedEdf, PrefersUrgentUpstreamJobOverRelaxedSink) {
   // deep's source virtual deadline = 20min - 3*2min = 14min < shallow's
   // 18min, so the deep chain starts first.
   EXPECT_LT(deep_first, shallow_first);
+}
+
+TEST(DecomposedEdf, FreesVirtualDeadlinesOnceWorkflowsCompleteOrFail) {
+  // The failures are intended; keep their warnings off the test log.
+  const LogLevel log_before = log_level();
+  set_log_level(LogLevel::kError);
+  hadoop::EngineConfig config;
+  config.cluster.num_trackers = 80;
+  config.task_failure_prob = 0.02;
+  config.faults.max_attempts = 2;
+  hadoop::Engine engine(config, std::make_unique<DecomposedEdfScheduler>());
+  const auto& scheduler = dynamic_cast<const DecomposedEdfScheduler&>(engine.scheduler());
+  std::uint64_t starts = 0, with_deadline = 0;
+  engine.set_task_observer([&](const hadoop::TaskEvent& e) {
+    if (!e.started) return;
+    ++starts;
+    with_deadline += scheduler.job_deadline(e.job) != kTimeInfinity ? 1 : 0;
+  });
+  for (const auto& spec : trace::scale_workload(80, 7)) engine.submit(spec);
+  engine.run();
+  const auto summary = engine.summarize();
+  EXPECT_GT(summary.workflows_failed, 0u);
+  EXPECT_LT(summary.workflows_failed, summary.workflows.size());
+  // Every task started while its job had a virtual deadline...
+  EXPECT_GT(starts, 0u);
+  EXPECT_EQ(with_deadline, starts);
+  // ...and no workflow keeps one once it has completed or failed.
+  for (const auto& rt : engine.job_tracker().workflows()) {
+    ASSERT_TRUE(rt->finished() || rt->failed());
+    for (std::uint32_t j = 0; j < rt->job_count(); ++j) {
+      EXPECT_EQ(scheduler.job_deadline({rt->id().value(), j}), kTimeInfinity);
+    }
+  }
+  set_log_level(log_before);
 }
 
 TEST(DecomposedEdf, ListedInExtendedRoster) {

@@ -1,24 +1,33 @@
-// FIFO, Fair and WOHA read the JobTracker's runnable-job index instead of
-// scanning. These tests run FIFO and Fair against test-local copies of the
-// scanning versions they replaced, and WOHA on each indexed queue (DSL, BST,
-// BSTplain) against WOHA on NaiveQueue, which ignores runnable reports and
-// probes every queued workflow. They require the same decisions: the same
-// task starts (time, tracker, slot, workflow, job) in the same order and
-// the same run summary, with and without a bus subscriber, and no ranked
-// candidate that cannot use the offered slot type — on random DAGs and on
-// the scale workload, with retries, tracker crashes (lost map outputs),
+// FIFO, Fair, EDF, EDF-JOB and WOHA read the JobTracker's runnable reports
+// instead of scanning. These tests run the four baselines against
+// test-local copies of the scanning versions they replaced (FIFO's job
+// list, Fair's and EDF's workflow lists, EDF-JOB's std::map of active
+// jobs), and WOHA on each indexed queue (DSL, BST, BSTplain) against WOHA
+// on NaiveQueue, which ignores runnable reports and probes every queued
+// workflow. They require the same decisions: the same task starts (time,
+// tracker, slot, workflow, job) in the same order and the same run summary,
+// with and without a bus subscriber, and no ranked candidate that cannot
+// use the offered slot type; a baseline must also publish the same decision
+// rankings as its reference. They run on random DAGs and on the scale
+// workload, with retries, tracker crashes (lost map outputs),
 // blacklist-filtered offers, speculation, shedding and an elastic drain.
-// Directed cases pin the two orders the index must get right: an older job
+// Directed cases pin the orders the indices must get right: an older job
 // that becomes runnable again goes first, and a filtered offer skips the
-// head of the index.
+// head of the index. A property test checks the baselines' shared ordering,
+// sched::RunnableOrder, against std::set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <variant>
 #include <vector>
@@ -28,9 +37,13 @@
 #include "core/woha_scheduler.hpp"
 #include "hadoop/engine.hpp"
 #include "hadoop/job_tracker.hpp"
+#include "sched/decomposed_edf_scheduler.hpp"
+#include "sched/edf_scheduler.hpp"
 #include "sched/fair_scheduler.hpp"
 #include "sched/fifo_scheduler.hpp"
+#include "sched/runnable_order.hpp"
 #include "trace/scale_workload.hpp"
+#include "workflow/analysis.hpp"
 #include "workflow/topology.hpp"
 
 namespace woha {
@@ -38,8 +51,9 @@ namespace {
 
 using hadoop::JobRef;
 using hadoop::SlotOffer;
+using Candidate = obs::SchedulerDecision::Candidate;
 
-// ---- the reference: FIFO and Fair as they scanned before the index --------
+// ---- the references: the baselines as they scanned before the index ------
 
 class ScanningFifo final : public hadoop::WorkflowScheduler {
  public:
@@ -52,11 +66,23 @@ class ScanningFifo final : public hadoop::WorkflowScheduler {
   void on_workflow_failed(WorkflowId wf, SimTime) override {
     std::erase_if(queue_, [wf](JobRef ref) { return ref.workflow == wf.value(); });
   }
-  std::optional<JobRef> select_task(const SlotOffer& slot, SimTime) override {
+  std::optional<JobRef> select_task(const SlotOffer& slot, SimTime now) override {
+    std::optional<JobRef> choice;
     for (const JobRef ref : queue_) {
-      if (tracker_->job(ref).has_available(slot.type) && slot.allows(ref)) return ref;
+      if (tracker_->job(ref).has_available(slot.type) && slot.allows(ref)) {
+        choice = ref;
+        break;
+      }
     }
-    return std::nullopt;
+    publish_decision(slot, choice, now, [&](auto& ranking) {
+      for (const JobRef ref : queue_) {
+        if (ranking.size() == obs::kMaxRankedCandidates) break;
+        if (!tracker_->job(ref).has_available(slot.type)) continue;
+        ranking.push_back(Candidate{ref.workflow, ref.job,
+                                    static_cast<std::int64_t>(ranking.size()), 0, 0});
+      }
+    });
+    return choice;
   }
 
  private:
@@ -84,9 +110,9 @@ class ScanningFair final : public hadoop::WorkflowScheduler {
     std::erase_if(workflows_, [wf](const Share& s) { return s.id == wf; });
     active_jobs_.erase(wf.value());
   }
-  std::optional<JobRef> select_task(const SlotOffer& slot, SimTime) override {
+  std::optional<JobRef> select_task(const SlotOffer& slot, SimTime now) override {
     Share* best = nullptr;
-    JobRef best_job;
+    std::optional<JobRef> choice;
     for (auto& share : workflows_) {
       if (best && share.running_tasks >= best->running_tasks) continue;
       if (tracker_->workflow(share.id).available_jobs(slot.type) == 0) continue;
@@ -96,14 +122,30 @@ class ScanningFair final : public hadoop::WorkflowScheduler {
         const JobRef ref{share.id.value(), j};
         if (tracker_->job(ref).has_available(slot.type) && slot.allows(ref)) {
           best = &share;
-          best_job = ref;
+          choice = ref;
           break;
         }
       }
     }
-    if (!best) return std::nullopt;
-    ++best->running_tasks;
-    return best_job;
+    // The runnable workflows by (running tasks, id), before this pick.
+    publish_decision(slot, choice, now, [&](auto& ranking) {
+      std::vector<const Share*> runnable;
+      for (const Share& share : workflows_) {
+        if (tracker_->workflow(share.id).available_jobs(slot.type) > 0) {
+          runnable.push_back(&share);
+        }
+      }
+      std::ranges::sort(runnable, [](const Share* a, const Share* b) {
+        return std::tie(a->running_tasks, a->id) < std::tie(b->running_tasks, b->id);
+      });
+      for (const Share* share : runnable) {
+        if (ranking.size() == obs::kMaxRankedCandidates) break;
+        ranking.push_back(Candidate{share->id.value(), obs::SchedulerDecision::kNoJob,
+                                    share->running_tasks, 0, 0});
+      }
+    });
+    if (best) ++best->running_tasks;
+    return choice;
   }
 
  private:
@@ -113,6 +155,111 @@ class ScanningFair final : public hadoop::WorkflowScheduler {
   };
   std::vector<Share> workflows_;
   std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> active_jobs_;
+};
+
+/// Every unfinished workflow in (deadline, id) order, scanned per offer;
+/// jobs stay on their workflow's list after they complete.
+class ScanningEdf final : public hadoop::WorkflowScheduler {
+ public:
+  [[nodiscard]] std::string name() const override { return "EDF"; }
+  void on_workflow_submitted(WorkflowId wf, SimTime) override {
+    const SimTime deadline = tracker_->workflow(wf).deadline();
+    const auto pos = std::find_if(
+        by_deadline_.begin(), by_deadline_.end(), [&](WorkflowId other) {
+          const SimTime od = tracker_->workflow(other).deadline();
+          return od > deadline || (od == deadline && other > wf);
+        });
+    by_deadline_.insert(pos, wf);
+  }
+  void on_job_activated(JobRef job, SimTime) override {
+    active_jobs_[job.workflow].push_back(job.job);
+  }
+  void on_workflow_completed(WorkflowId wf, SimTime) override {
+    std::erase(by_deadline_, wf);
+    active_jobs_.erase(wf.value());
+  }
+  std::optional<JobRef> select_task(const SlotOffer& slot, SimTime now) override {
+    std::optional<JobRef> choice;
+    for (const WorkflowId wf : by_deadline_) {
+      if (tracker_->workflow(wf).available_jobs(slot.type) == 0) continue;
+      const auto it = active_jobs_.find(wf.value());
+      if (it == active_jobs_.end()) continue;
+      for (std::uint32_t j : it->second) {
+        const JobRef ref{wf.value(), j};
+        if (tracker_->job(ref).has_available(slot.type) && slot.allows(ref)) {
+          choice = ref;
+          break;
+        }
+      }
+      if (choice) break;
+    }
+    publish_decision(slot, choice, now, [&](auto& ranking) {
+      for (const WorkflowId wf : by_deadline_) {
+        if (ranking.size() == obs::kMaxRankedCandidates) break;
+        const hadoop::WorkflowRuntime& rt = tracker_->workflow(wf);
+        if (rt.available_jobs(slot.type) == 0) continue;
+        ranking.push_back(
+            Candidate{wf.value(), obs::SchedulerDecision::kNoJob, rt.deadline(), 0, 0});
+      }
+    });
+    return choice;
+  }
+
+ private:
+  std::vector<WorkflowId> by_deadline_;
+  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> active_jobs_;
+};
+
+/// Every active job in a std::map by (virtual deadline, workflow, job),
+/// scanned per offer for one with an available task.
+class MapEdfJob final : public hadoop::WorkflowScheduler {
+ public:
+  [[nodiscard]] std::string name() const override { return "EDF-JOB"; }
+  void on_workflow_submitted(WorkflowId wf, SimTime) override {
+    const hadoop::WorkflowRuntime& rt = tracker_->workflow(wf);
+    const auto& spec = rt.spec();
+    std::vector<SimTime> deadlines(spec.jobs.size(), kTimeInfinity);
+    if (rt.deadline() != kTimeInfinity) {
+      const auto downstream = wf::downstream_path_length(spec);
+      for (std::uint32_t j = 0; j < spec.jobs.size(); ++j) {
+        deadlines[j] = rt.deadline() - (downstream[j] - spec.jobs[j].serial_length());
+      }
+    }
+    deadlines_[wf.value()] = std::move(deadlines);
+  }
+  void on_job_activated(JobRef job, SimTime) override { active_.emplace(key(job), job); }
+  void on_job_completed(JobRef job, SimTime) override { active_.erase(key(job)); }
+  void on_workflow_failed(WorkflowId wf, SimTime) override {
+    std::erase_if(active_, [wf](const auto& entry) {
+      return entry.second.workflow == wf.value();
+    });
+    deadlines_.erase(wf.value());
+  }
+  std::optional<JobRef> select_task(const SlotOffer& slot, SimTime now) override {
+    std::optional<JobRef> choice;
+    for (const auto& [key, ref] : active_) {
+      if (tracker_->job(ref).has_available(slot.type) && slot.allows(ref)) {
+        choice = ref;
+        break;
+      }
+    }
+    publish_decision(slot, choice, now, [&](auto& ranking) {
+      for (const auto& [key, ref] : active_) {
+        if (ranking.size() >= obs::kMaxRankedCandidates) break;
+        if (!tracker_->job(ref).has_available(slot.type)) continue;
+        ranking.push_back(Candidate{ref.workflow, ref.job, std::get<0>(key), 0, 0});
+      }
+    });
+    return choice;
+  }
+
+ private:
+  using Key = std::tuple<SimTime, std::uint32_t, std::uint32_t>;
+  Key key(JobRef job) const {
+    return Key{deadlines_.at(job.workflow)[job.job], job.workflow, job.job};
+  }
+  std::unordered_map<std::uint32_t, std::vector<SimTime>> deadlines_;
+  std::map<Key, JobRef> active_;
 };
 
 // ---- side-by-side runs ---------------------------------------------------
@@ -191,9 +338,37 @@ class Recorder final : public hadoop::WorkflowScheduler {
   std::vector<TaskStart>* out_;
 };
 
+/// One published SchedulerDecision: the offer, the pick and the ranking.
+struct Decision {
+  SimTime time = 0;
+  std::size_t tracker = 0;
+  SlotType slot = SlotType::kMap;
+  bool assigned = false;
+  std::uint32_t workflow = 0;
+  std::uint32_t job = 0;
+  /// (workflow, job, score) per ranked candidate, in ranking order.
+  std::vector<std::tuple<std::uint32_t, std::uint32_t, std::int64_t>> ranking;
+  friend bool operator==(const Decision&, const Decision&) = default;
+};
+
+std::string describe(const Decision& d) {
+  std::string out = "t=" + std::to_string(d.time) + " tracker " +
+                    std::to_string(d.tracker) + " " + to_string(d.slot) +
+                    (d.assigned ? " -> w" + std::to_string(d.workflow) + "/j" +
+                                      std::to_string(d.job)
+                                : std::string(" idle")) +
+                    ", ranking";
+  for (const auto& [wf, job, score] : d.ranking) {
+    out += " w" + std::to_string(wf) + "/j" + std::to_string(job) + ":" +
+           std::to_string(score);
+  }
+  return out;
+}
+
 struct Outcome {
   std::vector<TaskStart> picks;      ///< tasks the scheduler started
   std::vector<TaskStart> published;  ///< TaskStarted events (backups too)
+  std::vector<Decision> decisions;   ///< published SchedulerDecisions
   /// Ranked candidates that could not use the offered slot type: the
   /// indexed schedulers rank only runnable jobs and workflows.
   std::uint64_t stale_candidates = 0;
@@ -221,7 +396,10 @@ Outcome run(const hadoop::EngineConfig& config,
         out.published.push_back(
             TaskStart{e.time, s->tracker, s->slot, s->workflow, s->job});
       } else if (const auto* d = std::get_if<obs::SchedulerDecision>(&e.payload)) {
+        Decision& rec = out.decisions.emplace_back(
+            Decision{e.time, d->tracker, d->slot, d->assigned, d->workflow, d->job, {}});
         for (const auto& c : d->ranking) {
+          rec.ranking.emplace_back(c.workflow, c.job, c.score);
           const hadoop::WorkflowRuntime& wf = tracker.workflow(WorkflowId(c.workflow));
           const bool runnable = c.job == obs::SchedulerDecision::kNoJob
                                     ? wf.available_jobs(d->slot) > 0
@@ -242,6 +420,16 @@ void expect_same_starts(const std::vector<TaskStart>& want,
   const auto [w, g] = std::mismatch(want.begin(), want.end(), got.begin(), got.end());
   if (w == want.end() && g == got.end()) return;
   ADD_FAILURE() << label << ": task start " << (w - want.begin()) << " of " << want.size()
+                << " (indexed run: " << got.size() << ") differs: reference "
+                << (w == want.end() ? std::string("ended") : describe(*w)) << ", indexed "
+                << (g == got.end() ? std::string("ended") : describe(*g));
+}
+
+void expect_same_decisions(const std::vector<Decision>& want,
+                           const std::vector<Decision>& got, const std::string& label) {
+  const auto [w, g] = std::mismatch(want.begin(), want.end(), got.begin(), got.end());
+  if (w == want.end() && g == got.end()) return;
+  ADD_FAILURE() << label << ": decision " << (w - want.begin()) << " of " << want.size()
                 << " (indexed run: " << got.size() << ") differs: reference "
                 << (w == want.end() ? std::string("ended") : describe(*w)) << ", indexed "
                 << (g == got.end() ? std::string("ended") : describe(*g));
@@ -299,15 +487,22 @@ struct Pair {
   std::string label;
   Factory reference;
   Factory indexed;
+  /// The two publish the same decision rankings (NaiveQueue's ranking also
+  /// lists workflows with nothing runnable, so WOHA pairs compare picks).
+  bool same_rankings = true;
 };
 
-/// FIFO and Fair against their scanning references.
+/// The four baselines against their scanning references.
 std::vector<Pair> baselines() {
   return {
       {"FIFO", [] { return std::make_unique<ScanningFifo>(); },
        [] { return std::make_unique<sched::FifoScheduler>(); }},
       {"Fair", [] { return std::make_unique<ScanningFair>(); },
        [] { return std::make_unique<sched::FairScheduler>(); }},
+      {"EDF", [] { return std::make_unique<ScanningEdf>(); },
+       [] { return std::make_unique<sched::EdfScheduler>(); }},
+      {"EDF-JOB", [] { return std::make_unique<MapEdfJob>(); },
+       [] { return std::make_unique<sched::DecomposedEdfScheduler>(); }},
   };
 }
 
@@ -326,7 +521,7 @@ std::vector<Pair> woha_queues() {
   for (const core::QueueKind kind :
        {core::QueueKind::kDsl, core::QueueKind::kBst, core::QueueKind::kBstPlain}) {
     pairs.push_back({std::string("WOHA-LPF/") + core::to_string(kind),
-                     woha_on(core::QueueKind::kNaive), woha_on(kind)});
+                     woha_on(core::QueueKind::kNaive), woha_on(kind), false});
   }
   return pairs;
 }
@@ -346,6 +541,9 @@ void expect_equivalent(const std::vector<Pair>& pairs,
       ASSERT_FALSE(want.picks.empty()) << what;
       expect_same_starts(want.picks, got.picks, what);
       expect_same_starts(want.published, got.published, what + " (bus)");
+      if (pair.same_rankings) {
+        expect_same_decisions(want.decisions, got.decisions, what + " (decisions)");
+      }
       expect_same_summary(want.summary, got.summary, what);
       EXPECT_EQ(got.stale_candidates, 0u) << what;
       if (coverage != nullptr && !traced) coverage->add(want.summary);
@@ -577,15 +775,10 @@ TEST(RunnableIndex, RequeuedTaskOfAnOlderJobGoesFirstWithinAFairShare) {
 }
 
 TEST(RunnableIndex, FilteredOfferSkipsTheHeadOfTheIndex) {
-  for (const bool fair : {false, true}) {
+  for (const Pair& pair : baselines()) {
     SideBySide bench;
-    if (fair) {
-      bench.attach(std::make_unique<sched::FairScheduler>());
-      bench.attach(std::make_unique<ScanningFair>());
-    } else {
-      bench.attach(std::make_unique<sched::FifoScheduler>());
-      bench.attach(std::make_unique<ScanningFifo>());
-    }
+    bench.attach(pair.indexed());
+    bench.attach(pair.reference());
     for (std::uint32_t w = 0; w < 3; ++w) bench.submit(one_job(2));
     for (std::uint32_t w = 0; w < 3; ++w) bench.activate({w, 0});
     // Tracker 0's rows: one refuses the head of the index, one every job.
@@ -597,6 +790,122 @@ TEST(RunnableIndex, FilteredOfferSkipsTheHeadOfTheIndex) {
     EXPECT_EQ(bench.pick({SlotType::kMap, 0, &none}), std::nullopt);
     EXPECT_EQ(bench.pick({SlotType::kMap, 0, nullptr}), (JobRef{0, 0}));
   }
+}
+
+// ---- the shared ordering against std::set ----------------------------------
+
+/// A key from a small space, so that scores tie, workflows repeat across
+/// scores and jobs, and random inserts hit held keys.
+sched::RunnableKey random_key(Rng& rng) {
+  const auto job = static_cast<std::uint32_t>(rng.uniform_int(0, 3));
+  return sched::RunnableKey{rng.uniform_int(-2, 5),
+                            static_cast<std::uint32_t>(rng.uniform_int(0, 11)),
+                            job == 3 ? obs::SchedulerDecision::kNoJob : job};
+}
+
+void expect_same_order(const sched::RunnableOrder& order,
+                       const std::set<sched::RunnableKey> (&want)[2],
+                       const std::string& label) {
+  for (const SlotType t : {SlotType::kMap, SlotType::kReduce}) {
+    const std::set<sched::RunnableKey>& keys = want[static_cast<std::size_t>(t)];
+    const std::span<const sched::RunnableKey> walk = order.walk(t);
+    ASSERT_TRUE(std::ranges::equal(walk, keys)) << label << " " << to_string(t);
+    std::vector<Candidate> ranking;
+    order.rank(t, ranking);
+    ASSERT_EQ(ranking.size(), std::min(keys.size(), obs::kMaxRankedCandidates)) << label;
+    auto key = keys.begin();
+    for (const Candidate& c : ranking) {
+      EXPECT_EQ(std::tie(c.score, c.workflow, c.job),
+                std::tie(key->score, key->workflow, key->job))
+          << label;
+      ++key;
+    }
+  }
+}
+
+TEST(RunnableOrder, MatchesAnOrderedSetUnderRandomInsertEraseAndRekey) {
+  std::uint64_t inserts = 0, erases = 0, rekeys_up = 0, rekeys_down = 0, refused = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    sched::RunnableOrder order;
+    std::set<sched::RunnableKey> want[2];
+    for (int step = 0; step < 400; ++step) {
+      const SlotType t = rng.uniform_int(0, 1) == 0 ? SlotType::kMap : SlotType::kReduce;
+      std::set<sched::RunnableKey>& keys = want[static_cast<std::size_t>(t)];
+      const sched::RunnableKey key = random_key(rng);
+      // Mostly a held key to erase or re-key, else a random one.
+      const auto last = static_cast<std::int64_t>(keys.size()) - 1;
+      const sched::RunnableKey held =
+          keys.empty() || rng.uniform_int(0, 3) == 0
+              ? key
+              : *std::next(keys.begin(), rng.uniform_int(0, last));
+      const std::string label = "seed " + std::to_string(seed) + " step " +
+                                std::to_string(step);
+      switch (rng.uniform_int(0, 2)) {
+        case 0:  // insert; a held key is refused and changes nothing
+          if (keys.contains(key)) {
+            EXPECT_THROW(order.insert(t, key), std::logic_error) << label;
+            ++refused;
+          } else {
+            order.insert(t, key);
+            keys.insert(key);
+            ++inserts;
+          }
+          break;
+        case 1:  // erase; a key not held is refused and changes nothing
+          if (!keys.contains(held)) {
+            EXPECT_THROW(order.erase(t, held), std::logic_error) << label;
+            ++refused;
+          } else {
+            order.erase(t, held);
+            keys.erase(held);
+            ++erases;
+          }
+          break;
+        default:  // re-key a held key to one not held, either way
+          if (!keys.contains(held)) {
+            EXPECT_THROW(order.rekey(t, held, key), std::logic_error) << label;
+            ++refused;
+          } else if (!keys.contains(key)) {
+            order.rekey(t, held, key);
+            keys.erase(held);
+            keys.insert(key);
+            ++(held < key ? rekeys_up : rekeys_down);
+          }
+          break;
+      }
+      expect_same_order(order, want, label);
+      if (HasFatalFailure()) return;
+    }
+  }
+  // Every operation ran, both ways for re-keys, and so did every refusal.
+  EXPECT_GT(inserts, 2000u);
+  EXPECT_GT(erases, 2000u);
+  EXPECT_GT(rekeys_up, 1000u);
+  EXPECT_GT(rekeys_down, 1000u);
+  EXPECT_GT(refused, 1000u);
+}
+
+TEST(RunnableOrder, RekeyShiftsOnlyTheSpanBetweenBothPositions) {
+  sched::RunnableOrder order;
+  for (std::uint32_t wf = 0; wf < 6; ++wf) order.insert(SlotType::kMap, {0, wf});
+  order.insert(SlotType::kReduce, {0, 2});
+  // Fair after a pick of workflow 2: it moves behind every workflow that
+  // still runs nothing; the reduce order is untouched.
+  const auto map_ids = [&order] {
+    std::vector<std::uint32_t> ids;
+    for (const sched::RunnableKey& k : order.walk(SlotType::kMap)) {
+      ids.push_back(k.workflow);
+    }
+    return ids;
+  };
+  order.rekey(SlotType::kMap, {0, 2}, {1, 2});
+  EXPECT_EQ(map_ids(), (std::vector<std::uint32_t>{0, 1, 3, 4, 5, 2}));
+  // ...and after its task finishes it goes back between 1 and 3.
+  order.rekey(SlotType::kMap, {1, 2}, {0, 2});
+  EXPECT_EQ(map_ids(), (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
+  ASSERT_EQ(order.walk(SlotType::kReduce).size(), 1u);
+  EXPECT_EQ(order.walk(SlotType::kReduce).front(), (sched::RunnableKey{0, 2}));
 }
 
 }  // namespace
