@@ -16,25 +16,31 @@
 //    sorted. The heartbeat storm, the great majority of all events, costs a
 //    FIFO pop and push per beat and one 24-byte entry per tracker.
 //  * The calendar, for every other event: a plain record (time, seq, kind,
-//    two ids) that the owner dispatches by kind. A ring of kWindow
-//    one-millisecond buckets covers the window [base, base + kWindow); each
-//    bucket is a FIFO vector (push order == seq order, so same-tick FIFO
-//    costs nothing), and a bitmap over buckets lets the scan skip empty
-//    ticks a word at a time. Events beyond the window wait in a
-//    (time, seq)-ordered binary heap and move into the ring when the window
-//    jumps, which happens only when the ring is empty and the heap's head
-//    fires.
+//    two ids) that the owner dispatches by kind. Time is cut into buckets of
+//    kBucketWidth ms, kept in two levels and a far heap. The near heap, a
+//    (time, seq) binary heap, holds every event of the current bucket and
+//    any earlier one. A ring of kBuckets unsorted vectors holds the next
+//    kBuckets buckets (kRingSpan ms), with a bitmap over them so that a scan
+//    skips empty buckets a word at a time. The far heap, (time, seq) again,
+//    holds everything beyond the ring.
+//
+// When the near heap runs empty, the next non-empty bucket becomes current:
+// its vector moves into the near heap and is heapified, and only then do the
+// far events the ring now reaches move into it (an event one ring span past
+// the new bucket would otherwise land in the vector being moved). Memory so
+// follows the pending events, not every bucket's high-water mark, and
+// same-tick FIFO order comes from the one (time, seq) comparison.
 //
 // step() fires whichever head is smaller by (time, seq). A beat can fire
-// before the calendar's head and schedule ahead of it, so looking at that
-// head never jumps the window, and a push before the scan cursor pulls the
-// cursor back.
+// before the calendar's head and schedule ahead of it; such an event's
+// bucket is at or before the current one, so it joins the near heap.
 //
 // now() is the time of the last event that fired. A horizon stop leaves it
 // there rather than at the horizon; the engine's summary reads it as the end
 // of the run.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -84,9 +90,11 @@ class Simulation {
   template <typename Dispatch>
   bool step(SimTime until, Dispatch& dispatch);
 
-  /// Calendar-ring width in ms (also the bucket count: 1 ms per bucket).
-  /// Exposed so tests can construct events on both sides of the window.
-  static constexpr SimTime kWindow = 65536;
+  /// Calendar geometry: the width of one bucket and the reach of the ring
+  /// (kBuckets buckets) in ms. Exposed so tests can place events on both
+  /// sides of a bucket edge and of the ring's reach.
+  static constexpr SimTime kBucketWidth = 1024;
+  static constexpr SimTime kRingSpan = 4096 * kBucketWidth;
 
  private:
   struct Beat {
@@ -95,51 +103,49 @@ class Simulation {
     std::uint32_t tracker = 0;
   };
 
-  /// One calendar tick's events in FIFO order. `head` indexes the next
-  /// event to pop; the vector is recycled (capacity kept) once drained.
-  struct Bucket {
-    std::vector<Event> items;
-    std::size_t head = 0;
-  };
-
-  static constexpr std::size_t kBuckets = static_cast<std::size_t>(kWindow);
+  static constexpr std::uint64_t kBuckets = kRingSpan / kBucketWidth;
   static constexpr std::size_t kWords = kBuckets / 64;
 
-  [[nodiscard]] static std::size_t bucket_of(SimTime t) {
-    return static_cast<std::size_t>(t) & (kBuckets - 1);
+  [[nodiscard]] static std::uint64_t bucket_of(SimTime t) {
+    return static_cast<std::uint64_t>(t) / kBucketWidth;
   }
-  /// The calendar's next event, or null. Positions the sweep cursor but
-  /// never jumps the window.
-  [[nodiscard]] const Event* peek_event();
-  /// Take the calendar's next event, jumping the window to it when the ring
-  /// is empty. Called only when that event fires or is dropped.
-  Event pop_event();
+  /// (time, seq) order reversed: the std heap algorithms then keep the
+  /// earliest event at the front.
+  [[nodiscard]] static bool later(const Event& x, const Event& y) {
+    return x.time != y.time ? x.time > y.time : x.seq > y.seq;
+  }
+  /// The calendar's next event, or null.
+  [[nodiscard]] const Event* peek_event() {
+    if (near_.empty() && !advance()) return nullptr;
+    return &near_.front();
+  }
+  /// Take the calendar's next event; peek_event() must have found one.
+  Event pop_event() {
+    std::pop_heap(near_.begin(), near_.end(), later);
+    const Event ev = near_.back();
+    near_.pop_back();
+    return ev;
+  }
   /// Whether the beat stream's head comes before `head` (null: no event).
   [[nodiscard]] bool beat_first(const Event* head) const;
   /// Re-arm a fired beat one period later under a fresh seq.
   void rearm(const Beat& beat);
-  void push(const Event& ev);
-  void ring_push(const Event& ev);
-  /// Move every overflow event inside [base_, base_ + kWindow) into the
-  /// ring, in (time, seq) order (preserves per-tick FIFO).
-  void drain_overflow();
-  /// First non-empty bucket at or after sweep_ (circular; caller must
-  /// guarantee ring_count_ > 0). Advances sweep_ to the found tick.
-  [[nodiscard]] std::size_t find_next_bucket();
-  // Binary min-heap over (time, seq).
-  void heap_push(const Event& ev);
-  Event heap_pop();
+  /// Put `ev` in the level that holds its bucket.
+  void place(const Event& ev);
+  /// Refill the empty near heap from the next non-empty bucket, then move
+  /// the far events the ring now reaches into it. False: calendar empty.
+  bool advance();
 
   std::deque<Beat> beats_;  // one per tracker, (time, seq) order
   Duration beat_period_;
 
-  std::vector<Bucket> ring_;         // kBuckets entries, tick = time % kBuckets
-  std::vector<std::uint64_t> bits_;  // kWords words: bucket non-empty bits
-  std::vector<Event> overflow_;      // events at time >= base_ + kWindow
-  std::size_t ring_count_ = 0;       // events currently in the ring
-  std::size_t size_ = 0;             // calendar events (ring + overflow)
-  SimTime base_ = 0;                 // window start (<= every calendar time)
-  SimTime sweep_ = 0;                // scan cursor, base_ <= sweep_ <= ring head
+  // Bucket b > cur_ waits in ring_[b % kBuckets] while b <= cur_ + kBuckets.
+  std::vector<Event> near_;               // heap: buckets <= cur_
+  std::vector<std::vector<Event>> ring_;  // kBuckets unsorted buckets
+  std::vector<std::uint64_t> bits_;       // kWords words: ring bucket non-empty
+  std::vector<Event> far_;                // heap: buckets > cur_ + kBuckets
+  std::size_t ring_count_ = 0;            // events in the ring
+  std::uint64_t cur_ = 0;                 // the current bucket
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;

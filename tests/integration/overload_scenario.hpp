@@ -50,6 +50,10 @@ inline std::vector<metrics::GridPoint> overload_grid(
   config.faults.tracker_restart_delay = seconds(30);
   config.faults.expiry_interval = seconds(60);
   config.faults.speculative_execution = true;
+  // About 5x the slowest scheduler's makespan (Fair, 45 min). No run gets
+  // near it, so the digests do not depend on it, but a stranded job or a
+  // lost event now ends in a digest mismatch instead of beating forever.
+  config.horizon = hours(4);
   std::vector<metrics::GridPoint> grid;
   for (const auto& entry : metrics::paper_schedulers()) {
     grid.push_back(metrics::GridPoint{config, &workload, entry});

@@ -8,10 +8,11 @@
 // count the same events and report the same now() after every stop.
 //
 // The scripts schedule same-tick children from inside handlers (at now()
-// too), put events on both sides of the calendar window and several windows
-// out, join trackers mid-run, cancel pending and already-fired events, and
-// stop both on a horizon and after a step budget that can land between two
-// events of one tick.
+// too), put events on both sides of a bucket edge, of the ring's reach and
+// of a ring wrap, exactly one ring span after another pending event, and two
+// to three spans out in the far heap. They join trackers mid-run, cancel
+// pending and already-fired events, and stop both on a horizon and after a
+// step budget that can land between two events of one tick.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,7 +29,8 @@
 namespace woha::sim {
 namespace {
 
-constexpr SimTime kW = Simulation::kWindow;
+constexpr SimTime kWidth = Simulation::kBucketWidth;
+constexpr SimTime kSpan = Simulation::kRingSpan;
 
 /// One firing: a labelled one-shot event or a tracker's beat.
 struct Fired {
@@ -165,7 +167,8 @@ class Draws {
   std::uint64_t state_;
 };
 
-constexpr Duration kPeriods[] = {1000, 4096, 65536, 70001, 7};
+// Beat periods below, at and above one bucket, up to three beats per ring span.
+constexpr Duration kPeriods[] = {1000, kWidth, 4096, 65536, 70001, 7, kSpan / 3 + 1};
 constexpr std::uint32_t kMaxTrackers = 8;
 constexpr std::uint64_t kMaxEvents = 400;
 
@@ -178,10 +181,10 @@ class Script final : public Sink {
 
   [[nodiscard]] Duration period() const { return period_; }
   [[nodiscard]] const std::vector<Fired>& fired() const { return fired_; }
-  /// Last time anything may fire: about five windows, or 300 beat periods
-  /// for a period too short to cross one.
+  /// Last time anything may fire: about five ring spans, or 300 beat
+  /// periods for a period too short to cross them.
   [[nodiscard]] SimTime horizon() const {
-    return std::min<SimTime>(5 * kW + 321, 300 * period_);
+    return std::min<SimTime>(5 * kSpan + 321, 300 * period_);
   }
 
   /// Initial events, then the first beats (staggered over one period like
@@ -215,23 +218,29 @@ class Script final : public Sink {
   }
 
  private:
+  /// -1, 0 or +1 ms.
+  SimTime off_by_one() { return static_cast<SimTime>(draws_.below(3)) - 1; }
+
   SimTime initial_time() {
-    switch (draws_.below(4)) {
+    switch (draws_.below(6)) {
       case 0:
         return 0;
       case 1:
         return static_cast<SimTime>(draws_.below(static_cast<std::uint64_t>(period_)));
       case 2:
-        return kW - 1 + static_cast<SimTime>(draws_.below(3));
+        return kWidth + off_by_one();
+      case 3:
+        return kSpan + off_by_one();
+      case 4:
+        return span_after_earlier();
       default:
-        return static_cast<SimTime>(draws_.below(3 * kW));
+        return static_cast<SimTime>(draws_.below(3 * kSpan));
     }
   }
 
   SimTime child_time() {
     const SimTime now = core_->now();
-    const SimTime next_edge = (now / kW + 1) * kW;  // a bucket-index wrap
-    switch (draws_.below(12)) {
+    switch (draws_.below(14)) {
       case 0:
       case 1:
         return now;
@@ -244,22 +253,34 @@ class Script final : public Sink {
       case 5:
         return now + static_cast<SimTime>(draws_.below(4000));
       case 6:
-        return now + kW - 1;
+        return (now / kWidth + 1) * kWidth + off_by_one();  // a bucket edge
       case 7:
-        return now + kW;
+        return now + kWidth + off_by_one();
       case 8:
-        return now + kW + 1;
+        return now + kSpan + off_by_one();  // the ring's reach
       case 9:
-        return next_edge - 1 + static_cast<SimTime>(draws_.below(3));
+        return (now / kSpan + 1) * kSpan + off_by_one();  // a ring-slot wrap
       case 10:
-        return now + 2 * kW + static_cast<SimTime>(draws_.below(kW));
+        return now + kSpan + kWidth + off_by_one();  // the first far bucket
+      case 11:
+        return span_after_earlier();
+      case 12:
+        return now + 2 * kSpan + static_cast<SimTime>(draws_.below(kSpan));
       default:
-        return now + 3 * kW - 2;
+        return now + 3 * kSpan - 2;
     }
+  }
+
+  /// About one ring span after an event already scheduled, so that the far
+  /// heap holds it when that event's bucket becomes current.
+  SimTime span_after_earlier() {
+    const SimTime earlier = times_.empty() ? 0 : times_[draws_.below(times_.size())];
+    return std::max(core_->now(), earlier + kSpan + off_by_one());
   }
 
   void schedule_at(SimTime when) {
     if (next_label_ >= kMaxEvents) return;
+    times_.push_back(when);
     core_->schedule(when, next_label_++);
   }
 
@@ -272,6 +293,7 @@ class Script final : public Sink {
   Duration period_;
   Core* core_ = nullptr;
   std::vector<Fired> fired_;
+  std::vector<SimTime> times_;  // by label
   std::uint64_t next_label_ = 0;
   std::uint32_t trackers_ = 0;
 };
@@ -303,12 +325,15 @@ Outcome run_script(std::uint64_t seed) {
   SimTime horizon = 0;
   for (int round = 0; round < 6; ++round) {
     SimTime next = 0;
-    switch (stop_draws.below(3)) {
+    switch (stop_draws.below(4)) {
       case 0:  // a beat tick: every event of that tick fires, none after
         next = draw_below(end / script.period() + 1) * script.period();
         break;
-      case 1:  // next to a window edge
-        next = (1 + draw_below(5)) * kW - 1 + draw_below(3);
+      case 1:  // next to a bucket edge
+        next = (1 + draw_below(end / kWidth)) * kWidth - 1 + draw_below(3);
+        break;
+      case 2:  // next to a ring-span edge
+        next = (1 + draw_below(5)) * kSpan - 1 + draw_below(3);
         break;
       default:
         next = draw_below(end);
@@ -334,7 +359,7 @@ Outcome run_script(std::uint64_t seed) {
 TEST(EventOrder, ProductionCoreMatchesReferenceOnRandomScripts) {
   constexpr std::uint64_t kSeeds = 256;
   std::uint64_t fired_total = 0;
-  std::uint64_t beyond_two_windows = 0;
+  std::uint64_t beyond_two_spans = 0;
   std::uint64_t same_tick_pairs = 0;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const Outcome want = run_script<Reference>(seed);
@@ -346,13 +371,13 @@ TEST(EventOrder, ProductionCoreMatchesReferenceOnRandomScripts) {
     }
     fired_total += want.fired.size();
     for (std::size_t i = 0; i < want.fired.size(); ++i) {
-      beyond_two_windows += want.fired[i].time >= 2 * kW;
+      beyond_two_spans += want.fired[i].time >= 2 * kSpan;
       same_tick_pairs += i > 0 && want.fired[i].time == want.fired[i - 1].time;
     }
   }
   // The scripts really exercise what they are meant to.
   EXPECT_GT(fired_total, 100'000u);
-  EXPECT_GT(beyond_two_windows, 10'000u);
+  EXPECT_GT(beyond_two_spans, 10'000u);
   EXPECT_GT(same_tick_pairs, 1'000u);
 }
 

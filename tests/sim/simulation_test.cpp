@@ -227,11 +227,12 @@ TEST(Simulation, AddBeatRejectsAnOutOfOrderFirstBeat) {
 }
 
 TEST(Simulation, BeatCanScheduleAheadOfTheCalendarHead) {
-  // The calendar holds one event inside the window and one two windows
-  // out. A beat fires before both and schedules on its own tick and just
-  // after it: neither may be passed over, and the far event still fires at
-  // its time.
-  Simulation sim(kPeriod);
+  // The calendar holds one event in the ring and one two ring spans out, in
+  // the far heap. A beat fires before both and schedules on its own tick and
+  // just after it: neither may be passed over, and the far event still fires
+  // at its time. Beats a second apart keep the run short.
+  constexpr SimTime kFar = 2 * Simulation::kRingSpan;
+  Simulation sim(1000);
   Recorder rec(sim);
   rec.on_beat = [&](std::uint32_t) {
     if (rec.fired.size() == 1) {
@@ -239,15 +240,14 @@ TEST(Simulation, BeatCanScheduleAheadOfTheCalendarHead) {
       sim.schedule_after(3, 0, 2);
     }
   };
-  sim.schedule_at(2 * Simulation::kWindow, 0, 3);
-  sim.schedule_at(1000, 0, 4);
+  sim.schedule_at(kFar, 0, 3);
+  sim.schedule_at(5000, 0, 4);
   sim.add_beat(0, 0);
-  run(sim, rec, 2 * Simulation::kWindow);
+  run(sim, rec, kFar);
   ASSERT_GE(rec.fired.size(), 4u);
   EXPECT_EQ(rec.fired[1], (std::pair<SimTime, std::uint32_t>{0, 1}));
   EXPECT_EQ(rec.fired[2], (std::pair<SimTime, std::uint32_t>{3, 2}));
-  EXPECT_EQ(rec.fired.back(),
-            (std::pair<SimTime, std::uint32_t>{2 * Simulation::kWindow, 3}));
+  EXPECT_EQ(rec.fired.back(), (std::pair<SimTime, std::uint32_t>{kFar, 3}));
 }
 
 }  // namespace
