@@ -6,8 +6,9 @@
 // one Fig. 8 trace replica (46 workflows, 165 jobs) per 80 trackers, each
 // replica drawn with its own seed — offered load scales with the slot pool,
 // so the cluster stays saturated at every size. Reported per point:
-// simulated makespan, events fired, select_task calls, mean select_task
-// latency (the paper's master-overhead claim), and wall-clock runtime.
+// simulated makespan, events fired, select_task calls and wall-clock
+// runtime. Per-select latency (the paper's master-overhead claim) is the
+// histogram engine.select_task_ns in the --metrics-json snapshot.
 //
 // Usage:
 //   bench_scale_cluster [--points 80,500,2000] [--schedulers WOHA-LPF,FIFO]
@@ -28,9 +29,9 @@
 // under a bounded wall budget. Unlike the other knobs it IS part of the
 // simulated experiment — rows are deterministic for a given horizon but
 // not comparable across horizons. `--repeat N` runs the whole grid N
-// times and reports the per-row *median* wall clock (and per-select
-// latency) — the CI perf smoke uses it to deflake its wall assertion;
-// the deterministic columns are verified identical across repeats, and
+// times and reports the per-row *median* wall clock — the CI perf smoke
+// uses it to deflake its wall assertion; the deterministic columns are
+// verified identical across repeats, and
 // the metrics snapshot comes from the first repeat only, so the exported
 // histogram sample counts match a --repeat-free run. With --metrics-json
 // the snapshot also carries the gauge process.peak_rss_mb: the process's
@@ -194,8 +195,8 @@ int main(int argc, char** argv) {
 
   bench::banner("Scale sweep",
                 "heartbeat/select_task cost vs cluster size (frozen fig8 load)");
-  std::printf("%-10s %-10s %12s %12s %12s %14s %10s\n", "trackers", "scheduler",
-              "makespan", "events", "selects", "select_us/call", "wall_s");
+  std::printf("%-10s %-10s %12s %12s %12s %10s\n", "trackers", "scheduler",
+              "makespan", "events", "selects", "wall_s");
 
   // Build the whole (cluster size, scheduler) grid up front; each cluster
   // size generates its workload once, borrowed by every scheduler's point.
@@ -237,10 +238,8 @@ int main(int argc, char** argv) {
   // only re-measure wall clock and re-verify the deterministic columns.
   const auto results = metrics::run_grid(grid, options, metrics_session.hooks());
   std::vector<std::vector<double>> walls(results.size());
-  std::vector<std::vector<double>> select_walls(results.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     walls[i].push_back(results[i].wall_seconds);
-    select_walls[i].push_back(results[i].summary.select_wall_ms);
   }
   for (unsigned r = 1; r < repeat; ++r) {
     const auto rerun = metrics::run_grid(grid, options, metrics::ObsHooks{});
@@ -256,24 +255,18 @@ int main(int argc, char** argv) {
         return 1;
       }
       walls[i].push_back(rerun[i].wall_seconds);
-      select_walls[i].push_back(b.select_wall_ms);
     }
   }
   const double elapsed = seconds_since(t0);
 
   for (std::size_t i = 0; i < results.size(); ++i) {
     const hadoop::RunSummary& s = results[i].summary;
-    const double select_wall_ms = median(select_walls[i]);
-    const double us_per_select =
-        s.select_calls == 0
-            ? 0.0
-            : select_wall_ms * 1000.0 / static_cast<double>(s.select_calls);
-    std::printf("%-10u %-10s %12lld %12llu %12llu %14.3f %10.2f\n",
+    std::printf("%-10u %-10s %12lld %12llu %12llu %10.2f\n",
                 row_trackers[i], results[i].scheduler.c_str(),
                 static_cast<long long>(s.makespan),
                 static_cast<unsigned long long>(s.events_fired),
                 static_cast<unsigned long long>(s.select_calls),
-                us_per_select, median(walls[i]));
+                median(walls[i]));
   }
   double setup_s = 0.0;
   long setup_minflt = 0;
@@ -289,9 +282,9 @@ int main(int argc, char** argv) {
   }
   std::printf("total: %.2f s elapsed for %.2f s of runs (jobs=%u, repeat=%u)\n",
               elapsed, run_seconds, ThreadPool::resolve(options.jobs), repeat);
-  bench::note("select_us/call and wall_s are wall-clock and machine-dependent "
-              "(medians across --repeat); makespan, events and selects are "
-              "deterministic at any --jobs and verified across repeats.");
+  bench::note("wall_s is wall-clock and machine-dependent (median across "
+              "--repeat); makespan, events and selects are deterministic at "
+              "any --jobs and verified across repeats.");
   // The process's peak resident memory over every repeat, for the CI
   // memory ceiling (ru_maxrss is in KiB on Linux), and the set-up cost,
   // for the CI page-fault ceiling.

@@ -19,7 +19,8 @@ import re
 import sys
 
 BOUND = 1.5
-ROW = re.compile(r"^\d+\s+(\S+)\s+\d+\s+\d+\s+\d+\s+[0-9.]+\s+([0-9.]+)\s*$", re.M)
+# trackers, scheduler, makespan, events, selects, wall_s
+ROW = re.compile(r"^\d+\s+(\S+)\s+\d+\s+\d+\s+\d+\s+([0-9.]+)\s*$", re.M)
 
 
 def main(path):

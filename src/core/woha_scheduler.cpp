@@ -1,7 +1,6 @@
 #include "core/woha_scheduler.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <stdexcept>
 #include <unordered_set>
@@ -218,18 +217,14 @@ std::optional<std::uint32_t> WohaScheduler::pick_job(
 
 std::optional<hadoop::JobRef> WohaScheduler::select_task(
     const hadoop::SlotOffer& slot, SimTime now) {
-  std::chrono::steady_clock::time_point t0;
-  if (assign_ns_) t0 = std::chrono::steady_clock::now();
-  const std::uint32_t wf =
-      queue_->assign(now, slot.type, [this, &slot](std::uint32_t id) {
-        const std::optional<std::uint32_t> j = pick_job(id, slot);
-        if (j) probed_job_ = *j;
-        return j.has_value();
-      });
-  if (assign_ns_) {
-    assign_ns_->observe(std::chrono::duration<double, std::nano>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count());
+  std::uint32_t wf = SchedulerQueue::kNone;
+  {
+    const obs::ScopedTimer assign_timer(assign_ns_);
+    wf = queue_->assign(now, slot.type, [this, &slot](std::uint32_t id) {
+      const std::optional<std::uint32_t> j = pick_job(id, slot);
+      if (j) probed_job_ = *j;
+      return j.has_value();
+    });
   }
   std::optional<hadoop::JobRef> choice;
   if (wf != SchedulerQueue::kNone) choice = hadoop::JobRef{wf, probed_job_};

@@ -3,8 +3,6 @@
 #include <numeric>
 #include <string>
 
-#include "obs/metrics_registry.hpp"
-
 namespace woha::hadoop {
 
 ClusterConfig ClusterConfig::paper_80_servers() {
@@ -88,24 +86,11 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
 void Cluster::occupy(std::size_t tracker_index, SlotType t) {
   trackers_.at(tracker_index).occupy(t);
   --total_free_[static_cast<std::size_t>(t)];
-  update_gauges();
 }
 
 void Cluster::release(std::size_t tracker_index, SlotType t) {
   trackers_.at(tracker_index).release(t);
   ++total_free_[static_cast<std::size_t>(t)];
-  update_gauges();
-}
-
-void Cluster::set_slot_gauges(obs::Gauge* free_map, obs::Gauge* free_reduce) {
-  gauges_[0] = free_map;
-  gauges_[1] = free_reduce;
-  update_gauges();
-}
-
-void Cluster::update_gauges() const {
-  if (gauges_[0]) gauges_[0]->set(static_cast<double>(total_free_[0]));
-  if (gauges_[1]) gauges_[1]->set(static_cast<double>(total_free_[1]));
 }
 
 std::uint64_t Cluster::crash(std::size_t tracker_index, SimTime now) {
@@ -133,7 +118,6 @@ TrackerState& Cluster::unpool(std::size_t tracker_index, TrackerState::Life from
   total_free_[0] -= tracker.capacity_[0];
   total_free_[1] -= tracker.capacity_[1];
   tracker.life_ = to;
-  update_gauges();
   return tracker;
 }
 
@@ -152,7 +136,6 @@ void Cluster::restart(std::size_t tracker_index) {
   ++tracker.epoch_;
   total_free_[0] += tracker.capacity_[0];
   total_free_[1] += tracker.capacity_[1];
-  update_gauges();
 }
 
 std::uint64_t Cluster::begin_drain(std::size_t tracker_index, TrackerState::Drain why) {
@@ -176,7 +159,6 @@ std::size_t Cluster::add_tracker() {
                          config_.reduce_slots_per_tracker);
   total_free_[0] += config_.map_slots_per_tracker;
   total_free_[1] += config_.reduce_slots_per_tracker;
-  update_gauges();
   return trackers_.size() - 1;
 }
 

@@ -13,10 +13,6 @@
 
 #include "common/types.hpp"
 
-namespace woha::obs {
-class Gauge;
-}  // namespace woha::obs
-
 namespace woha::hadoop {
 
 struct ClusterConfig {
@@ -156,13 +152,7 @@ class Cluster {
   /// ClusterConfig::num_trackers keeps the *initial* count.
   std::size_t add_tracker();
 
-  /// Publish the aggregate free-slot counts into two registry gauges
-  /// (updated whenever the pool changes). Either pointer may be null; with
-  /// both null the hook costs one branch.
-  void set_slot_gauges(obs::Gauge* free_map, obs::Gauge* free_reduce);
-
  private:
-  void update_gauges() const;
   /// Move an emptied tracker from `from` to `to` and take its capacity out
   /// of the pool; `transition` names the caller in error messages.
   TrackerState& unpool(std::size_t tracker_index, TrackerState::Life from,
@@ -171,7 +161,6 @@ class Cluster {
   ClusterConfig config_;
   std::vector<TrackerState> trackers_;
   std::uint32_t total_free_[2];
-  obs::Gauge* gauges_[2] = {nullptr, nullptr};
 };
 
 }  // namespace woha::hadoop

@@ -1,7 +1,6 @@
 #include "hadoop/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <variant>
@@ -57,37 +56,41 @@ Engine::Engine(EngineConfig config, std::unique_ptr<WorkflowScheduler> scheduler
 
 void Engine::set_metrics_registry(obs::MetricsRegistry* registry) {
   registry_ = registry;
-  if (!registry) {
-    handles_ = MetricHandles{};
-    cluster_.set_slot_gauges(nullptr, nullptr);
-    scheduler_->observe(&events_, nullptr);
-    return;
-  }
   // 100 ns .. ~1.6 s in 4x steps: covers a no-op select through a full
   // plan-regeneration heartbeat.
-  auto latency_buckets = [] { return obs::exponential_buckets(100.0, 4.0, 12); };
-  handles_.heartbeat_ns =
-      &registry->histogram("engine.heartbeat_service_ns", latency_buckets());
-  handles_.select_ns =
-      &registry->histogram("engine.select_task_ns", latency_buckets());
-  handles_.heartbeats = &registry->counter("engine.heartbeats");
-  handles_.tasks_started = &registry->counter("engine.tasks_started");
-  handles_.tasks_finished = &registry->counter("engine.tasks_finished");
-  handles_.tasks_failed = &registry->counter("engine.tasks_failed");
-  handles_.attempts_killed = &registry->counter("engine.attempts_killed");
-  handles_.tracker_crashes = &registry->counter("engine.tracker_crashes");
-  handles_.speculative_launched =
-      &registry->counter("engine.speculative_launched");
-  handles_.workflows_rejected = &registry->counter("admission.rejected");
-  handles_.workflows_shed = &registry->counter("shed.workflows");
-  handles_.decommissions = &registry->counter("cluster.decommissions");
-  handles_.preemptions = &registry->counter("cluster.preemptions");
-  handles_.joins = &registry->counter("cluster.joins");
-  handles_.pending_workflows = &registry->gauge("overload.pending");
-  handles_.pending_peak = &registry->gauge("overload.pending_peak");
-  cluster_.set_slot_gauges(&registry->gauge("cluster.free_map_slots"),
-                           &registry->gauge("cluster.free_reduce_slots"));
+  const auto latency = [registry](const char* name) {
+    return registry ? &registry->histogram(name, obs::exponential_buckets(100.0, 4.0, 12))
+                    : nullptr;
+  };
+  heartbeat_ns_ = latency("engine.heartbeat_service_ns");
+  select_ns_ = latency("engine.select_task_ns");
   scheduler_->observe(&events_, registry);
+}
+
+void Engine::record_metrics() {
+  if (registry_ == nullptr) return;
+  const std::pair<const char*, std::uint64_t> counts[] = {
+      {"engine.heartbeats", heartbeats_},
+      {"engine.tasks_started", tasks_executed_},
+      {"engine.tasks_finished", tasks_finished_},
+      {"engine.tasks_failed", tasks_failed_},
+      {"engine.attempts_killed", attempts_killed_},
+      {"engine.tracker_crashes", tracker_crashes_},
+      {"engine.speculative_launched", speculative_launched_},
+      {"admission.rejected", workflows_rejected_},
+      {"shed.workflows", workflows_shed_},
+      {"cluster.decommissions", decommissions_},
+      {"cluster.preemptions", preemptions_},
+      {"cluster.joins", trackers_joined_},
+  };
+  for (const auto& [name, n] : counts) registry_->counter(name).add(n);
+  const std::pair<const char*, double> levels[] = {
+      {"overload.pending", job_tracker_.active_workflows()},
+      {"overload.pending_peak", pending_peak_},
+      {"cluster.free_map_slots", cluster_.total_free(SlotType::kMap)},
+      {"cluster.free_reduce_slots", cluster_.total_free(SlotType::kReduce)},
+  };
+  for (const auto& [name, v] : levels) registry_->gauge(name).set(v);
 }
 
 void Engine::set_task_observer(std::function<void(const TaskEvent&)> observer) {
@@ -135,7 +138,10 @@ void Engine::run() {
   started_ = true;
 
   const std::size_t expected_workflows = submissions_.size();
-  if (expected_workflows == 0) return;  // nothing to run
+  if (expected_workflows == 0) {  // nothing to run
+    record_metrics();
+    return;
+  }
 
   // Hand the scheduler the full submission list before the first event so
   // it can precompute (WOHA's parallel plan prewarm). Only when admission
@@ -212,6 +218,7 @@ void Engine::run() {
       break;
     }
   }
+  record_metrics();
 }
 
 bool Engine::live(const sim::Event& ev) const {
@@ -283,7 +290,6 @@ void Engine::do_submit(wf::WorkflowSpec spec) {
     const AdmissionDecision decision = admission_->decide(spec, sim_.now());
     if (!decision.admit) {
       ++workflows_rejected_;
-      if (handles_.workflows_rejected) handles_.workflows_rejected->add();
       WOHA_LOG(LogLevel::kInfo, "engine")
           << "t=" << sim_.now() << " REJECT workflow '" << spec.name << "' ("
           << decision.reason << ")";
@@ -318,15 +324,10 @@ void Engine::do_submit(wf::WorkflowSpec spec) {
                    ref.job);
   }
   if (admission_) enforce_pending_budget();
-  // Pending-set accounting (cheap: two compares), kept even without
+  // Pending-set accounting (cheap: one compare), kept even without
   // admission so the admit-all baseline of the rho sweep reports its
   // (unbounded) pending_peak.
-  const std::uint32_t pending = job_tracker_.active_workflows();
-  pending_peak_ = std::max(pending_peak_, pending);
-  if (handles_.pending_workflows) {
-    handles_.pending_workflows->set(static_cast<double>(pending));
-    handles_.pending_peak->set(static_cast<double>(pending_peak_));
-  }
+  pending_peak_ = std::max(pending_peak_, job_tracker_.active_workflows());
 }
 
 void Engine::enforce_pending_budget() {
@@ -348,7 +349,6 @@ void Engine::shed_workflow(std::uint32_t workflow, SimTime now) {
       << config_.admission.max_pending_workflows << " exceeded)";
   wf_rt.mark_shed(now);
   ++workflows_shed_;
-  if (handles_.workflows_shed) handles_.workflows_shed->add();
 
   const std::vector<SlotRef> victims = attempts_.of_workflow(workflow);
   for (const SlotRef victim : victims) kill_attempt(victim, obs::KillCause::kShed);
@@ -386,9 +386,9 @@ void Engine::heartbeat(std::size_t tracker_index) {
   if (!tracker.takes_work()) return;
 
   // Wall-clock service time is only measured with a registry attached; the
-  // clock reads themselves are part of the cost we promise to avoid (the
-  // timer never touches the clock when the histogram handle is null).
-  const obs::ScopedTimer hb_timer(handles_.heartbeat_ns);
+  // clock reads themselves are part of the cost we promise to avoid (a
+  // timer never touches the clock when its histogram is null).
+  const obs::ScopedTimer hb_timer(heartbeat_ns_);
 
   // Per-job blacklisting: the offered slot carries this tracker's blacklist
   // so a blacklisted job can still run elsewhere but never again on this
@@ -426,19 +426,12 @@ void Engine::heartbeat(std::size_t tracker_index) {
         }
       } else {
         heartbeat_slot_type_ = type;  // retargets start_sink_
-        const auto t0 = std::chrono::steady_clock::now();
+        const obs::ScopedTimer select_timer(select_ns_);
         const std::uint32_t started =
             scheduler_->select_tasks(offer, limit, start_sink_, sim_.now());
-        const auto t1 = std::chrono::steady_clock::now();
         // One consult stands for `started` successful sequential consults
         // plus, when it under-filled, the final empty one.
         select_calls_ += started + (started < limit ? 1 : 0);
-        select_wall_ms_ +=
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (handles_.select_ns) {
-          handles_.select_ns->observe(
-              std::chrono::duration<double, std::nano>(t1 - t0).count());
-        }
         assigned[ti] += started;
       }
     }
@@ -450,7 +443,7 @@ void Engine::heartbeat(std::size_t tracker_index) {
     }
   }
 
-  if (handles_.heartbeats) handles_.heartbeats->add();
+  ++heartbeats_;
   if (events_.active()) {
     events_.publish(sim_.now(),
                     obs::HeartbeatServed{tracker_index, assigned[0], assigned[1],
@@ -522,7 +515,6 @@ SlotRef Engine::launch_attempt(JobRef ref, SlotType type, std::size_t tracker_in
                                std::uint32_t retry_level, SlotRef original) {
   cluster_.occupy(tracker_index, type);
   ++tasks_executed_;
-  if (handles_.tasks_started) handles_.tasks_started->add();
   bool will_fail = false;
   const Duration dur = draw_attempt(ref, type, tracker_index, will_fail);
   busy_ms_[static_cast<std::size_t>(type)] += static_cast<double>(dur);
@@ -580,7 +572,6 @@ void Engine::finish_attempt(SlotRef attempt) {
 
   if (a.will_fail) {
     ++tasks_failed_;
-    if (handles_.tasks_failed) handles_.tasks_failed->add();
     record_attempt_failure(a.ref, a.tracker);
     if (a.rival) {
       // The speculation twin keeps running the task alone; this failure
@@ -623,7 +614,7 @@ void Engine::finish_attempt(SlotRef attempt) {
   }
 
   const bool job_done = job.finish_task(a.type, sim_.now());
-  if (handles_.tasks_finished) handles_.tasks_finished->add();
+  ++tasks_finished_;
   scheduler_->on_task_finished(a.ref, a.type, sim_.now());
   publish_ended(false);
   if (!job_done) return;
@@ -671,7 +662,6 @@ Attempt Engine::kill_attempt(SlotRef attempt, obs::KillCause cause) {
       static_cast<double>(a.duration - executed);
   a.duration = executed;
   ++attempts_killed_;
-  if (handles_.attempts_killed) handles_.attempts_killed->add();
   if (events_.active()) {
     events_.publish(sim_.now(),
                     obs::TaskEnded{a.id, a.ref.workflow, a.ref.job, a.type,
@@ -690,7 +680,6 @@ void Engine::crash_tracker(std::size_t tracker_index, SimTime restart_time) {
   const std::uint64_t epoch = cluster_.crash(tracker_index, sim_.now());
   --live_trackers_;
   ++tracker_crashes_;
-  if (handles_.tracker_crashes) handles_.tracker_crashes->add();
   if (events_.active()) {
     events_.publish(sim_.now(), obs::TrackerCrashed{tracker_index, restart_time});
   }
@@ -861,7 +850,6 @@ bool Engine::try_speculate(SlotType type, std::size_t tracker_index) {
     // NOT new task progress: no job/rho accounting. A launch moves no
     // record, so `a` stays valid.
     ++speculative_launched_;
-    if (handles_.speculative_launched) handles_.speculative_launched->add();
     attempts_.at(slot).rival =
         launch_attempt(a.ref, type, tracker_index, a.retry_level, slot);
     WOHA_LOG(LogLevel::kDebug, "engine")
@@ -930,13 +918,7 @@ void Engine::retire_tracker(std::size_t tracker_index, std::uint32_t migrated) {
   // in Hadoop's decommission: completed maps of in-flight jobs re-execute.
   drop_tracker(tracker_index);
   --live_trackers_;
-  if (preempted) {
-    ++preemptions_;
-    if (handles_.preemptions) handles_.preemptions->add();
-  } else {
-    ++decommissions_;
-    if (handles_.decommissions) handles_.decommissions->add();
-  }
+  ++(preempted ? preemptions_ : decommissions_);
   WOHA_LOG(LogLevel::kInfo, "engine")
       << "t=" << sim_.now() << " tracker " << tracker_index
       << (preempted ? " preempted" : " decommissioned") << " (migrated "
@@ -1001,7 +983,6 @@ void Engine::join_trackers(std::uint32_t count) {
     }
     ++live_trackers_;
     ++trackers_joined_;
-    if (handles_.joins) handles_.joins->add();
     const TrackerState& ts = cluster_.tracker(i);
     account_capacity_change(static_cast<std::int64_t>(ts.capacity(SlotType::kMap)),
                             static_cast<std::int64_t>(ts.capacity(SlotType::kReduce)));
@@ -1167,9 +1148,10 @@ RunSummary Engine::summarize() const {
   }
   out.tasks_executed = tasks_executed_;
   out.tasks_failed = tasks_failed_;
+  out.tasks_finished = tasks_finished_;
   out.events_fired = sim_.events_fired();
+  out.heartbeats = heartbeats_;
   out.select_calls = select_calls_;
-  out.select_wall_ms = select_wall_ms_;
   out.map_locality_ratio =
       total_maps_ ? static_cast<double>(local_maps_) / static_cast<double>(total_maps_)
                   : 1.0;

@@ -179,12 +179,16 @@ struct RunSummary {
   double overall_utilization = 0.0;
   std::uint64_t tasks_executed = 0;  ///< attempts started (incl. retried)
   std::uint64_t tasks_failed = 0;    ///< attempts that failed and retried
+  std::uint64_t tasks_finished = 0;  ///< attempts that finished successfully
   std::uint64_t events_fired = 0;
+  /// Heartbeats served: beats of a tracker that takes work while a workflow
+  /// is unfinished.
+  std::uint64_t heartbeats = 0;
   /// Master-side scheduling overhead: WorkflowScheduler::select_task calls
-  /// and the wall-clock time spent inside them (the paper's claim that the
-  /// plan-following scheduler adds negligible master overhead).
+  /// (the paper's claim that the plan-following scheduler adds negligible
+  /// master overhead). Their wall-clock latency is the registry histogram
+  /// engine.select_task_ns, measured only with a registry attached.
   std::uint64_t select_calls = 0;
-  double select_wall_ms = 0.0;
   /// Fraction of map tasks that ran node-local (1.0 when the locality
   /// model is disabled).
   double map_locality_ratio = 1.0;
@@ -235,10 +239,10 @@ class Engine {
   [[nodiscard]] obs::EventBus& events() { return events_; }
   [[nodiscard]] const obs::EventBus& events() const { return events_; }
 
-  /// Attach a metrics registry (nullptr detaches). Instrument handles are
-  /// resolved once here, so hot-path updates are plain field writes; with
-  /// no registry attached the engine records nothing and skips the
-  /// wall-clock reads entirely.
+  /// Attach a metrics registry (nullptr detaches). The two latency
+  /// histograms are resolved here and filled during the run; the counters
+  /// and gauges are the run's own tallies, added once when run() returns.
+  /// With no registry attached the engine reads no clock.
   void set_metrics_registry(obs::MetricsRegistry* registry);
   [[nodiscard]] obs::MetricsRegistry* metrics_registry() const { return registry_; }
 
@@ -423,6 +427,10 @@ class Engine {
   /// The highest-indexed tracker that takes work, if any.
   [[nodiscard]] std::optional<std::size_t> pick_drain_victim() const;
 
+  /// Add the run's tallies to the attached registry's counters and set its
+  /// gauges to the end-of-run levels. Called on every exit from run().
+  void record_metrics();
+
   EngineConfig config_;
   sim::Simulation sim_;
   Cluster cluster_;
@@ -434,30 +442,13 @@ class Engine {
   bool started_ = false;
 
   // Observability. The bus is owned here so every component shares one
-  // stream; the registry is borrowed (callers own snapshots/dumping).
-  // Instrument handles are resolved once in set_metrics_registry so the
-  // hot paths touch raw pointers only.
+  // stream; the registry is borrowed (callers own snapshots/dumping). The
+  // latency histograms are null with no registry attached, which keeps the
+  // timers off the clock.
   obs::EventBus events_;
   obs::MetricsRegistry* registry_ = nullptr;
-  struct MetricHandles {
-    obs::Histogram* heartbeat_ns = nullptr;
-    obs::Histogram* select_ns = nullptr;
-    obs::Counter* heartbeats = nullptr;
-    obs::Counter* tasks_started = nullptr;
-    obs::Counter* tasks_finished = nullptr;
-    obs::Counter* tasks_failed = nullptr;
-    obs::Counter* attempts_killed = nullptr;
-    obs::Counter* tracker_crashes = nullptr;
-    obs::Counter* speculative_launched = nullptr;
-    obs::Counter* workflows_rejected = nullptr;
-    obs::Counter* workflows_shed = nullptr;
-    obs::Counter* decommissions = nullptr;
-    obs::Counter* preemptions = nullptr;
-    obs::Counter* joins = nullptr;
-    obs::Gauge* pending_workflows = nullptr;
-    obs::Gauge* pending_peak = nullptr;
-  };
-  MetricHandles handles_;
+  obs::Histogram* heartbeat_ns_ = nullptr;
+  obs::Histogram* select_ns_ = nullptr;
   obs::EventBus::SubscriptionId task_observer_subscription_ = 0;
 
   // Running attempts, one record per tracker slot (attempt_store.hpp). A
@@ -533,10 +524,11 @@ class Engine {
   // Accounting for utilization: integral of busy slots over time.
   std::uint64_t tasks_executed_ = 0;
   std::uint64_t tasks_failed_ = 0;
+  std::uint64_t tasks_finished_ = 0;
   std::uint64_t local_maps_ = 0;
   std::uint64_t total_maps_ = 0;
+  std::uint64_t heartbeats_ = 0;
   std::uint64_t select_calls_ = 0;
-  double select_wall_ms_ = 0.0;
   SimTime first_submit_ = kTimeInfinity;
   double busy_ms_[2] = {0.0, 0.0};  // per SlotType: sum of task durations
 

@@ -223,7 +223,6 @@ TEST(MasterOverhead, SelectCallsAreCountedAndCheap) {
   engine.run();
   const auto summary = engine.summarize();
   EXPECT_GT(summary.select_calls, summary.tasks_executed);  // includes refusals
-  EXPECT_GE(summary.select_wall_ms, 0.0);
 }
 
 }  // namespace

@@ -152,6 +152,10 @@ hadoop::EngineConfig lifecycle_config() {
   config.elasticity.decommissions.push_back({2, minutes(10), seconds(30)});
   config.elasticity.decommissions.push_back({5, minutes(25), seconds(20)});
   config.elasticity.preemption_waves.push_back({minutes(18), 2, seconds(30)});
+  // Over 4x FIFO's 1.10 h makespan. No run gets near it, so the golden does
+  // not depend on it, but a stranded job fails the golden instead of
+  // beating forever.
+  config.horizon = hours(5);
   return config;
 }
 

@@ -37,6 +37,7 @@ std::uint64_t fig11_digest(bool audit, unsigned plan_jobs) {
   hadoop::EngineConfig config;
   config.audit = audit;
   config.cluster = hadoop::ClusterConfig::paper_32_slaves();
+  config.horizon = testing::kFig11Horizon;
   const auto results = metrics::run_comparison(
       config, trace::fig11_scenario(), metrics::paper_schedulers(plan_jobs));
   return testing::digest_comparison(results);
@@ -73,6 +74,7 @@ TEST(BatchDeterminism, ScaleWorkload160GoldenWithPrewarm) {
   config.cluster.num_trackers = 160;
   config.cluster.map_slots_per_tracker = 2;
   config.cluster.reduce_slots_per_tracker = 1;
+  config.horizon = testing::kScale160Horizon;
   const auto results = metrics::run_comparison(
       config, trace::scale_workload(160), metrics::paper_schedulers(4));
   EXPECT_EQ(testing::digest_comparison(results), 0x9406f11ab911f50cull);

@@ -25,6 +25,9 @@ TEST_P(FailureSweep, EverythingCompletesWithRetries) {
   config.cluster = hadoop::ClusterConfig::paper_32_slaves();
   config.task_failure_prob = failure_prob;
   config.seed = 1234;
+  // Over 4x the slowest makespan (EDF at p = 0.25, 1.81 h): a stranded job
+  // leaves its workflow unfinished instead of beating forever.
+  config.horizon = hours(8);
 
   const auto workload = trace::fig11_scenario();
   std::uint64_t expected = 0;

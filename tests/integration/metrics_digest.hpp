@@ -1,9 +1,8 @@
 // Deterministic digest of a scheduler-comparison run, used to pin
 // bit-identical metrics snapshots across engine refactors (the scale-out
 // work must never change a single scheduling decision on the paper's
-// workloads). Wall-clock fields (select_wall_ms and histogram sums) are
-// excluded; everything else — per-workflow outcomes, counters, event
-// totals — feeds an FNV-1a digest.
+// workloads). Wall-clock histogram sums are excluded; everything else —
+// per-workflow outcomes, counters, event totals — feeds an FNV-1a digest.
 //
 // Regenerating goldens after an *intentional* behaviour change: run
 //   WOHA_PRINT_GOLDENS=1 ./build/tests/integration_tests
@@ -16,9 +15,19 @@
 #include <string>
 #include <vector>
 
+#include "common/types.hpp"
 #include "metrics/report.hpp"
 
 namespace woha::testing {
+
+// Horizons of the golden runs (EngineConfig::horizon), each over 4x the
+// slowest scheduler's makespan there. No run gets near one, so no digest
+// depends on it, but a scheduler that strands a job fails its golden
+// instead of beating forever.
+inline constexpr Duration kFig11Horizon = hours(6);         // EDF: 1.35 h
+inline constexpr Duration kFig8Paper80Horizon = hours(13);  // WOHA-LPF: 3.03 h
+inline constexpr Duration kFig8Slots200Horizon = hours(9);  // EDF: 1.99 h
+inline constexpr Duration kScale160Horizon = hours(16);     // EDF: 3.75 h
 
 class Fnv1a {
  public:

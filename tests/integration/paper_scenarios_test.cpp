@@ -99,6 +99,7 @@ TEST(Fig8Trace, WohaBeatsFifoAndFairOnMissRatio) {
   // schedulers: WOHA variants must beat FIFO and Fair, which the paper
   // describes as "behaving terribly in meeting deadlines".
   hadoop::EngineConfig base;
+  base.horizon = hours(8);  // over 4x EDF's 1.89 h makespan, so a stranded job fails
   const auto workload = trace::fig8_trace(42);
   const auto cells = metrics::sweep_cluster_sizes(
       base, workload, {{"240m-240r", 240, 240}}, metrics::paper_schedulers());

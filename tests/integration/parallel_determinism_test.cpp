@@ -35,6 +35,7 @@ std::uint64_t fig8_digest_at(unsigned jobs) {
   hadoop::EngineConfig config;
   config.audit = true;
   config.cluster = hadoop::ClusterConfig::paper_80_servers();
+  config.horizon = testing::kFig8Paper80Horizon;
   const auto results =
       metrics::run_comparison(config, trace::fig8_trace(),
                               metrics::paper_schedulers(), {}, jobs);
@@ -51,6 +52,7 @@ TEST(ParallelDeterminism, Fig11GridBitIdenticalAtEveryThreadCount) {
   hadoop::EngineConfig config;
   config.audit = true;
   config.cluster = hadoop::ClusterConfig::paper_32_slaves();
+  config.horizon = testing::kFig11Horizon;
   const auto workload = trace::fig11_scenario();
   for (const unsigned jobs : {1u, 4u, std::thread::hardware_concurrency()}) {
     const auto results = metrics::run_comparison(
@@ -66,6 +68,7 @@ TEST(ParallelDeterminism, MorePointsThanWorkers) {
   hadoop::EngineConfig config;
   config.audit = true;
   config.cluster = hadoop::ClusterConfig::paper_80_servers();
+  config.horizon = testing::kFig8Paper80Horizon;
   const auto workload = trace::fig8_trace();
   std::vector<metrics::GridPoint> points;
   for (const auto& entry : metrics::paper_schedulers()) {
@@ -85,6 +88,7 @@ TEST(ParallelDeterminism, ThrowingGridPointSurfacesAndDoesNotWedge) {
   hadoop::EngineConfig config;
   config.audit = true;
   config.cluster = hadoop::ClusterConfig::paper_80_servers();
+  config.horizon = testing::kFig8Paper80Horizon;
   const auto workload = trace::fig8_trace();
   std::vector<metrics::GridPoint> points;
   for (const auto& entry : metrics::paper_schedulers()) {

@@ -5,6 +5,9 @@
 // calendar event queue and the availability indices are required to be
 // decision-identical, not just "roughly the same".
 //
+// Every run stops at a horizon from metrics_digest.hpp, far past its
+// makespan, so a stranded job fails the digest instead of hanging.
+//
 // If a test here fails, the scale work changed a scheduling decision — that
 // is a bug in the optimisation, not a golden to refresh. Only refresh after
 // an intentional semantic change, via:
@@ -41,6 +44,7 @@ TEST(ScaleDeterminism, Fig11Paper32Snapshot) {
   hadoop::EngineConfig config;
   config.audit = true;
   config.cluster = hadoop::ClusterConfig::paper_32_slaves();
+  config.horizon = testing::kFig11Horizon;
   const auto results = metrics::run_comparison(config, trace::fig11_scenario(),
                                                metrics::paper_schedulers());
   check_digest("fig11_paper32", testing::digest_comparison(results),
@@ -51,6 +55,7 @@ TEST(ScaleDeterminism, Fig8Paper80Snapshot) {
   hadoop::EngineConfig config;
   config.audit = true;
   config.cluster = hadoop::ClusterConfig::paper_80_servers();
+  config.horizon = testing::kFig8Paper80Horizon;
   const auto results = metrics::run_comparison(config, trace::fig8_trace(),
                                                metrics::paper_schedulers());
   check_digest("fig8_paper80", testing::digest_comparison(results),
@@ -61,6 +66,7 @@ TEST(ScaleDeterminism, Fig8Slots200Snapshot) {
   hadoop::EngineConfig config;
   config.audit = true;
   config.cluster = hadoop::ClusterConfig::with_totals(200, 200);
+  config.horizon = testing::kFig8Slots200Horizon;
   const auto results = metrics::run_comparison(config, trace::fig8_trace(),
                                                metrics::paper_schedulers());
   check_digest("fig8_200m200r", testing::digest_comparison(results),
@@ -76,6 +82,7 @@ TEST(ScaleDeterminism, ScaleWorkload160Snapshot) {
   config.cluster.num_trackers = 160;
   config.cluster.map_slots_per_tracker = 2;
   config.cluster.reduce_slots_per_tracker = 1;
+  config.horizon = testing::kScale160Horizon;
   const auto results =
       metrics::run_comparison(config, trace::scale_workload(160),
                               metrics::paper_schedulers());
