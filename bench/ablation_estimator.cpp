@@ -37,8 +37,7 @@ hadoop::RunSummary run_scenario(std::shared_ptr<est::TaskTimeEstimator> estimato
   std::unique_ptr<est::HistoryRecorder> recorder;
   if (record_history && estimator) {
     recorder = std::make_unique<est::HistoryRecorder>(*estimator, engine);
-    engine.set_task_observer(
-        [&recorder](const hadoop::TaskEvent& e) { recorder->observe(e); });
+    engine.events().subscribe([&recorder](const obs::Event& e) { recorder->observe(e); });
   }
   // Fig. 11 releases, deadlines relaxed by 15 min each so the *true*
   // (1.25x) workload sits at the feasibility edge rather than beyond it:

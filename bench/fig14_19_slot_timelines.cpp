@@ -14,6 +14,7 @@
 #include "bench_util.hpp"
 #include "common/strings.hpp"
 #include "metrics/report.hpp"
+#include "metrics/timeline.hpp"
 #include "trace/paper_workloads.hpp"
 
 using namespace woha;
@@ -54,8 +55,11 @@ int main(int argc, char** argv) {
   int idx = 0;
   for (const auto& entry : metrics::paper_schedulers()) {
     metrics::TimelineRecorder timeline;
-    const auto result = metrics::run_experiment(config, workload, entry, &timeline,
-                                                metrics_session.hooks());
+    metrics::ObsHooks hooks = metrics_session.hooks();
+    hooks.configure = [&timeline](hadoop::Engine& engine) {
+      engine.events().subscribe([&timeline](const obs::Event& e) { timeline.record(e); });
+    };
+    const auto result = metrics::run_experiment(config, workload, entry, hooks);
     std::printf("---- %s: %s ----\n", figure_of[idx++], entry.label.c_str());
     print_series(timeline, SlotType::kMap, minutes(5));
     print_series(timeline, SlotType::kReduce, minutes(5));

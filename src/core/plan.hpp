@@ -83,11 +83,6 @@ class SchedulingPlan {
   /// ProgressTracker walk instead.
   [[nodiscard]] std::uint64_t required_at(Duration ttd) const;
 
-  /// Plan is usable for a deadline D - S iff simulated_makespan <= D - S.
-  [[nodiscard]] bool feasible_for(Duration relative_deadline) const {
-    return simulated_makespan <= relative_deadline;
-  }
-
  private:
   std::vector<Duration> step_ttd_;
   std::vector<std::uint64_t> step_req_;

@@ -2,8 +2,6 @@
 
 #include <bit>
 
-#include "obs/metrics_registry.hpp"
-
 namespace woha::core {
 
 namespace {
@@ -72,15 +70,12 @@ std::shared_ptr<const SchedulingPlan> PlanCache::get_or_compute(
       // would have computed, so account it as the miss it replaces.
       it->second.prewarmed = false;
       ++misses_;
-      if (miss_counter_) miss_counter_->add();
       return it->second.plan;
     }
     ++hits_;
-    if (hit_counter_) hit_counter_->add();
     return it->second.plan;
   }
   ++misses_;
-  if (miss_counter_) miss_counter_->add();
   auto plan = std::make_shared<const SchedulingPlan>(compute());
   plans_.emplace(key, Entry{plan, /*prewarmed=*/false});
   return plan;

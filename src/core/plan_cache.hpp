@@ -31,10 +31,6 @@
 #include "core/plan.hpp"
 #include "core/resource_cap.hpp"
 
-namespace woha::obs {
-class Counter;
-}  // namespace woha::obs
-
 namespace woha::core {
 
 /// Fingerprint of every plan-generation input. Two specs with equal
@@ -68,13 +64,6 @@ class PlanCache {
   }
   void clear() { plans_.clear(); }
 
-  /// Optional registry counters ("woha.plan_cache_hits"/"_misses"); null
-  /// detaches. Bumped alongside the local tallies.
-  void bind_counters(obs::Counter* hits, obs::Counter* misses) {
-    hit_counter_ = hits;
-    miss_counter_ = misses;
-  }
-
  private:
   struct Entry {
     std::shared_ptr<const SchedulingPlan> plan;
@@ -84,8 +73,6 @@ class PlanCache {
   std::unordered_map<std::uint64_t, Entry> plans_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  obs::Counter* hit_counter_ = nullptr;
-  obs::Counter* miss_counter_ = nullptr;
   /// Race-detector touchpoint instance: the cache is single-writer by
   /// contract (mutations happen on the scheduler thread; prewarm workers
   /// compute plans privately and insert() runs after the pool drains), and

@@ -44,9 +44,11 @@ void WohaScheduler::observe(obs::EventBus* bus, obs::MetricsRegistry* registry) 
                             "woha.plan_generation_ns",
                             obs::exponential_buckets(1000.0, 4.0, 14))
                       : nullptr;
-  plan_cache_.bind_counters(
-      registry ? &registry->counter("woha.plan_cache_hits") : nullptr,
-      registry ? &registry->counter("woha.plan_cache_misses") : nullptr);
+}
+
+void WohaScheduler::record_metrics(obs::MetricsRegistry& registry) const {
+  registry.counter("woha.plan_cache_hits").add(plan_cache_.hits());
+  registry.counter("woha.plan_cache_misses").add(plan_cache_.misses());
 }
 
 std::string WohaScheduler::name() const {

@@ -75,11 +75,9 @@ class WohaScheduler final : public hadoop::WorkflowScheduler,
 
   /// The engine reports the cluster size before the run (stand-in for the
   /// client's slot-count query).
-  void set_cluster_slots(std::uint32_t total_slots) { cluster_slots_ = total_slots; }
-
   void on_cluster_configured(std::uint32_t total_map_slots,
                              std::uint32_t total_reduce_slots) override {
-    set_cluster_slots(total_map_slots + total_reduce_slots);
+    cluster_slots_ = total_map_slots + total_reduce_slots;
   }
 
   /// Also registers for the tracker's runnable-workflow reports.
@@ -97,6 +95,8 @@ class WohaScheduler final : public hadoop::WorkflowScheduler,
   /// Resolves the decision-latency histogram once; select_task then records
   /// into a raw pointer (no registry lookups on the hot path).
   void observe(obs::EventBus* bus, obs::MetricsRegistry* registry) override;
+  /// Adds the plan cache's tallies to woha.plan_cache_hits and _misses.
+  void record_metrics(obs::MetricsRegistry& registry) const override;
 
   /// Introspection for tests and benches.
   [[nodiscard]] const SchedulingPlan* plan_of(WorkflowId wf) const;

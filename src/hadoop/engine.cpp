@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <variant>
 
 #include "common/log.hpp"
 #include "obs/scoped_timer.hpp"
@@ -91,30 +90,7 @@ void Engine::record_metrics() {
       {"cluster.free_reduce_slots", cluster_.total_free(SlotType::kReduce)},
   };
   for (const auto& [name, v] : levels) registry_->gauge(name).set(v);
-}
-
-void Engine::set_task_observer(std::function<void(const TaskEvent&)> observer) {
-  if (task_observer_subscription_ != 0) {
-    events_.unsubscribe(task_observer_subscription_);
-    task_observer_subscription_ = 0;
-  }
-  if (!observer) return;
-  task_observer_subscription_ = events_.subscribe(
-      [cb = std::move(observer)](const obs::Event& e) {
-        if (const std::optional<TaskEvent> task = task_event_of(e)) cb(*task);
-      });
-}
-
-std::optional<TaskEvent> task_event_of(const obs::Event& event) {
-  if (const auto* s = std::get_if<obs::TaskStarted>(&event.payload)) {
-    return TaskEvent{event.time, WorkflowId(s->workflow), JobRef{s->workflow, s->job},
-                     s->slot, true, false, false, s->speculative, 0};
-  }
-  if (const auto* f = std::get_if<obs::TaskEnded>(&event.payload)) {
-    return TaskEvent{event.time, WorkflowId(f->workflow), JobRef{f->workflow, f->job},
-                     f->slot, false, f->failed, f->killed, f->speculative, f->ran_for};
-  }
-  return std::nullopt;
+  scheduler_->record_metrics(*registry_);
 }
 
 void Engine::submit(wf::WorkflowSpec spec) {
@@ -347,7 +323,7 @@ void Engine::shed_workflow(std::uint32_t workflow, SimTime now) {
       << "t=" << now << " SHED workflow " << workflow << " (deadline="
       << wf_rt.deadline() << ", pending budget "
       << config_.admission.max_pending_workflows << " exceeded)";
-  wf_rt.mark_shed(now);
+  wf_rt.mark_shed();
   ++workflows_shed_;
 
   const std::vector<SlotRef> victims = attempts_.of_workflow(workflow);
@@ -514,12 +490,11 @@ void Engine::start_task(JobRef ref, SlotType type, std::size_t tracker_index) {
 SlotRef Engine::launch_attempt(JobRef ref, SlotType type, std::size_t tracker_index,
                                std::uint32_t retry_level, SlotRef original) {
   cluster_.occupy(tracker_index, type);
-  ++tasks_executed_;
+  const std::uint64_t id = ++tasks_executed_;
   bool will_fail = false;
   const Duration dur = draw_attempt(ref, type, tracker_index, will_fail);
   busy_ms_[static_cast<std::size_t>(type)] += static_cast<double>(dur);
 
-  const std::uint64_t id = next_attempt_id_++;
   const bool speculative = static_cast<bool>(original);
   if (events_.active()) {
     if (speculative) {
@@ -781,7 +756,7 @@ void Engine::fail_workflow(std::uint32_t workflow, SimTime now) {
       << "t=" << now << " workflow " << workflow
       << " FAILED (task exhausted max_attempts="
       << config_.faults.max_attempts << ")";
-  wf_rt.mark_failed(now);
+  wf_rt.mark_failed();
   ++workflows_failed_;
   if (events_.active()) {
     events_.publish(now, obs::WorkflowFailed{workflow});

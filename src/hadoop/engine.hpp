@@ -121,30 +121,6 @@ struct EngineConfig {
   bool audit = false;
 };
 
-/// One task start/finish observation, for slot-allocation timelines
-/// (paper Fig. 14-19) and utilization accounting.
-struct TaskEvent {
-  SimTime time = 0;
-  WorkflowId workflow;
-  JobRef job;
-  SlotType slot = SlotType::kMap;
-  bool started = true;  ///< false == attempt ended (success, failure, kill)
-  bool failed = false;  ///< only meaningful when started == false
-  /// Attempt was KILLED (tracker lost, speculation race lost, or workflow
-  /// failed) rather than finishing on its own. Kills release the slot like
-  /// any end event but must not feed duration estimators.
-  bool killed = false;
-  /// Attempt is a speculative backup (fault model's speculative execution).
-  bool speculative = false;
-  /// Actual execution time of the attempt; set on end events (0 on
-  /// start events). Feeds history-based task-time estimators.
-  Duration duration = 0;
-};
-
-/// The TaskEvent an obs::TaskStarted or obs::TaskEnded stands for; nullopt
-/// for every other event.
-[[nodiscard]] std::optional<TaskEvent> task_event_of(const obs::Event& event);
-
 /// Final per-workflow outcome.
 struct WorkflowResult {
   WorkflowId id;
@@ -228,23 +204,16 @@ class Engine {
   /// before run().
   void submit(wf::WorkflowSpec spec);
 
-  /// Optional observer invoked on every task start/finish (timelines).
-  /// Implemented as an EventBus subscription translating obs::TaskStarted /
-  /// obs::TaskEnded back into the legacy TaskEvent shape, so the bus is the
-  /// single event pipeline. Passing nullptr removes the observer.
-  void set_task_observer(std::function<void(const TaskEvent&)> observer);
-
   /// The engine's event bus. Subscribe exporters/tests before run(); with
   /// no subscribers every publish site reduces to a single branch.
   [[nodiscard]] obs::EventBus& events() { return events_; }
   [[nodiscard]] const obs::EventBus& events() const { return events_; }
 
-  /// Attach a metrics registry (nullptr detaches). The two latency
-  /// histograms are resolved here and filled during the run; the counters
-  /// and gauges are the run's own tallies, added once when run() returns.
-  /// With no registry attached the engine reads no clock.
+  /// Attach a metrics registry (nullptr detaches). The latency histograms
+  /// are resolved here and filled during the run; the counters and gauges,
+  /// the scheduler's included, are the run's own tallies, added once when
+  /// run() returns. With no registry attached the engine reads no clock.
   void set_metrics_registry(obs::MetricsRegistry* registry);
-  [[nodiscard]] obs::MetricsRegistry* metrics_registry() const { return registry_; }
 
   /// The engine RNG's full state. Determinism-under-observability tests
   /// compare this across bus-off/bus-on runs: equal final states prove the
@@ -427,8 +396,9 @@ class Engine {
   /// The highest-indexed tracker that takes work, if any.
   [[nodiscard]] std::optional<std::size_t> pick_drain_victim() const;
 
-  /// Add the run's tallies to the attached registry's counters and set its
-  /// gauges to the end-of-run levels. Called on every exit from run().
+  /// Add the run's tallies to the attached registry's counters, set its
+  /// gauges to the end-of-run levels, then let the scheduler add its own.
+  /// Called on every exit from run().
   void record_metrics();
 
   EngineConfig config_;
@@ -449,14 +419,12 @@ class Engine {
   obs::MetricsRegistry* registry_ = nullptr;
   obs::Histogram* heartbeat_ns_ = nullptr;
   obs::Histogram* select_ns_ = nullptr;
-  obs::EventBus::SubscriptionId task_observer_subscription_ = 0;
 
   // Running attempts, one record per tracker slot (attempt_store.hpp). A
   // finish event or rival link names a record and its generation, so it
-  // misses once its attempt is gone. Attempt ids are a separate monotonic
-  // counter starting at 1, so launch order is id order.
+  // misses once its attempt is gone. An attempt's id is its launch count
+  // (tasks_executed_ after its launch), so launch order is id order.
   AttemptStore attempts_;
-  std::uint64_t next_attempt_id_ = 1;
 
   // Start-task sink handed to WorkflowScheduler::select_tasks, built once
   // and retargeted per offer through heartbeat_tracker_ and

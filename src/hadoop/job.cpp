@@ -197,22 +197,21 @@ void WorkflowRuntime::on_job_avail_changed(JobInProgress& job, SlotType t,
   if (listener_) listener_->on_job_availability_changed(job, t, available);
 }
 
-void WorkflowRuntime::mark_failed(SimTime now) {
+void WorkflowRuntime::mark_failed() {
   if (finished()) {
     throw std::logic_error("WorkflowRuntime::mark_failed: workflow already finished");
   }
   if (failed_) return;
   failed_ = true;
-  fail_time_ = now;
   for (JobInProgress& job : jobs_) {
     if (!job.complete()) job.mark_failed();
   }
 }
 
-void WorkflowRuntime::mark_shed(SimTime now) {
+void WorkflowRuntime::mark_shed() {
   if (failed_) return;  // already torn down; keep the original cause
   shed_ = true;
-  mark_failed(now);
+  mark_failed();
 }
 
 }  // namespace woha::hadoop

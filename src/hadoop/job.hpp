@@ -179,7 +179,6 @@ class WorkflowRuntime {
   [[nodiscard]] bool finished() const { return finish_time_ >= 0; }
   /// True when a job failed permanently (task exhausted its attempt budget).
   [[nodiscard]] bool failed() const { return failed_; }
-  [[nodiscard]] SimTime fail_time() const { return fail_time_; }
   /// True when the admission controller shed this workflow to keep the
   /// pending budget. A shed workflow also reads as failed() so every
   /// "skip dead workflows" guard applies; summaries report it separately.
@@ -219,11 +218,11 @@ class WorkflowRuntime {
 
   /// Task -> job -> workflow failure propagation: every non-complete job is
   /// marked kFailed so nothing of this workflow is ever scheduled again.
-  void mark_failed(SimTime now);
+  void mark_failed();
   /// Deadline-aware load shedding: same teardown as mark_failed, but the
   /// workflow is additionally tagged shed() so it is not counted as a fault
   /// casualty.
-  void mark_shed(SimTime now);
+  void mark_shed();
 
   [[nodiscard]] std::uint32_t unfinished_jobs() const { return unfinished_jobs_; }
 
@@ -238,7 +237,6 @@ class WorkflowRuntime {
   SimTime finish_time_ = -1;
   bool failed_ = false;
   bool shed_ = false;
-  SimTime fail_time_ = -1;
   std::vector<JobInProgress> jobs_;
   std::vector<std::uint32_t> remaining_prereqs_;
   std::vector<std::vector<std::uint32_t>> dependents_;

@@ -62,9 +62,13 @@ class WorkflowScheduler {
   /// `bus` only while it is active, and record latency metrics only when
   /// `registry` is non-null — with neither, the hooks must cost nothing.
   virtual void observe(obs::EventBus* bus, obs::MetricsRegistry* registry) {
+    (void)registry;
     bus_ = bus;
-    metrics_ = registry;
   }
+
+  /// Add the scheduler's own run tallies to `registry`. The engine calls
+  /// this once, last, when run() returns with a registry attached.
+  virtual void record_metrics(obs::MetricsRegistry& registry) const { (void)registry; }
 
   /// Reports the cluster's slot capacity before the run. WOHA clients use
   /// this for plan generation (the "consult the JobTracker about the
@@ -177,7 +181,6 @@ class WorkflowScheduler {
 
   const JobTracker* tracker_ = nullptr;
   obs::EventBus* bus_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
 
  private:
   obs::DecisionPublisher decision_;

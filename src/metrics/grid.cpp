@@ -33,8 +33,7 @@ ExperimentResult run_point(const GridPoint& point, std::size_t index,
       if (options.configure_point) options.configure_point(engine, index);
     };
   }
-  return run_experiment(point.config, *point.workload, point.scheduler, nullptr,
-                        hooks);
+  return run_experiment(point.config, *point.workload, point.scheduler, hooks);
 }
 
 }  // namespace

@@ -60,12 +60,11 @@ std::vector<SchedulerEntry> extended_schedulers(unsigned plan_jobs) {
 ExperimentResult run_experiment(const hadoop::EngineConfig& config,
                                 const std::vector<wf::WorkflowSpec>& workload,
                                 const SchedulerEntry& scheduler,
-                                TimelineRecorder* timeline, const ObsHooks& hooks) {
+                                const ObsHooks& hooks) {
   const auto t0 = std::chrono::steady_clock::now();
   hadoop::Engine engine(config, scheduler.make());
   if (hooks.registry) engine.set_metrics_registry(hooks.registry);
   if (hooks.configure) hooks.configure(engine);
-  if (timeline) timeline->subscribe(engine.events());
   // The auditor subscribes last so exporters see each event before any
   // audit check can throw on it; subscription order never affects results
   // (the bus is synchronous and side-effect-free toward the engine).

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "hadoop/engine.hpp"
-#include "metrics/timeline.hpp"
 
 namespace woha::metrics {
 
@@ -52,18 +51,18 @@ struct ExperimentResult {
 /// Observability attachments for harness-driven runs. `registry` (if any)
 /// is attached to every engine before run(), so one registry accumulates
 /// across a comparison/sweep; `configure` (if any) runs right after engine
-/// construction — subscribe exporters to engine.events() there.
+/// construction — subscribe exporters and recorders (a TimelineRecorder,
+/// say) to engine.events() there.
 struct ObsHooks {
   obs::MetricsRegistry* registry = nullptr;
   std::function<void(hadoop::Engine&)> configure;
 };
 
-/// Build an engine, submit the workload, run, summarize. If `timeline` is
-/// non-null it rides the engine's event bus and receives every task event.
+/// Build an engine, submit the workload, run, summarize.
 [[nodiscard]] ExperimentResult run_experiment(
     const hadoop::EngineConfig& config,
     const std::vector<wf::WorkflowSpec>& workload, const SchedulerEntry& scheduler,
-    TimelineRecorder* timeline = nullptr, const ObsHooks& hooks = {});
+    const ObsHooks& hooks = {});
 
 /// Run the workload under every scheduler in `entries`, `jobs` runs at a
 /// time (1 = the classic serial loop; 0 = hardware concurrency). Results

@@ -2,20 +2,19 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <variant>
 
 namespace woha::metrics {
 
-void TimelineRecorder::record(const hadoop::TaskEvent& event) {
-  events_.push_back(event);
-  workflow_count_ = std::max(workflow_count_, event.workflow.value() + 1);
-}
-
-obs::EventBus::SubscriptionId TimelineRecorder::subscribe(obs::EventBus& bus) {
-  return bus.subscribe([this](const obs::Event& e) {
-    if (const std::optional<hadoop::TaskEvent> task = hadoop::task_event_of(e)) {
-      record(*task);
-    }
-  });
+void TimelineRecorder::record(const obs::Event& event) {
+  if (const auto* s = std::get_if<obs::TaskStarted>(&event.payload)) {
+    events_.push_back({event.time, s->workflow, s->slot, true});
+  } else if (const auto* e = std::get_if<obs::TaskEnded>(&event.payload)) {
+    events_.push_back({event.time, e->workflow, e->slot, false});
+  } else {
+    return;
+  }
+  workflow_count_ = std::max(workflow_count_, events_.back().workflow + 1);
 }
 
 std::vector<TimelineRecorder::Sample> TimelineRecorder::sample(SlotType slot,
@@ -32,7 +31,7 @@ std::vector<TimelineRecorder::Sample> TimelineRecorder::sample(SlotType slot,
     while (i < events_.size() && events_[i].time <= t) {
       const auto& e = events_[i];
       if (e.slot == slot) {
-        auto& c = current[e.workflow.value()];
+        auto& c = current[e.workflow];
         if (e.started) {
           ++c;
         } else {
@@ -52,10 +51,10 @@ std::vector<std::uint32_t> TimelineRecorder::peak_occupancy(SlotType slot) const
   std::vector<std::uint32_t> peak(workflow_count_, 0);
   for (const auto& e : events_) {
     if (e.slot != slot) continue;
-    auto& c = current[e.workflow.value()];
+    auto& c = current[e.workflow];
     if (e.started) {
       ++c;
-      peak[e.workflow.value()] = std::max(peak[e.workflow.value()], c);
+      peak[e.workflow] = std::max(peak[e.workflow], c);
     } else {
       if (c == 0) throw std::logic_error("TimelineRecorder: negative occupancy");
       --c;
@@ -70,7 +69,7 @@ std::vector<double> TimelineRecorder::busy_slot_ms(SlotType slot) const {
   std::vector<SimTime> last_change(workflow_count_, 0);
   for (const auto& e : events_) {
     if (e.slot != slot) continue;
-    const std::uint32_t w = e.workflow.value();
+    const std::uint32_t w = e.workflow;
     area[w] += static_cast<double>(current[w]) *
                static_cast<double>(e.time - last_change[w]);
     last_change[w] = e.time;

@@ -11,20 +11,16 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "hadoop/engine.hpp"
+#include "obs/event.hpp"
 
 namespace woha::metrics {
 
 class TimelineRecorder {
  public:
-  /// Record one observation; wire into Engine::set_task_observer:
-  ///   engine.set_task_observer([&](const TaskEvent& e) { rec.record(e); });
-  void record(const hadoop::TaskEvent& event);
-
-  /// Ride the unified event stream directly: subscribes to `bus` and
-  /// records every obs::TaskStarted / obs::TaskEnded. The recorder must
-  /// outlive the subscription (unsubscribe with the returned id).
-  obs::EventBus::SubscriptionId subscribe(obs::EventBus& bus);
+  /// Record an obs::TaskStarted or obs::TaskEnded; every other event is
+  /// ignored. Subscribe it to an engine's bus before run():
+  ///   engine.events().subscribe([&](const obs::Event& e) { rec.record(e); });
+  void record(const obs::Event& event);
 
   [[nodiscard]] std::size_t event_count() const { return events_.size(); }
   [[nodiscard]] std::uint32_t workflow_count() const { return workflow_count_; }
@@ -50,7 +46,15 @@ class TimelineRecorder {
   [[nodiscard]] std::string to_csv(SlotType slot, Duration period) const;
 
  private:
-  std::vector<hadoop::TaskEvent> events_;
+  /// One slot taken (started) or given back by an attempt of `workflow`.
+  struct Change {
+    SimTime time;
+    std::uint32_t workflow;
+    SlotType slot;
+    bool started;
+  };
+
+  std::vector<Change> events_;
   std::uint32_t workflow_count_ = 0;
 };
 

@@ -2,9 +2,10 @@
 //
 // Every scheduler, and the engine for the offers it answers itself, traces
 // each consult as a SchedulerDecision. The publisher owns the event and
-// publishes it borrowed: the scheduler-name string is built once and the
+// publishes it by reference: the scheduler-name string is built once and the
 // ranking vector keeps its buffer, so a traced run allocates nothing per
-// decision. The caller fills only what it alone knows, its ranking.
+// decision. Handlers must not retain the event past their return. The
+// caller fills only what it alone knows, its ranking.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +40,7 @@ class DecisionPublisher {
   }
 
   /// Fan the decision begun last out to `bus`'s subscribers.
-  void publish(EventBus& bus) const { bus.publish_borrowed(event_); }
+  void publish(EventBus& bus) const { bus.publish(event_); }
 
  private:
   Event event_;

@@ -49,20 +49,11 @@ class EventBus {
   [[nodiscard]] std::size_t subscriber_count() const { return handlers_.size(); }
   [[nodiscard]] std::uint64_t published() const { return published_; }
 
-  /// Fan an event out to every subscriber, in subscription order.
-  void publish(Event event) {
-    if (handlers_.empty()) return;  // inactive bus stays a single branch
-    analysis::touch_write("event_bus", analysis_id_, "EventBus::publish");
-    ++published_;
-    for (const auto& [id, handler] : handlers_) handler(event);
-  }
-
-  /// Fan out an event the caller keeps: no copy or move of the payload, so
-  /// hot-path publishers can hold a long-lived Event and reuse its internal
-  /// buffers (ranking vectors, strings) across publishes. Handlers receive
-  /// const Event& either way; they must not retain references past return —
-  /// the same rule publish() already implies.
-  void publish_borrowed(const Event& event) {
+  /// Fan an event out to every subscriber, in subscription order. The
+  /// event is passed by reference, never copied, so a publisher may keep a
+  /// long-lived Event and reuse its buffers (ranking vectors, strings)
+  /// across publishes; handlers must not retain it past their return.
+  void publish(const Event& event) {
     if (handlers_.empty()) return;  // inactive bus stays a single branch
     analysis::touch_write("event_bus", analysis_id_, "EventBus::publish");
     ++published_;

@@ -42,15 +42,11 @@ class Node {
   [[nodiscard]] const std::string& attr(const std::string& key) const;
   [[nodiscard]] std::string attr_or(const std::string& key,
                                     std::string fallback) const;
-  [[nodiscard]] const std::map<std::string, std::string>& attrs() const {
-    return attrs_;
-  }
 
   // --- text content ---------------------------------------------------
   /// Concatenated character data directly inside this element (trimmed).
   [[nodiscard]] const std::string& text() const { return text_; }
   void set_text(std::string text) { text_ = std::move(text); }
-  void append_text(std::string_view more) { text_.append(more); }
 
   // --- children --------------------------------------------------------
   Node& add_child(std::string name);

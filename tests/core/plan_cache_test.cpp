@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <variant>
 
 #include "core/woha_scheduler.hpp"
 #include "hadoop/engine.hpp"
@@ -149,17 +151,51 @@ TEST(PlanCache, PrewarmedInsertClaimsAsMissThenHits) {
   EXPECT_EQ(computes, 1) << "clear() must forget prewarmed entries too";
 }
 
-TEST(PlanCache, BoundCountersTrackHitsAndMisses) {
+// WOHA adds its plan cache's tallies to the registry once, when run()
+// returns: mid-run the counters still hold what earlier runs added (the
+// first run's snapshot holds only histograms), and afterwards they equal
+// plan_cache()'s hits and misses summed over both engines on the registry.
+TEST(PlanCache, RegistryCountersMatchTheCacheWhenRunReturns) {
   obs::MetricsRegistry registry;
-  PlanCache cache;
-  cache.bind_counters(&registry.counter("woha.plan_cache_hits"),
-                      &registry.counter("woha.plan_cache_misses"));
-  const auto compute = [] { return SchedulingPlan{}; };
-  (void)cache.get_or_compute(1, compute);
-  (void)cache.get_or_compute(1, compute);
-  (void)cache.get_or_compute(1, compute);
-  EXPECT_EQ(registry.counter("woha.plan_cache_misses").value(), 1u);
-  EXPECT_EQ(registry.counter("woha.plan_cache_hits").value(), 2u);
+  const auto counter = [&registry](const char* name) {
+    const obs::Counter* c = registry.find_counter(name);
+    return c != nullptr ? c->value() : 0;
+  };
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  for (int run = 0; run < 2; ++run) {
+    hadoop::EngineConfig config;
+    config.cluster = hadoop::ClusterConfig::paper_32_slaves();
+    hadoop::Engine engine(config, std::make_unique<WohaScheduler>());
+    engine.set_metrics_registry(&registry);
+    std::string snapshot;
+    std::uint64_t mid_hits = 0;
+    std::uint64_t mid_misses = 0;
+    engine.events().subscribe([&](const obs::Event& e) {
+      if (!snapshot.empty() || !std::holds_alternative<obs::WorkflowCompleted>(e.payload)) {
+        return;
+      }
+      snapshot = registry.to_json();
+      mid_hits = counter("woha.plan_cache_hits");
+      mid_misses = counter("woha.plan_cache_misses");
+    });
+    for (const auto& spec : trace::fig12_scenario(3, minutes(30))) engine.submit(spec);
+    engine.run();
+
+    ASSERT_FALSE(snapshot.empty());
+    if (run == 0) {
+      EXPECT_EQ(snapshot.rfind("{\"counters\":{},\"gauges\":{},", 0), 0u) << snapshot;
+    }
+    EXPECT_EQ(mid_hits, hits);
+    EXPECT_EQ(mid_misses, misses);
+    const auto& sched = dynamic_cast<const WohaScheduler&>(engine.scheduler());
+    hits += sched.plan_cache().hits();
+    misses += sched.plan_cache().misses();
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
+  EXPECT_EQ(counter("woha.plan_cache_hits"), hits);
+  EXPECT_EQ(counter("woha.plan_cache_misses"), misses);
 }
 
 hadoop::RunSummary run_fig12(bool cache_enabled, std::uint64_t* hits) {

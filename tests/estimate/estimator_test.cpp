@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/log.hpp"
 #include "core/woha_scheduler.hpp"
 #include "estimate/history_recorder.hpp"
 #include "hadoop/engine.hpp"
@@ -107,8 +108,7 @@ TEST(HistoryRecorder, LearnsFromLiveRuns) {
   wc.estimator = estimator;
   hadoop::Engine engine(config, std::make_unique<core::WohaScheduler>(wc));
   HistoryRecorder recorder(*estimator, engine);
-  engine.set_task_observer(
-      [&recorder](const hadoop::TaskEvent& e) { recorder.observe(e); });
+  engine.events().subscribe([&recorder](const obs::Event& e) { recorder.observe(e); });
   engine.submit(spec);
   engine.run();
 
@@ -116,6 +116,43 @@ TEST(HistoryRecorder, LearnsFromLiveRuns) {
   EXPECT_EQ(estimator->samples("learning-job", SlotType::kReduce), 4u);
   EXPECT_EQ(estimator->estimate(spec.jobs[0], SlotType::kMap), seconds(30));
   EXPECT_EQ(estimator->estimate(spec.jobs[0], SlotType::kReduce), seconds(60));
+}
+
+// Failed attempts stop at a random point and killed ones (node loss, lost
+// speculation races) are cut short, so neither may teach the estimator a
+// duration: it learns once per successful attempt and never from the rest.
+TEST(HistoryRecorder, LearnsOnlyFromSuccessfulAttempts) {
+  const LogLevel log_before = log_level();
+  set_log_level(LogLevel::kError);  // the crashes are intended
+  auto estimator = std::make_shared<HistoryEstimator>();
+  const auto spec = wf::diamond(6);
+  hadoop::EngineConfig config;
+  config.cluster.num_trackers = 6;
+  config.duration_jitter_sigma = 0.6;
+  config.task_failure_prob = 0.15;
+  config.faults.tracker_mtbf = 20.0 * 60.0 * 1000.0;  // 20 min per tracker
+  config.faults.speculative_execution = true;
+  config.horizon = hours(12);
+  core::WohaConfig wc;
+  wc.estimator = estimator;
+  hadoop::Engine engine(config, std::make_unique<core::WohaScheduler>(wc));
+  HistoryRecorder recorder(*estimator, engine);
+  engine.events().subscribe([&recorder](const obs::Event& e) { recorder.observe(e); });
+  engine.submit(spec);
+  engine.run();
+  set_log_level(log_before);
+
+  const auto summary = engine.summarize();
+  ASSERT_GT(summary.tasks_failed, 0u);
+  ASSERT_GT(summary.attempts_killed, 0u);
+  ASSERT_GT(summary.speculative_launched, 0u);
+  std::uint64_t samples = 0;
+  for (const auto& job : spec.jobs) {
+    samples += estimator->samples(job.name, SlotType::kMap) +
+               estimator->samples(job.name, SlotType::kReduce);
+  }
+  EXPECT_EQ(samples, summary.tasks_finished);
+  EXPECT_LT(samples, summary.tasks_executed);
 }
 
 TEST(WohaWithEstimator, WarmEstimatorFixesUnderestimatedPlans) {
@@ -159,8 +196,7 @@ TEST(WohaWithEstimator, WarmEstimatorFixesUnderestimatedPlans) {
     wc.estimator = estimator;
     hadoop::Engine engine(config, std::make_unique<core::WohaScheduler>(wc));
     HistoryRecorder recorder(*estimator, engine);
-    engine.set_task_observer(
-        [&recorder](const hadoop::TaskEvent& e) { recorder.observe(e); });
+    engine.events().subscribe([&recorder](const obs::Event& e) { recorder.observe(e); });
     engine.submit(make_spec());
     engine.run();
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <variant>
 
 #include "sched/fifo_scheduler.hpp"
 #include "workflow/topology.hpp"
@@ -75,11 +76,11 @@ TEST(Engine, RespectsJobDependencies) {
   Engine engine(small_cluster(), std::make_unique<sched::FifoScheduler>());
 
   std::map<std::uint32_t, SimTime> first_start, last_finish;
-  engine.set_task_observer([&](const TaskEvent& e) {
-    if (e.started) {
-      if (!first_start.count(e.job.job)) first_start[e.job.job] = e.time;
-    } else {
-      last_finish[e.job.job] = e.time;
+  engine.events().subscribe([&](const obs::Event& e) {
+    if (const auto* s = std::get_if<obs::TaskStarted>(&e.payload)) {
+      if (!first_start.count(s->job)) first_start[s->job] = e.time;
+    } else if (const auto* f = std::get_if<obs::TaskEnded>(&e.payload)) {
+      last_finish[f->job] = e.time;
     }
   });
   engine.submit(spec);
@@ -96,11 +97,13 @@ TEST(Engine, NeverExceedsSlotCapacity) {
   std::int64_t running[2] = {0, 0};
   const std::int64_t caps[2] = {config.cluster.total_map_slots(),
                                 config.cluster.total_reduce_slots()};
-  engine.set_task_observer([&](const TaskEvent& e) {
-    auto& r = running[static_cast<std::size_t>(e.slot)];
-    r += e.started ? 1 : -1;
-    ASSERT_GE(r, 0);
-    ASSERT_LE(r, caps[static_cast<std::size_t>(e.slot)]);
+  engine.events().subscribe([&](const obs::Event& e) {
+    if (const auto* s = std::get_if<obs::TaskStarted>(&e.payload)) {
+      const auto type = static_cast<std::size_t>(s->slot);
+      ASSERT_LE(++running[type], caps[type]);
+    } else if (const auto* f = std::get_if<obs::TaskEnded>(&e.payload)) {
+      ASSERT_GE(--running[static_cast<std::size_t>(f->slot)], 0);
+    }
   });
   // Submit more work than fits: three wide workflows.
   for (int i = 0; i < 3; ++i) {
@@ -117,8 +120,10 @@ TEST(Engine, ActivationLatencyDelaysFirstTask) {
   config.activation_latency = seconds(30);
   Engine engine(config, std::make_unique<sched::FifoScheduler>());
   SimTime first_task = -1;
-  engine.set_task_observer([&](const TaskEvent& e) {
-    if (e.started && first_task < 0) first_task = e.time;
+  engine.events().subscribe([&](const obs::Event& e) {
+    if (std::holds_alternative<obs::TaskStarted>(e.payload) && first_task < 0) {
+      first_task = e.time;
+    }
   });
   engine.submit(single_job(1, 0));
   engine.run();

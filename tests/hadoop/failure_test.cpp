@@ -2,6 +2,9 @@
 // Hadoop. The workload must still complete, with conserved task accounting.
 #include <gtest/gtest.h>
 
+#include <variant>
+#include <vector>
+
 #include "hadoop/engine.hpp"
 #include "sched/fifo_scheduler.hpp"
 #include "workflow/topology.hpp"
@@ -71,13 +74,11 @@ TEST(FailureInjection, DeterministicPerSeed) {
 TEST(FailureInjection, ObserverSeesFailedAttempts) {
   Engine engine(failing_cluster(0.3), std::make_unique<sched::FifoScheduler>());
   std::uint64_t started = 0, succeeded = 0, failed = 0;
-  engine.set_task_observer([&](const TaskEvent& e) {
-    if (e.started) {
+  engine.events().subscribe([&](const obs::Event& e) {
+    if (std::holds_alternative<obs::TaskStarted>(e.payload)) {
       ++started;
-    } else if (e.failed) {
-      ++failed;
-    } else {
-      ++succeeded;
+    } else if (const auto* f = std::get_if<obs::TaskEnded>(&e.payload)) {
+      ++(f->failed ? failed : succeeded);
     }
   });
   const auto spec = wf::diamond(4);
@@ -117,9 +118,19 @@ TEST(FailureInjection, FailedAttemptReleasesSlotAtFailurePoint) {
   config.seed = 7;
   Engine engine(config, std::make_unique<sched::FifoScheduler>());
 
-  std::vector<TaskEvent> map_events;
-  engine.set_task_observer([&](const TaskEvent& e) {
-    if (e.slot == SlotType::kMap) map_events.push_back(e);
+  // (time, started, failed) of every map start and end.
+  struct MapEvent {
+    SimTime time;
+    bool started;
+    bool failed;
+  };
+  std::vector<MapEvent> map_events;
+  engine.events().subscribe([&](const obs::Event& e) {
+    if (const auto* s = std::get_if<obs::TaskStarted>(&e.payload)) {
+      if (s->slot == SlotType::kMap) map_events.push_back({e.time, true, false});
+    } else if (const auto* f = std::get_if<obs::TaskEnded>(&e.payload)) {
+      if (f->slot == SlotType::kMap) map_events.push_back({e.time, false, f->failed});
+    }
   });
   auto spec = wf::diamond(6);
   engine.submit(spec);

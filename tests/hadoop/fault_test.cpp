@@ -113,8 +113,9 @@ TEST(NodeChurn, MapOutputLossForcesReexecution) {
   Engine engine(config, std::make_unique<sched::FifoScheduler>());
   const auto spec = single_job(10, 3, seconds(60), seconds(300));
   std::uint64_t map_successes = 0;
-  engine.set_task_observer([&](const TaskEvent& e) {
-    if (e.slot == SlotType::kMap && !e.started && !e.failed && !e.killed) {
+  engine.events().subscribe([&](const obs::Event& e) {
+    const auto* f = std::get_if<obs::TaskEnded>(&e.payload);
+    if (f != nullptr && f->slot == SlotType::kMap && !f->failed && !f->killed) {
       ++map_successes;
     }
   });

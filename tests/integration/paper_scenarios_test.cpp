@@ -6,6 +6,7 @@
 
 #include "metrics/metrics.hpp"
 #include "metrics/report.hpp"
+#include "metrics/timeline.hpp"
 #include "trace/paper_workloads.hpp"
 #include "workflow/topology.hpp"
 
@@ -114,9 +115,12 @@ TEST(Fig8Trace, WohaBeatsFifoAndFairOnMissRatio) {
 
 TEST(SlotTimelines, RecordedSeriesCoverAllWorkflows) {
   metrics::TimelineRecorder timeline;
+  metrics::ObsHooks hooks;
+  hooks.configure = [&timeline](hadoop::Engine& engine) {
+    engine.events().subscribe([&timeline](const obs::Event& e) { timeline.record(e); });
+  };
   const auto result = metrics::run_experiment(
-      fig11_cluster(), trace::fig11_scenario(), metrics::paper_schedulers()[3],
-      &timeline);
+      fig11_cluster(), trace::fig11_scenario(), metrics::paper_schedulers()[3], hooks);
   EXPECT_EQ(timeline.workflow_count(), 3u);
   // Each workflow must have used at least one map and one reduce slot.
   const auto map_peak = timeline.peak_occupancy(SlotType::kMap);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <map>
+#include <variant>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -92,23 +93,24 @@ TEST_P(SchedulerPropertySweep, InvariantsHold) {
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> maps_done;
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> started_total;
 
-  engine.set_task_observer([&](const hadoop::TaskEvent& e) {
-    auto& r = running[static_cast<std::size_t>(e.slot)];
-    const auto key = std::make_pair(e.job.workflow, e.job.job);
-    if (e.started) {
+  engine.events().subscribe([&](const obs::Event& e) {
+    if (const auto* s = std::get_if<obs::TaskStarted>(&e.payload)) {
+      auto& r = running[static_cast<std::size_t>(s->slot)];
       ++r;
-      ASSERT_LE(r, caps[static_cast<std::size_t>(e.slot)]);
+      ASSERT_LE(r, caps[static_cast<std::size_t>(s->slot)]);
+      const auto key = std::make_pair(s->workflow, s->job);
       ++started_total[key];
-      if (e.slot == SlotType::kReduce) {
+      if (s->slot == SlotType::kReduce) {
         // All maps of this job must have completed first.
-        const auto& job_spec = spec_of_id[e.job.workflow]->jobs[e.job.job];
+        const auto& job_spec = spec_of_id[s->workflow]->jobs[s->job];
         ASSERT_EQ(maps_done[key], job_spec.num_maps)
             << "reduce started before map phase finished";
       }
-    } else {
+    } else if (const auto* f = std::get_if<obs::TaskEnded>(&e.payload)) {
+      auto& r = running[static_cast<std::size_t>(f->slot)];
       --r;
       ASSERT_GE(r, 0);
-      if (e.slot == SlotType::kMap && !e.failed) ++maps_done[key];
+      if (f->slot == SlotType::kMap && !f->failed) ++maps_done[{f->workflow, f->job}];
     }
   });
 

@@ -14,14 +14,9 @@
 namespace woha::metrics {
 namespace {
 
-hadoop::TaskEvent ev(SimTime t, std::uint32_t wf, SlotType slot, bool started) {
-  hadoop::TaskEvent e;
-  e.time = t;
-  e.workflow = WorkflowId(wf);
-  e.job = hadoop::JobRef{wf, 0};
-  e.slot = slot;
-  e.started = started;
-  return e;
+obs::Event ev(SimTime t, std::uint32_t wf, SlotType slot, bool started) {
+  if (started) return {t, obs::TaskStarted{.workflow = wf, .slot = slot}};
+  return {t, obs::TaskEnded{.workflow = wf, .slot = slot}};
 }
 
 TEST(Timeline, OccupancyStepFunction) {
@@ -30,6 +25,8 @@ TEST(Timeline, OccupancyStepFunction) {
   rec.record(ev(5, 0, SlotType::kMap, true));
   rec.record(ev(10, 0, SlotType::kMap, false));
   rec.record(ev(20, 0, SlotType::kMap, false));
+  rec.record({20, obs::HeartbeatServed{}});  // not a task event: ignored
+  ASSERT_EQ(rec.event_count(), 4u);
   ASSERT_EQ(rec.workflow_count(), 1u);
 
   const auto samples = rec.sample(SlotType::kMap, 5);
@@ -108,8 +105,11 @@ TEST(Report, RunExperimentProducesSummaryAndTimeline) {
   config.cluster = hadoop::ClusterConfig::paper_32_slaves();
   const auto workload = trace::fig2_scenario(seconds(10));
   TimelineRecorder timeline;
-  const auto result =
-      run_experiment(config, workload, paper_schedulers()[3], &timeline);
+  ObsHooks hooks;
+  hooks.configure = [&timeline](hadoop::Engine& engine) {
+    engine.events().subscribe([&timeline](const obs::Event& e) { timeline.record(e); });
+  };
+  const auto result = run_experiment(config, workload, paper_schedulers()[3], hooks);
   EXPECT_EQ(result.scheduler, "WOHA-LPF");
   EXPECT_EQ(result.summary.workflows.size(), 3u);
   EXPECT_GT(timeline.event_count(), 0u);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <variant>
 
 #include "hadoop/engine.hpp"
 #include "sched/edf_scheduler.hpp"
@@ -47,10 +48,11 @@ TEST(FifoScheduler, ServesInSubmissionOrder) {
   engine.submit(bulk_workflow("B", 6, 0));
 
   SimTime a_last_map_start = -1, b_first_map_start = -1;
-  engine.set_task_observer([&](const hadoop::TaskEvent& e) {
-    if (!e.started || e.slot != SlotType::kMap) return;
-    if (e.workflow.value() == 0) a_last_map_start = e.time;
-    if (e.workflow.value() == 1 && b_first_map_start < 0) b_first_map_start = e.time;
+  engine.events().subscribe([&](const obs::Event& e) {
+    const auto* started = std::get_if<obs::TaskStarted>(&e.payload);
+    if (started == nullptr || started->slot != SlotType::kMap) return;
+    if (started->workflow == 0) a_last_map_start = e.time;
+    if (started->workflow == 1 && b_first_map_start < 0) b_first_map_start = e.time;
   });
   engine.run();
   EXPECT_LT(a_last_map_start, b_first_map_start);
@@ -87,9 +89,10 @@ TEST(FairScheduler, SharesSlotsBetweenWorkflows) {
   engine.submit(bulk_workflow("B", 6, 0));
 
   SimTime b_first_map_start = -1;
-  engine.set_task_observer([&](const hadoop::TaskEvent& e) {
-    if (e.started && e.slot == SlotType::kMap && e.workflow.value() == 1 &&
-        b_first_map_start < 0) {
+  engine.events().subscribe([&](const obs::Event& e) {
+    const auto* started = std::get_if<obs::TaskStarted>(&e.payload);
+    if (started != nullptr && started->slot == SlotType::kMap &&
+        started->workflow == 1 && b_first_map_start < 0) {
       b_first_map_start = e.time;
     }
   });

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+
 #include "common/log.hpp"
 #include "hadoop/engine.hpp"
 #include "metrics/report.hpp"
@@ -87,10 +89,11 @@ TEST(DecomposedEdf, PrefersUrgentUpstreamJobOverRelaxedSink) {
   config.cluster.num_trackers = 1;  // 2 map + 1 reduce slot: strict ordering
   hadoop::Engine engine(config, std::make_unique<DecomposedEdfScheduler>());
   SimTime deep_first = -1, shallow_first = -1;
-  engine.set_task_observer([&](const hadoop::TaskEvent& e) {
-    if (!e.started) return;
-    if (e.workflow.value() == 0 && deep_first < 0) deep_first = e.time;
-    if (e.workflow.value() == 1 && shallow_first < 0) shallow_first = e.time;
+  engine.events().subscribe([&](const obs::Event& e) {
+    const auto* started = std::get_if<obs::TaskStarted>(&e.payload);
+    if (started == nullptr) return;
+    if (started->workflow == 0 && deep_first < 0) deep_first = e.time;
+    if (started->workflow == 1 && shallow_first < 0) shallow_first = e.time;
   });
   engine.submit(chain_wf);
   engine.submit(single);
@@ -111,10 +114,12 @@ TEST(DecomposedEdf, FreesVirtualDeadlinesOnceWorkflowsCompleteOrFail) {
   hadoop::Engine engine(config, std::make_unique<DecomposedEdfScheduler>());
   const auto& scheduler = dynamic_cast<const DecomposedEdfScheduler&>(engine.scheduler());
   std::uint64_t starts = 0, with_deadline = 0;
-  engine.set_task_observer([&](const hadoop::TaskEvent& e) {
-    if (!e.started) return;
+  engine.events().subscribe([&](const obs::Event& e) {
+    const auto* started = std::get_if<obs::TaskStarted>(&e.payload);
+    if (started == nullptr) return;
     ++starts;
-    with_deadline += scheduler.job_deadline(e.job) != kTimeInfinity ? 1 : 0;
+    with_deadline +=
+        scheduler.job_deadline({started->workflow, started->job}) != kTimeInfinity ? 1 : 0;
   });
   for (const auto& spec : trace::scale_workload(80, 7)) engine.submit(spec);
   engine.run();
