@@ -4,9 +4,8 @@
 // Produces, in the current directory (or the directory given as argv[1]):
 //   trace.json   — Chrome trace_event JSON; open at https://ui.perfetto.dev
 //                  or chrome://tracing. One process per TaskTracker with a
-//                  lane per slot, plus master tracks for workflow lifecycle,
-//                  scheduler decisions (with top-k queue ranking), and
-//                  bridged WOHA_LOG lines.
+//                  lane per slot, plus master tracks for workflow lifecycle
+//                  and scheduler decisions (with top-k queue ranking).
 //   events.jsonl — the same event stream as one JSON object per line.
 //   metrics.json — the metrics registry snapshot (engine latency histograms,
 //                  task/fault counters, slot gauges).
@@ -20,7 +19,6 @@
 #include "metrics/report.hpp"
 #include "obs/export_chrome.hpp"
 #include "obs/export_jsonl.hpp"
-#include "obs/log_bridge.hpp"
 #include "obs/metrics_registry.hpp"
 #include "trace/paper_workloads.hpp"
 
@@ -28,7 +26,6 @@ using namespace woha;
 
 int main(int argc, char** argv) {
   const std::string dir = argc > 1 ? std::string(argv[1]) + "/" : std::string();
-  set_log_level(LogLevel::kInfo);  // so plan/fault log lines reach the bridge
 
   hadoop::EngineConfig config;
   config.cluster = hadoop::ClusterConfig::paper_32_slaves();
@@ -57,7 +54,6 @@ int main(int argc, char** argv) {
   }
   obs::ChromeTraceExporter chrome(engine.events(), trace_out);
   obs::JsonlExporter jsonl(engine.events(), jsonl_out);
-  obs::LogBridge logs(engine.events());  // WOHA_LOG lines ride the bus too
 
   for (const auto& spec : trace::fig11_scenario()) engine.submit(spec);
   engine.run();

@@ -6,8 +6,9 @@
 // std::ostringstream setup cost is never paid on the fast path).
 //
 // The sink is pluggable: by default lines go to stderr with wall-clock-free
-// "[LEVEL] component: message" formatting; obs::LogBridge re-routes them
-// onto the event bus stamped with *simulated* time.
+// "[LEVEL] component: message" formatting. A run's facts travel on the
+// event bus (obs::EventBus), not here: log lines carry only what no event
+// does.
 #pragma once
 
 #include <functional>
@@ -34,7 +35,7 @@ using LogSink =
                        const std::string& message)>;
 
 /// Install a sink (nullptr restores the stderr default). Returns the
-/// previously installed sink so scoped bridges can restore it.
+/// previously installed sink so a scoped caller can restore it.
 LogSink set_log_sink(LogSink sink);
 
 /// Core entry: level-checks, then hands the line to the sink (or stderr).

@@ -149,9 +149,6 @@ void WohaScheduler::on_workflow_submitted(WorkflowId wf, SimTime now) {
       plan = std::make_shared<const SchedulingPlan>(compute());
     }
   }
-  WOHA_LOG(LogLevel::kInfo, "woha")
-      << "plan for workflow " << wf.value() << ": cap=" << plan->resource_cap
-      << " makespan=" << plan->simulated_makespan << " steps=" << plan->num_steps();
   if (bus_ && bus_->active()) {
     bus_->publish(now, obs::PlanGenerated{wf.value(), plan->resource_cap,
                                           plan->simulated_makespan,
@@ -163,13 +160,14 @@ void WohaScheduler::on_workflow_submitted(WorkflowId wf, SimTime now) {
   WorkflowState st;
   st.plan = std::move(plan);
   ProgressTracker progress(st.plan.get(), rt.deadline());
-  states_.emplace(wf.value(), std::move(st));
+  if (states_.size() <= wf.value()) states_.resize(wf.value() + 1);
+  states_[wf.value()] = std::move(st);
   queue_->insert(wf.value(), std::move(progress));
 }
 
 void WohaScheduler::on_job_activated(hadoop::JobRef job, SimTime now) {
   (void)now;
-  WorkflowState& st = states_.at(job.workflow);
+  WorkflowState& st = states_[job.workflow];
   const auto& rank = st.plan->job_rank;
   // Keep active_jobs sorted by ascending rank (rank 0 served first).
   const auto pos = std::lower_bound(
@@ -180,15 +178,14 @@ void WohaScheduler::on_job_activated(hadoop::JobRef job, SimTime now) {
 
 void WohaScheduler::on_job_completed(hadoop::JobRef job, SimTime now) {
   (void)now;
-  WorkflowState& st = states_.at(job.workflow);
-  std::erase(st.active_jobs, job.job);
+  std::erase(states_[job.workflow].active_jobs, job.job);
 }
 
 void WohaScheduler::on_workflow_completed(WorkflowId wf, SimTime now) {
   (void)now;
   queue_->remove(wf.value());
   // Keep the plan alive (tests inspect it); drop only the job list.
-  states_.at(wf.value()).active_jobs.clear();
+  states_[wf.value()].active_jobs.clear();
 }
 
 void WohaScheduler::on_tasks_lost(hadoop::JobRef job, SlotType t,
@@ -209,8 +206,7 @@ std::optional<std::uint32_t> WohaScheduler::pick_job(
   if (tracker_->workflow(WorkflowId(wf)).available_jobs(slot.type) == 0) {
     return std::nullopt;
   }
-  const WorkflowState& st = states_.at(wf);
-  for (std::uint32_t j : st.active_jobs) {
+  for (std::uint32_t j : states_[wf].active_jobs) {
     const hadoop::JobRef ref{wf, j};
     if (tracker_->job(ref).has_available(slot.type) && slot.allows(ref)) return j;
   }
@@ -252,8 +248,7 @@ std::optional<hadoop::JobRef> WohaScheduler::select_task(
 }
 
 const SchedulingPlan* WohaScheduler::plan_of(WorkflowId wf) const {
-  const auto it = states_.find(wf.value());
-  return it == states_.end() ? nullptr : it->second.plan.get();
+  return wf.value() < states_.size() ? states_[wf.value()].plan.get() : nullptr;
 }
 
 }  // namespace woha::core

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/job_priority.hpp"
@@ -122,7 +121,7 @@ class WohaScheduler final : public hadoop::WorkflowScheduler,
   WohaConfig config_;
   std::uint32_t cluster_slots_ = 0;
   std::unique_ptr<SchedulerQueue> queue_;
-  std::unordered_map<std::uint32_t, WorkflowState> states_;
+  std::vector<WorkflowState> states_;  ///< by workflow id
   PlanCache plan_cache_;
   /// Resolved by observe(); null with no registry attached.
   obs::Histogram* assign_ns_ = nullptr;

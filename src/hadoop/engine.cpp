@@ -45,7 +45,6 @@ Engine::Engine(EngineConfig config, std::unique_ptr<WorkflowScheduler> scheduler
   }
   current_capacity_[0] = config_.cluster.total_map_slots();
   current_capacity_[1] = config_.cluster.total_reduce_slots();
-  events_.set_time_source([this] { return sim_.now(); });
   job_tracker_.set_event_bus(&events_);
   scheduler_->attach(&job_tracker_);
   scheduler_->observe(&events_, nullptr);
@@ -266,9 +265,6 @@ void Engine::do_submit(wf::WorkflowSpec spec) {
     const AdmissionDecision decision = admission_->decide(spec, sim_.now());
     if (!decision.admit) {
       ++workflows_rejected_;
-      WOHA_LOG(LogLevel::kInfo, "engine")
-          << "t=" << sim_.now() << " REJECT workflow '" << spec.name << "' ("
-          << decision.reason << ")";
       WorkflowResult r;
       r.name = spec.name;
       r.submit_time = sim_.now();
@@ -287,9 +283,6 @@ void Engine::do_submit(wf::WorkflowSpec spec) {
   }
   const WorkflowId id = job_tracker_.add_workflow(std::move(spec), sim_.now());
   WorkflowRuntime& wf_rt = job_tracker_.workflow(id);
-  WOHA_LOG(LogLevel::kInfo, "engine")
-      << "t=" << sim_.now() << " submit workflow " << id.value() << " ('"
-      << wf_rt.spec().name << "', deadline=" << wf_rt.deadline() << ")";
   scheduler_->on_workflow_submitted(id, sim_.now());
   // Initially runnable jobs go through the same activation path as unlocked
   // dependents (submitter map task latency).
@@ -319,10 +312,6 @@ void Engine::enforce_pending_budget() {
 void Engine::shed_workflow(std::uint32_t workflow, SimTime now) {
   WorkflowRuntime& wf_rt = job_tracker_.workflow(WorkflowId(workflow));
   if (wf_rt.failed() || wf_rt.finished()) return;
-  WOHA_LOG(LogLevel::kWarn, "engine")
-      << "t=" << now << " SHED workflow " << workflow << " (deadline="
-      << wf_rt.deadline() << ", pending budget "
-      << config_.admission.max_pending_workflows << " exceeded)";
   wf_rt.mark_shed();
   ++workflows_shed_;
 
@@ -339,11 +328,7 @@ void Engine::shed_workflow(std::uint32_t workflow, SimTime now) {
 void Engine::activate_job(JobRef ref) {
   // The workflow may have failed while the submitter task was loading.
   if (job_tracker_.workflow(WorkflowId(ref.workflow)).failed()) return;
-  JobInProgress& job = job_tracker_.job(ref);
-  job.mark_active(sim_.now());
-  WOHA_LOG(LogLevel::kDebug, "engine")
-      << "t=" << sim_.now() << " activate job w" << ref.workflow << "/j" << ref.job
-      << " ('" << job.spec().name << "')";
+  job_tracker_.job(ref).mark_active(sim_.now());
   if (events_.active()) {
     events_.publish(sim_.now(), obs::JobActivated{ref.workflow, ref.job});
   }
@@ -595,9 +580,6 @@ void Engine::finish_attempt(SlotRef attempt) {
   if (!job_done) return;
 
   WorkflowRuntime& wf_rt = job_tracker_.workflow(WorkflowId(a.ref.workflow));
-  WOHA_LOG(LogLevel::kDebug, "engine")
-      << "t=" << sim_.now() << " job w" << a.ref.workflow << "/j" << a.ref.job
-      << " complete";
   if (events_.active()) {
     events_.publish(sim_.now(), obs::JobCompleted{a.ref.workflow, a.ref.job});
   }
@@ -611,10 +593,6 @@ void Engine::finish_attempt(SlotRef attempt) {
   }
   if (wf_rt.finished()) {
     job_tracker_.count_workflow_finished();
-    WOHA_LOG(LogLevel::kInfo, "engine")
-        << "t=" << sim_.now() << " workflow " << a.ref.workflow << " finished"
-        << (wf_rt.finish_time() <= wf_rt.deadline() ? " (deadline met)"
-                                                    : " (DEADLINE MISSED)");
     if (events_.active()) {
       events_.publish(sim_.now(),
                       obs::WorkflowCompleted{
@@ -658,11 +636,6 @@ void Engine::crash_tracker(std::size_t tracker_index, SimTime restart_time) {
   if (events_.active()) {
     events_.publish(sim_.now(), obs::TrackerCrashed{tracker_index, restart_time});
   }
-  WOHA_LOG(LogLevel::kInfo, "engine")
-      << "t=" << sim_.now() << " tracker " << tracker_index << " crashed"
-      << (restart_time == kTimeInfinity
-              ? std::string(" (no restart)")
-              : " (restart at " + std::to_string(restart_time) + ")");
 
   // The node stops executing instantly, but the master stays oblivious: the
   // attempts keep their records and slots until the lease expires or the
@@ -691,18 +664,12 @@ void Engine::restart_tracker(std::size_t tracker_index) {
   if (events_.active()) {
     events_.publish(sim_.now(), obs::TrackerRestarted{tracker_index});
   }
-  WOHA_LOG(LogLevel::kInfo, "engine")
-      << "t=" << sim_.now() << " tracker " << tracker_index << " re-registered";
   if (config_.faults.tracker_mtbf > 0.0) schedule_next_mtbf_crash(tracker_index);
 }
 
 void Engine::detect_tracker_loss(std::size_t tracker_index) {
   const TrackerState& tracker = cluster_.tracker(tracker_index);
   if (tracker.life() != TrackerState::Life::kDown) return;
-  WOHA_LOG(LogLevel::kInfo, "engine")
-      << "t=" << sim_.now() << " tracker " << tracker_index
-      << " declared lost (crashed at " << tracker.crash_time() << ")";
-
   const std::uint32_t killed = evict_tracker(tracker_index, obs::KillCause::kNodeLoss);
   cluster_.declare_lost(tracker_index);
   const std::uint32_t outputs_lost = drop_tracker(tracker_index);
@@ -752,10 +719,6 @@ std::uint32_t Engine::drop_tracker(std::size_t tracker_index) {
 void Engine::fail_workflow(std::uint32_t workflow, SimTime now) {
   WorkflowRuntime& wf_rt = job_tracker_.workflow(WorkflowId(workflow));
   if (wf_rt.failed() || wf_rt.finished()) return;
-  WOHA_LOG(LogLevel::kWarn, "engine")
-      << "t=" << now << " workflow " << workflow
-      << " FAILED (task exhausted max_attempts="
-      << config_.faults.max_attempts << ")";
   wf_rt.mark_failed();
   ++workflows_failed_;
   if (events_.active()) {
@@ -827,9 +790,6 @@ bool Engine::try_speculate(SlotType type, std::size_t tracker_index) {
     ++speculative_launched_;
     attempts_.at(slot).rival =
         launch_attempt(a.ref, type, tracker_index, a.retry_level, slot);
-    WOHA_LOG(LogLevel::kDebug, "engine")
-        << "t=" << now << " speculative backup for w" << a.ref.workflow << "/j"
-        << a.ref.job << " on tracker " << tracker_index;
     // The original now has a rival: retire it from the candidate set (the
     // key is a copy: `slot` lives in the node this erases). We return
     // immediately, so the invalidated loop iterator is never advanced.
@@ -856,9 +816,6 @@ void Engine::begin_decommission(std::size_t tracker_index, Duration lease) {
   const std::uint64_t epoch =
       cluster_.begin_drain(tracker_index, TrackerState::Drain::kDecommission);
   const SimTime lease_deadline = sim_.now() + lease;
-  WOHA_LOG(LogLevel::kInfo, "engine")
-      << "t=" << sim_.now() << " tracker " << tracker_index
-      << " draining (decommission, lease until " << lease_deadline << ")";
   if (events_.active()) {
     events_.publish(sim_.now(), obs::TrackerDraining{tracker_index, lease_deadline});
   }
@@ -894,10 +851,6 @@ void Engine::retire_tracker(std::size_t tracker_index, std::uint32_t migrated) {
   drop_tracker(tracker_index);
   --live_trackers_;
   ++(preempted ? preemptions_ : decommissions_);
-  WOHA_LOG(LogLevel::kInfo, "engine")
-      << "t=" << sim_.now() << " tracker " << tracker_index
-      << (preempted ? " preempted" : " decommissioned") << " (migrated "
-      << migrated << " attempts)";
   if (events_.active()) {
     events_.publish(sim_.now(),
                     obs::TrackerDecommissioned{tracker_index, migrated});
@@ -936,9 +889,6 @@ void Engine::preemption_wave(const PreemptionWave& wave) {
     const std::uint64_t epoch =
         cluster_.begin_drain(i, TrackerState::Drain::kPreemption);
     const SimTime termination = sim_.now() + wave.warning;
-    WOHA_LOG(LogLevel::kInfo, "engine")
-        << "t=" << sim_.now() << " tracker " << i
-        << " preemption warning (terminates at " << termination << ")";
     if (events_.active()) {
       events_.publish(sim_.now(), obs::PreemptionWarning{i, termination});
     }
@@ -961,8 +911,6 @@ void Engine::join_trackers(std::uint32_t count) {
     const TrackerState& ts = cluster_.tracker(i);
     account_capacity_change(static_cast<std::int64_t>(ts.capacity(SlotType::kMap)),
                             static_cast<std::int64_t>(ts.capacity(SlotType::kReduce)));
-    WOHA_LOG(LogLevel::kInfo, "engine")
-        << "t=" << sim_.now() << " tracker " << i << " joined";
     if (events_.active()) {
       events_.publish(sim_.now(), obs::TrackerJoined{i});
     }

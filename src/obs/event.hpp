@@ -14,7 +14,6 @@
 #include <variant>
 #include <vector>
 
-#include "common/log.hpp"
 #include "common/types.hpp"
 
 namespace woha::obs {
@@ -249,16 +248,6 @@ struct SchedulerDecision {
 /// stays O(1) per decision.
 inline constexpr std::size_t kMaxRankedCandidates = 8;
 
-// ---- diagnostics -----------------------------------------------------------
-
-/// A WOHA_LOG line routed through the bus by obs::LogBridge; `time` on the
-/// enclosing Event is simulated time, not wall-clock.
-struct LogEmitted {
-  LogLevel level = LogLevel::kInfo;
-  std::string component;
-  std::string message;
-};
-
 // ----------------------------------------------------------------------------
 
 using Payload =
@@ -267,7 +256,7 @@ using Payload =
                  TaskStarted, TaskEnded, SpeculativeLaunched, HeartbeatServed,
                  TrackerCrashed, TrackerLost, TrackerRestarted, TrackerDraining,
                  TrackerDecommissioned, TrackerJoined, PreemptionWarning,
-                 PlanGenerated, QueueReordered, SchedulerDecision, LogEmitted>;
+                 PlanGenerated, QueueReordered, SchedulerDecision>;
 
 struct Event {
   SimTime time = 0;  ///< simulated milliseconds

@@ -66,16 +66,8 @@ class EventBus {
     publish(Event{time, Payload(std::move(payload))});
   }
 
-  /// Simulated-time source for publishers without their own clock (the
-  /// WOHA_LOG bridge). The engine installs its Simulation::now.
-  void set_time_source(std::function<SimTime()> source) {
-    time_source_ = std::move(source);
-  }
-  [[nodiscard]] SimTime now() const { return time_source_ ? time_source_() : 0; }
-
  private:
   std::vector<std::pair<SubscriptionId, Handler>> handlers_;
-  std::function<SimTime()> time_source_;
   SubscriptionId next_id_ = 1;
   std::uint64_t published_ = 0;
   /// Race-detector touchpoint: a bus belongs to exactly one engine, and an

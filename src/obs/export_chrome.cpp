@@ -395,15 +395,6 @@ void ChromeTraceExporter::on_event(const Event& event) {
           p.assigned ? "assign " + task_name(p.workflow, p.job) : "idle";
       ex.instant(t, kMasterPid, kDecisionTid, name, a.take());
     }
-    void operator()(const LogEmitted& p) {
-      ex.ensure_thread(kMasterPid, kLogTid, "log");
-      JsonWriter a;
-      a.begin_object();
-      a.member("component", p.component);
-      a.member("message", p.message);
-      a.end_object();
-      ex.instant(t, kMasterPid, kLogTid, p.component, a.take());
-    }
   };
   std::visit(Visitor{*this, t}, event.payload);
 }

@@ -3,7 +3,7 @@
 // Track layout:
 //   pid 1            — "JobTracker (master)": workflow lifecycle instants on
 //                      tid 1 ("workflows"), scheduler decision annotations on
-//                      tid 2 ("decisions"), bridged WOHA_LOG lines on tid 3.
+//                      tid 2 ("decisions").
 //   pid 100 + k      — "TaskTracker k": one thread per slot lane; task
 //                      attempts are B/E slices on the lane they occupy,
 //                      crash / loss / re-registration are instant events.
@@ -64,7 +64,6 @@ class ChromeTraceExporter {
   static constexpr std::uint64_t kTrackerPidBase = 100;
   static constexpr std::uint64_t kWorkflowTid = 1;
   static constexpr std::uint64_t kDecisionTid = 2;
-  static constexpr std::uint64_t kLogTid = 3;
   static constexpr std::uint64_t kJobTidBase = 10;  ///< + workflow id
   static constexpr std::uint64_t kReduceTidBase = 1000;
 

@@ -6,18 +6,6 @@ namespace woha::obs {
 
 namespace {
 
-const char* level_tag(LogLevel level) {
-  switch (level) {
-    case LogLevel::kTrace: return "trace";
-    case LogLevel::kDebug: return "debug";
-    case LogLevel::kInfo: return "info";
-    case LogLevel::kWarn: return "warn";
-    case LogLevel::kError: return "error";
-    case LogLevel::kOff: return "off";
-  }
-  return "?";
-}
-
 void write_payload(JsonWriter& w, const WorkflowSubmitted& p) {
   w.member("workflow", p.workflow);
   w.member("name", p.name);
@@ -170,12 +158,6 @@ void write_payload(JsonWriter& w, const SchedulerDecision& p) {
   w.end_array();
 }
 
-void write_payload(JsonWriter& w, const LogEmitted& p) {
-  w.member("level", level_tag(p.level));
-  w.member("component", p.component);
-  w.member("message", p.message);
-}
-
 }  // namespace
 
 const char* to_string(KillCause cause) {
@@ -218,7 +200,6 @@ const char* kind_name(const Payload& payload) {
     const char* operator()(const PlanGenerated&) { return "plan-generated"; }
     const char* operator()(const QueueReordered&) { return "queue-reordered"; }
     const char* operator()(const SchedulerDecision&) { return "scheduler-decision"; }
-    const char* operator()(const LogEmitted&) { return "log"; }
   };
   return std::visit(Namer{}, payload);
 }

@@ -26,12 +26,13 @@ void DecomposedEdfScheduler::on_workflow_submitted(WorkflowId wf, SimTime) {
       deadlines[j] = rt.deadline() - successors_after;
     }
   }
+  if (deadlines_.size() <= wf.value()) deadlines_.resize(wf.value() + 1);
   deadlines_[wf.value()] = std::move(deadlines);
 }
 
 void DecomposedEdfScheduler::on_job_runnable_changed(hadoop::JobRef job, SlotType t,
                                                      bool runnable) {
-  const RunnableKey key{deadlines_.at(job.workflow)[job.job], job.workflow, job.job};
+  const RunnableKey key{deadlines_.at(job.workflow).at(job.job), job.workflow, job.job};
   runnable ? runnable_.insert(t, key) : runnable_.erase(t, key);
 }
 
@@ -52,9 +53,9 @@ std::optional<hadoop::JobRef> DecomposedEdfScheduler::select_task(
 }
 
 SimTime DecomposedEdfScheduler::job_deadline(hadoop::JobRef job) const {
-  const auto it = deadlines_.find(job.workflow);
-  if (it == deadlines_.end() || job.job >= it->second.size()) return kTimeInfinity;
-  return it->second[job.job];
+  if (job.workflow >= deadlines_.size()) return kTimeInfinity;
+  const std::vector<SimTime>& deadlines = deadlines_[job.workflow];
+  return job.job < deadlines.size() ? deadlines[job.job] : kTimeInfinity;
 }
 
 }  // namespace woha::sched

@@ -14,7 +14,6 @@
 // bench_ablation_decomposition.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "hadoop/job_tracker.hpp"
@@ -40,7 +39,7 @@ class DecomposedEdfScheduler final : public hadoop::WorkflowScheduler,
   /// Completion and failure leave no runnable job (their last reports took
   /// the jobs out of both orders), so the deadlines can go.
   void on_workflow_completed(WorkflowId wf, SimTime) override {
-    deadlines_.erase(wf.value());
+    deadlines_[wf.value()] = {};
   }
   std::optional<hadoop::JobRef> select_task(const hadoop::SlotOffer& slot,
                                             SimTime now) override;
@@ -52,8 +51,9 @@ class DecomposedEdfScheduler final : public hadoop::WorkflowScheduler,
  private:
   void on_job_runnable_changed(hadoop::JobRef job, SlotType t, bool runnable) override;
 
-  /// Virtual deadlines per unfinished workflow, indexed by wjob.
-  std::unordered_map<std::uint32_t, std::vector<SimTime>> deadlines_;
+  /// Virtual deadlines by workflow id, then wjob; empty once the workflow
+  /// completed or failed.
+  std::vector<std::vector<SimTime>> deadlines_;
   /// Per slot type, the runnable jobs by (virtual deadline, workflow, job).
   RunnableOrder runnable_;
 };

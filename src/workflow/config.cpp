@@ -1,11 +1,28 @@
 #include "workflow/config.hpp"
 
+#include <limits>
 #include <map>
 #include <stdexcept>
 
 #include "common/strings.hpp"
 
 namespace woha::wf {
+
+namespace {
+
+/// A job's task-count attribute, refused unless it fits the uint32 field.
+std::uint32_t parse_task_count(const xml::Node& job, const char* attribute,
+                               const char* fallback) {
+  const std::string raw = job.attr_or(attribute, fallback);
+  const std::int64_t count = parse_int(raw);
+  if (count < 0 || count > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("workflow config: job '" + job.attr("name") + "' has " +
+                                attribute + "=\"" + raw + "\", outside [0, 4294967295]");
+  }
+  return static_cast<std::uint32_t>(count);
+}
+
+}  // namespace
 
 WorkflowSpec load_workflow(const xml::Document& doc) {
   const xml::Node& root = doc.root();
@@ -31,8 +48,8 @@ WorkflowSpec load_workflow(const xml::Document& doc) {
   for (const xml::Node* jn : job_nodes) {
     JobSpec job;
     job.name = jn->attr("name");
-    job.num_maps = static_cast<std::uint32_t>(parse_int(jn->attr_or("maps", "1")));
-    job.num_reduces = static_cast<std::uint32_t>(parse_int(jn->attr_or("reduces", "0")));
+    job.num_maps = parse_task_count(*jn, "maps", "1");
+    job.num_reduces = parse_task_count(*jn, "reduces", "0");
     job.map_duration = parse_duration(jn->attr_or("map-duration", "60s"));
     job.reduce_duration = parse_duration(jn->attr_or("reduce-duration", "120s"));
     if (index_of.count(job.name)) {

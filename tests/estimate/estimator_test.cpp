@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/log.hpp"
 #include "core/woha_scheduler.hpp"
 #include "estimate/history_recorder.hpp"
 #include "hadoop/engine.hpp"
@@ -122,8 +121,6 @@ TEST(HistoryRecorder, LearnsFromLiveRuns) {
 // speculation races) are cut short, so neither may teach the estimator a
 // duration: it learns once per successful attempt and never from the rest.
 TEST(HistoryRecorder, LearnsOnlyFromSuccessfulAttempts) {
-  const LogLevel log_before = log_level();
-  set_log_level(LogLevel::kError);  // the crashes are intended
   auto estimator = std::make_shared<HistoryEstimator>();
   const auto spec = wf::diamond(6);
   hadoop::EngineConfig config;
@@ -140,7 +137,6 @@ TEST(HistoryRecorder, LearnsOnlyFromSuccessfulAttempts) {
   engine.events().subscribe([&recorder](const obs::Event& e) { recorder.observe(e); });
   engine.submit(spec);
   engine.run();
-  set_log_level(log_before);
 
   const auto summary = engine.summarize();
   ASSERT_GT(summary.tasks_failed, 0u);

@@ -4,7 +4,8 @@
 // chaos run that reaches every counter but admission.rejected and a
 // feasibility-gated run that rejects; the registry must then hold the sum
 // of the two RunSummary tallies, the counts the bus delivered, and the
-// second engine's end-of-run levels.
+// second engine's end-of-run levels. The same runs, under FIFO and WOHA,
+// must write no log line that restates an event.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,8 @@
 #include <variant>
 #include <vector>
 
+#include "common/log.hpp"
+#include "core/woha_scheduler.hpp"
 #include "hadoop/engine.hpp"
 #include "obs/metrics_registry.hpp"
 #include "sched/fifo_scheduler.hpp"
@@ -167,6 +170,53 @@ TEST(EngineMetrics, RegistryHoldsTheRunsTallies) {
             last->cluster().total_free(SlotType::kReduce));
   EXPECT_EQ(gauge("overload.pending"), last->job_tracker().active_workflows());
   EXPECT_EQ(gauge("overload.pending_peak"), last->summarize().pending_peak);
+}
+
+/// Captures every log line, at every level, while alive.
+struct LogCapture {
+  std::vector<std::string> lines;
+  LogLevel level_before = log_level();
+  LogSink sink_before = set_log_sink(
+      [this](LogLevel, const std::string& component, const std::string& message) {
+        lines.push_back(component + ": " + message);
+      });
+  LogCapture() { set_log_level(LogLevel::kTrace); }
+  LogCapture(const LogCapture&) = delete;
+  LogCapture& operator=(const LogCapture&) = delete;
+  ~LogCapture() {
+    set_log_sink(std::move(sink_before));
+    set_log_level(level_before);
+  }
+};
+
+// A run's facts are reported on the bus. The log carries only what no event
+// does; on these runs that is the per-job blacklisting, once per tally.
+TEST(EngineLog, WritesNoLineThatAnEventCarries) {
+  const std::pair<EngineConfig, std::vector<wf::WorkflowSpec>> runs[] = {
+      {chaos_config(), chaos_workload()},
+      {infeasible_config(), infeasible_workload()},
+  };
+  const LogCapture capture;
+  std::uint64_t blacklistings = 0;
+  for (const bool woha : {false, true}) {
+    for (const auto& [config, workload] : runs) {
+      std::unique_ptr<WorkflowScheduler> scheduler;
+      if (woha) {
+        scheduler = std::make_unique<core::WohaScheduler>();
+      } else {
+        scheduler = std::make_unique<sched::FifoScheduler>();
+      }
+      Engine engine(config, std::move(scheduler));
+      for (const auto& spec : workload) engine.submit(spec);
+      engine.run();
+      blacklistings += engine.summarize().blacklistings;
+    }
+  }
+  EXPECT_GT(blacklistings, 0u);
+  EXPECT_EQ(capture.lines.size(), blacklistings);
+  for (const std::string& line : capture.lines) {
+    ASSERT_NE(line.find(" blacklisted for job "), std::string::npos) << line;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // The observability layer's hardest requirement: attaching the event bus,
 // the metrics registry, and every exporter must not perturb the simulation.
 // Three runs of the same workload — bus idle, bus with a subscriber +
-// registry, bus with all exporters + log bridge — must produce bit-identical
+// registry, bus with all exporters — must produce bit-identical
 // run summaries AND leave the engine RNG in the bit-identical state (so not
 // a single extra random draw happened anywhere).
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "hadoop/engine.hpp"
 #include "obs/export_chrome.hpp"
 #include "obs/export_jsonl.hpp"
-#include "obs/log_bridge.hpp"
 #include "obs/metrics_registry.hpp"
 #include "trace/paper_workloads.hpp"
 #include "workflow/topology.hpp"
@@ -38,7 +37,6 @@ RunOutput run(const hadoop::EngineConfig& config,
   std::ostringstream trace_out, jsonl_out;
   std::unique_ptr<obs::ChromeTraceExporter> chrome;
   std::unique_ptr<obs::JsonlExporter> jsonl;
-  std::unique_ptr<obs::LogBridge> bridge;
   std::uint64_t decisions_seen = 0;
 
   if (mode != Obs::kOff) {
@@ -50,7 +48,6 @@ RunOutput run(const hadoop::EngineConfig& config,
   if (mode == Obs::kFullExport) {
     chrome = std::make_unique<obs::ChromeTraceExporter>(engine.events(), trace_out);
     jsonl = std::make_unique<obs::JsonlExporter>(engine.events(), jsonl_out);
-    bridge = std::make_unique<obs::LogBridge>(engine.events());
   }
 
   for (const auto& spec : workload) engine.submit(spec);

@@ -62,22 +62,11 @@ TEST(EventBus, ConveniencePublishStampsTime) {
   EXPECT_EQ(workflow, 42u);
 }
 
-TEST(EventBus, TimeSourceDefaultsToZero) {
-  EventBus bus;
-  EXPECT_EQ(bus.now(), 0);
-  SimTime t = 77;
-  bus.set_time_source([&t] { return t; });
-  EXPECT_EQ(bus.now(), 77);
-  t = 99;
-  EXPECT_EQ(bus.now(), 99);
-}
-
 TEST(EventBus, KindNamesAreStable) {
   EXPECT_STREQ(kind_name(Payload(TaskStarted{})), "task-started");
   EXPECT_STREQ(kind_name(Payload(TaskEnded{})), "task-ended");
   EXPECT_STREQ(kind_name(Payload(SchedulerDecision{})), "scheduler-decision");
   EXPECT_STREQ(kind_name(Payload(TrackerCrashed{})), "tracker-crashed");
-  EXPECT_STREQ(kind_name(Payload(LogEmitted{})), "log");
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "hadoop/engine.hpp"
 #include "obs/export_chrome.hpp"
 #include "obs/export_jsonl.hpp"
-#include "obs/log_bridge.hpp"
 #include "workflow/topology.hpp"
 
 namespace woha::obs {
@@ -52,7 +51,7 @@ TEST(JsonlExport, OptionalFieldsOnlyWhenSet) {
 TEST(JsonlExport, EscapesStrings) {
   Event e;
   e.time = 0;
-  e.payload = LogEmitted{LogLevel::kInfo, "engine", "a \"quoted\"\nline"};
+  e.payload = WorkflowRejected{0, "a \"quoted\"\nline", kTimeInfinity, "infeasible"};
   const std::string line = event_to_json(e);
   EXPECT_NE(line.find(R"(a \"quoted\"\nline)"), std::string::npos);
 }
@@ -215,36 +214,6 @@ TEST(ChromeExport, JobSpansAndDagFlowEvents) {
   EXPECT_EQ(starts, 6u);
   EXPECT_EQ(finishes, 6u);
   EXPECT_GE(complete, spec.jobs.size());  // one X-slice per completed job
-}
-
-TEST(LogBridge, RoutesLogLinesOntoBusWithSimTime) {
-  EventBus bus;
-  bus.set_time_source([] { return SimTime{4242}; });
-  std::vector<Event> seen;
-  bus.subscribe([&seen](const Event& e) { seen.push_back(e); });
-
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kInfo);
-  int fallback_lines = 0;
-  LogSink prev = set_log_sink(
-      [&fallback_lines](LogLevel, const std::string&, const std::string&) {
-        ++fallback_lines;
-      });
-  {
-    LogBridge bridge(bus);
-    WOHA_LOG(LogLevel::kInfo, "test") << "bridged " << 42;
-    WOHA_LOG(LogLevel::kDebug, "test") << "below level, dropped";
-  }
-  WOHA_LOG(LogLevel::kError, "test") << "after scope";  // restored sink
-  set_log_sink(std::move(prev));
-  set_log_level(before);
-
-  EXPECT_EQ(fallback_lines, 1);  // only the post-scope line; bridge restored us
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0].time, 4242);
-  const auto& log = std::get<LogEmitted>(seen[0].payload);
-  EXPECT_EQ(log.component, "test");
-  EXPECT_EQ(log.message, "bridged 42");
 }
 
 }  // namespace

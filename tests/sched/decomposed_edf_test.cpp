@@ -4,7 +4,6 @@
 
 #include <variant>
 
-#include "common/log.hpp"
 #include "hadoop/engine.hpp"
 #include "metrics/report.hpp"
 #include "trace/paper_workloads.hpp"
@@ -104,9 +103,6 @@ TEST(DecomposedEdf, PrefersUrgentUpstreamJobOverRelaxedSink) {
 }
 
 TEST(DecomposedEdf, FreesVirtualDeadlinesOnceWorkflowsCompleteOrFail) {
-  // The failures are intended; keep their warnings off the test log.
-  const LogLevel log_before = log_level();
-  set_log_level(LogLevel::kError);
   hadoop::EngineConfig config;
   config.cluster.num_trackers = 80;
   config.task_failure_prob = 0.02;
@@ -136,7 +132,6 @@ TEST(DecomposedEdf, FreesVirtualDeadlinesOnceWorkflowsCompleteOrFail) {
       EXPECT_EQ(scheduler.job_deadline({rt->id().value(), j}), kTimeInfinity);
     }
   }
-  set_log_level(log_before);
 }
 
 TEST(DecomposedEdf, ListedInExtendedRoster) {

@@ -32,7 +32,6 @@
 #include <variant>
 #include <vector>
 
-#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "core/woha_scheduler.hpp"
 #include "hadoop/engine.hpp"
@@ -375,17 +374,9 @@ struct Outcome {
   hadoop::RunSummary summary;
 };
 
-/// Shed and crash warnings are expected here; keep them off the test log.
-struct QuietLog {
-  LogLevel before = log_level();
-  QuietLog() { set_log_level(LogLevel::kError); }
-  ~QuietLog() { set_log_level(before); }
-};
-
 Outcome run(const hadoop::EngineConfig& config,
             const std::vector<wf::WorkflowSpec>& specs,
             std::unique_ptr<hadoop::WorkflowScheduler> scheduler, bool traced) {
-  const QuietLog quiet;
   Outcome out;
   hadoop::Engine engine(config,
                         std::make_unique<Recorder>(std::move(scheduler), &out.picks));

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "workflow/topology.hpp"
 
 namespace woha::wf {
@@ -94,6 +97,31 @@ TEST(Config, RejectsCyclicConfig) {
 TEST(Config, JobNameRequired) {
   EXPECT_THROW((void)load_workflow_string("<workflow><job maps='1'/></workflow>"),
                xml::XmlError);
+}
+
+// A count that does not fit the uint32 field must not wrap: -1 would load as
+// 4,294,967,295 maps and 4294967297 as one reduce.
+TEST(Config, RejectsTaskCountsOutsideUint32) {
+  const auto load = [](const std::string& attrs) {
+    return load_workflow_string("<workflow><job name='a' " + attrs + "/></workflow>");
+  };
+  const std::pair<std::string, std::string> bad[] = {
+      {"maps='-1'", "maps"},
+      {"reduces='-1'", "reduces"},
+      {"maps='4294967296'", "maps"},
+      {"maps='1' reduces='4294967297'", "reduces"},
+  };
+  for (const auto& [attrs, attribute] : bad) {
+    try {
+      (void)load(attrs);
+      ADD_FAILURE() << attrs << " loaded";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("job 'a'"), std::string::npos) << message;
+      EXPECT_NE(message.find(attribute + "="), std::string::npos) << message;
+    }
+  }
+  EXPECT_EQ(load("maps='4294967295'").jobs[0].num_maps, 4294967295u);
 }
 
 TEST(Config, UnnamedWorkflowGetsDefaultName) {
