@@ -17,6 +17,7 @@
 // With no workflow files, runs a built-in demo configuration.
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -148,11 +149,17 @@ int main(int argc, char** argv) {
               config.cluster.num_trackers, config.cluster.map_slots_per_tracker,
               config.cluster.reduce_slots_per_tracker, scheduler->name().c_str());
 
-  hadoop::Engine engine(config, std::move(scheduler));
-  for (const auto& spec : workflows) engine.submit(spec);
-  engine.run();
+  std::unique_ptr<hadoop::Engine> engine;
+  try {
+    engine = std::make_unique<hadoop::Engine>(config, std::move(scheduler));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bad engine configuration: %s\n", e.what());
+    return 2;
+  }
+  for (const auto& spec : workflows) engine->submit(spec);
+  engine->run();
 
-  const auto summary = engine.summarize();
+  const auto summary = engine->summarize();
   std::printf("%s\n", metrics::format_workflow_results(summary).c_str());
   std::printf("tasks: %llu attempts (%llu retried); utilization %.1f%%; "
               "master select calls: %llu\n",

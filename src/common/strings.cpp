@@ -74,7 +74,13 @@ Duration parse_duration(std::string_view raw) {
   } else {
     throw std::invalid_argument("parse_duration: unknown unit '" + std::string(unit) + "'");
   }
-  return static_cast<Duration>(value * scale);
+  // The conversion to the int64 Duration is defined on [-2^63, 2^63) only.
+  const double ms = value * scale;
+  if (!(ms >= -0x1p63 && ms < 0x1p63)) {
+    throw std::invalid_argument("parse_duration: '" + std::string(s) +
+                                "' is outside the range of a duration");
+  }
+  return static_cast<Duration>(ms);
 }
 
 std::string format_duration(Duration d) {

@@ -9,15 +9,16 @@ namespace {
 
 constexpr SlotType kSlotTypes[] = {SlotType::kMap, SlotType::kReduce};
 
+constexpr std::size_t index(SlotType t) { return static_cast<std::size_t>(t); }
+
 // Order::insert returns false on a duplicate key *without inserting*, so an
 // unchecked call would silently drop the workflow from an ordering — it
 // would never be scheduled again. Every internal insert and erase goes
 // through these guards: a failure means a cached key went out of sync with
 // its ordering, which is a corruption bug, never a recoverable condition.
 template <class Order>
-void checked_insert(Order& order, const QueueKey& key, std::uint32_t slot,
-                    const char* what) {
-  if (!order.insert(key, slot)) {
+void checked_insert(Order& order, const QueueKey& key, const char* what) {
+  if (!order.insert(key)) {
     throw std::logic_error(std::string(Order::kName) + " queue: duplicate key on " +
                            what);
   }
@@ -34,14 +35,14 @@ void checked_erase(Order& order, const QueueKey& key, const char* what) {
 
 template <class Order>
 void IndexedQueue<Order>::insert(std::uint32_t id, ProgressTracker tracker) {
-  if (arena_.slot_of(id) != WfStateArena::kNilSlot) {
-    throw std::invalid_argument(name() + " queue: duplicate id");
-  }
-  const std::uint32_t slot = arena_.allocate(id, std::move(tracker));
-  const ProgressTracker& t = arena_.tracker(slot);
-  arena_.ct_key(slot) = t.next_change_time();
-  arena_.pri_key(slot) = -t.lag();
-  checked_insert(ct_, {arena_.ct_key(slot), id}, slot, "insert");
+  if (entries_.size() <= id) entries_.resize(std::size_t{id} + 1);
+  Entry& e = entries_[id];
+  if (e.tracker) throw std::invalid_argument(name() + " queue: duplicate id");
+  e.ct_key = tracker.next_change_time();
+  e.pri_key = -tracker.lag();
+  e.tracker = std::move(tracker);
+  ++size_;
+  checked_insert(ct_, {e.ct_key, id}, "insert");
   // A fresh tracker's first requirement step may already have fired, so the
   // memoized "clean at ct_clean_now_" claim no longer holds.
   ct_dirty_ = true;
@@ -49,44 +50,43 @@ void IndexedQueue<Order>::insert(std::uint32_t id, ProgressTracker tracker) {
 
 template <class Order>
 void IndexedQueue<Order>::remove(std::uint32_t id) {
-  const std::uint32_t slot = arena_.slot_of(id);
-  if (slot == WfStateArena::kNilSlot) return;
-  checked_erase(ct_, {arena_.ct_key(slot), id}, "remove");
+  if (!queued(id)) return;
+  Entry& e = entries_[id];
+  checked_erase(ct_, {e.ct_key, id}, "remove");
   for (const SlotType t : kSlotTypes) {
-    if (arena_.runnable(slot, t)) {
-      checked_erase(runnable_order(t), {arena_.pri_key(slot), id}, "remove");
-    }
+    if (e.runnable[index(t)]) checked_erase(runnable_order(t), {e.pri_key, id}, "remove");
   }
-  arena_.release(slot);
+  e = Entry{};
+  --size_;
 }
 
 template <class Order>
 void IndexedQueue<Order>::set_runnable(std::uint32_t id, SlotType t, bool runnable) {
-  const std::uint32_t slot = arena_.slot_of(id);
-  if (slot == WfStateArena::kNilSlot) return;
-  if (arena_.runnable(slot, t) == runnable) {
+  if (!queued(id)) return;
+  bool& flag = entries_[id].runnable[index(t)];
+  if (flag == runnable) {
     throw std::logic_error(name() + " queue: repeated runnable report for id " +
                            std::to_string(id));
   }
-  arena_.set_runnable(slot, t, runnable);
-  const QueueKey key{arena_.pri_key(slot), id};
+  flag = runnable;
+  const QueueKey key{entries_[id].pri_key, id};
   if (runnable) {
-    checked_insert(runnable_order(t), key, slot, "runnable report");
+    checked_insert(runnable_order(t), key, "runnable report");
   } else {
     checked_erase(runnable_order(t), key, "runnable report");
   }
 }
 
 template <class Order>
-void IndexedQueue<Order>::reprioritize(std::uint32_t slot) {
-  const std::uint32_t id = arena_.id(slot);
-  const std::int64_t old_key = arena_.pri_key(slot);
-  arena_.pri_key(slot) = -arena_.tracker(slot).lag();
-  if (arena_.pri_key(slot) == old_key) return;
+void IndexedQueue<Order>::reprioritize(std::uint32_t id) {
+  Entry& e = entries_[id];
+  const std::int64_t old_key = e.pri_key;
+  e.pri_key = -e.tracker->lag();
+  if (e.pri_key == old_key) return;
   for (const SlotType t : kSlotTypes) {
-    if (!arena_.runnable(slot, t)) continue;
+    if (!e.runnable[index(t)]) continue;
     checked_erase(runnable_order(t), {old_key, id}, "reposition");
-    checked_insert(runnable_order(t), {arena_.pri_key(slot), id}, slot, "reposition");
+    checked_insert(runnable_order(t), {e.pri_key, id}, "reposition");
   }
 }
 
@@ -101,14 +101,15 @@ void IndexedQueue<Order>::refresh_fired(SimTime now) {
   // on the common repeat-consult case.
   if (!ct_dirty_ && ct_clean_now_ == now) return;
   while (!ct_.empty()) {
-    const auto [key, slot] = ct_.head();
+    const QueueKey key = ct_.head();
     if (key.first > now) break;
     ct_.erase_head(key);
-    ProgressTracker& t = arena_.tracker(slot);
-    t.advance_to(now);
-    reprioritize(slot);
-    arena_.ct_key(slot) = t.next_change_time();
-    checked_insert(ct_, {arena_.ct_key(slot), arena_.id(slot)}, slot, "refresh");
+    const std::uint32_t id = key.second;
+    Entry& e = entries_[id];
+    e.tracker->advance_to(now);
+    reprioritize(id);
+    e.ct_key = e.tracker->next_change_time();
+    checked_insert(ct_, {e.ct_key, id}, "refresh");
   }
   ct_clean_now_ = now;
   ct_dirty_ = false;
@@ -125,43 +126,40 @@ std::uint32_t IndexedQueue<Order>::assign(
   // deletion; an offer that filters out blacklisted jobs walks on.
   Order& order = runnable_order(t);
   if (order.empty()) return kNone;
-  const auto [head_key, head_slot] = order.head();
-  std::uint32_t chosen = head_slot;
-  QueueKey chosen_key = head_key;
-  if (can_use(arena_.id(head_slot))) {
-    order.erase_head(head_key);
+  QueueKey chosen = order.head();
+  if (can_use(chosen.second)) {
+    order.erase_head(chosen);
   } else {
-    chosen = WfStateArena::kNilSlot;
-    order.for_each([&](const QueueKey& key, std::uint32_t slot) {
-      if (slot == head_slot || !can_use(arena_.id(slot))) return true;
-      chosen = slot;
-      chosen_key = key;
+    const std::uint32_t head_id = chosen.second;
+    chosen.second = kNone;
+    order.for_each([&](const QueueKey& key) {
+      if (key.second == head_id || !can_use(key.second)) return true;
+      chosen = key;
       return false;
     });
-    if (chosen == WfStateArena::kNilSlot) return kNone;
-    checked_erase(order, chosen_key, "assignment");
+    if (chosen.second == kNone) return kNone;
+    checked_erase(order, chosen, "assignment");
   }
 
-  const std::uint32_t id = arena_.id(chosen);
-  arena_.tracker(chosen).count_scheduled();  // rho+1 <=> p-1
-  arena_.pri_key(chosen) = -arena_.tracker(chosen).lag();
-  checked_insert(order, {arena_.pri_key(chosen), id}, chosen, "assignment");
+  const std::uint32_t id = chosen.second;
+  Entry& e = entries_[id];
+  e.tracker->count_scheduled();  // rho+1 <=> p-1
+  e.pri_key = -e.tracker->lag();
+  checked_insert(order, {e.pri_key, id}, "assignment");
   // The winner's key moved in the other type's ordering too.
   const SlotType other = t == SlotType::kMap ? SlotType::kReduce : SlotType::kMap;
-  if (arena_.runnable(chosen, other)) {
-    checked_erase(runnable_order(other), {chosen_key.first, id}, "assignment");
-    checked_insert(runnable_order(other), {arena_.pri_key(chosen), id}, chosen,
-                   "assignment");
+  if (e.runnable[index(other)]) {
+    checked_erase(runnable_order(other), chosen, "assignment");
+    checked_insert(runnable_order(other), {e.pri_key, id}, "assignment");
   }
   return id;
 }
 
 template <class Order>
 void IndexedQueue<Order>::on_progress_lost(std::uint32_t id, std::uint64_t count) {
-  const std::uint32_t slot = arena_.slot_of(id);
-  if (slot == WfStateArena::kNilSlot) return;
-  arena_.tracker(slot).count_lost(count);  // rho-n <=> p+n
-  reprioritize(slot);
+  if (!queued(id)) return;
+  entries_[id].tracker->count_lost(count);  // rho-n <=> p+n
+  reprioritize(id);
 }
 
 template <class Order>
@@ -169,14 +167,12 @@ void IndexedQueue<Order>::top(SlotType t, std::size_t k,
                               const std::function<bool(std::uint32_t)>& runnable,
                               std::vector<QueueEntry>& out) const {
   (void)runnable;  // the ordering holds exactly the runnable workflows
-  runnable_[static_cast<std::size_t>(t)].for_each(
-      [&](const QueueKey&, std::uint32_t slot) {
-        if (out.size() >= k) return false;
-        const ProgressTracker& tr = arena_.tracker(slot);
-        out.push_back(
-            QueueEntry{arena_.id(slot), tr.lag(), tr.current_requirement(), tr.rho()});
-        return true;
-      });
+  runnable_[index(t)].for_each([&](const QueueKey& key) {
+    if (out.size() >= k) return false;
+    const ProgressTracker& tr = *entries_[key.second].tracker;
+    out.push_back(QueueEntry{key.second, tr.lag(), tr.current_requirement(), tr.rho()});
+    return true;
+  });
 }
 
 template <class Order>
@@ -192,39 +188,23 @@ void IndexedQueue<Order>::check_structure(
     return " (cached=" + std::to_string(cached) + " tracker=" + std::to_string(tracker) +
            ")";
   };
-  arena_.check(Order::kName);
-  ct_.validate();
-  if (ct_.size() != arena_.size()) {
-    throw std::logic_error(name() + " queue::check_structure: ct ordering holds " +
-                           std::to_string(ct_.size()) + " of " +
-                           std::to_string(arena_.size()) + " queued workflows");
-  }
-  // Walk the ct ordering: keys strictly ascending, cached keys in sync with
-  // the trackers and with the node keys, every entry resolving into the
-  // arena. Unique keys carrying the entry's id plus equal sizes make it
-  // cover each queued workflow exactly once, so this walk (rather than the
-  // arena's unordered id map, keeping the check deterministic) also counts
-  // runnable flags and checks them against the caller's `runnable`.
+  // The table, in id order: cached keys in sync with the trackers, and the
+  // runnable flags with the caller's `runnable`.
+  std::size_t queued_count = 0;
   std::size_t flagged[2] = {0, 0};
-  const QueueKey* prev = nullptr;
-  ct_.for_each([&](const QueueKey& key, std::uint32_t slot) {
-    const std::uint32_t id = arena_.id(slot);
-    if (prev != nullptr && !(*prev < key)) fail("ct keys not strictly ascending", id);
-    prev = &key;
-    if (arena_.slot_of(id) != slot) fail("ct entry not backed by the arena", id);
-    if (key.first != arena_.ct_key(slot) || key.second != id) {
-      fail("ct node key disagrees with the cached ct_key", id);
+  for (std::uint32_t id = 0; id < entries_.size(); ++id) {
+    const Entry& e = entries_[id];
+    if (!e.tracker) continue;
+    ++queued_count;
+    if (e.ct_key != e.tracker->next_change_time()) {
+      fail("cached ct_key stale", id, values(e.ct_key, e.tracker->next_change_time()));
     }
-    const ProgressTracker& tr = arena_.tracker(slot);
-    if (arena_.ct_key(slot) != tr.next_change_time()) {
-      fail("cached ct_key stale", id, values(arena_.ct_key(slot), tr.next_change_time()));
-    }
-    if (arena_.pri_key(slot) != -tr.lag()) {
-      fail("cached pri_key stale", id, values(arena_.pri_key(slot), -tr.lag()));
+    if (e.pri_key != -e.tracker->lag()) {
+      fail("cached pri_key stale", id, values(e.pri_key, -e.tracker->lag()));
     }
     for (const SlotType t : kSlotTypes) {
-      const bool in_order = arena_.runnable(slot, t);
-      flagged[static_cast<std::size_t>(t)] += in_order ? 1 : 0;
+      const bool in_order = e.runnable[index(t)];
+      flagged[index(t)] += in_order ? 1 : 0;
       if (runnable && runnable(id, t) != in_order) {
         fail(std::string(in_order ? "non-runnable workflow in the "
                                   : "runnable workflow missing from the ") +
@@ -232,34 +212,45 @@ void IndexedQueue<Order>::check_structure(
              id);
       }
     }
-    return true;
-  });
-  for (const SlotType t : kSlotTypes) {
-    const Order& order = runnable_[static_cast<std::size_t>(t)];
-    const std::string type = to_string(t);
+  }
+  if (queued_count != size_) {
+    throw std::logic_error(name() + " queue::check_structure: table holds " +
+                           std::to_string(queued_count) + " queued workflows, size " +
+                           std::to_string(size_));
+  }
+  // Then each ordering: keys strictly ascending, each naming a member by its
+  // cached key (`cached_key(e)` is null for a queued entry that is not one),
+  // and as many keys as members. Ids make keys unique, so with equal counts
+  // every member sits in the ordering exactly once.
+  const auto check_order = [&](const Order& order, const std::string& what,
+                               std::size_t members, const auto& cached_key) {
     order.validate();
-    if (order.size() != flagged[static_cast<std::size_t>(t)]) {
-      throw std::logic_error(name() + " queue::check_structure: " + type +
+    if (order.size() != members) {
+      throw std::logic_error(name() + " queue::check_structure: " + what +
                              " ordering holds " + std::to_string(order.size()) +
-                             " entries for " +
-                             std::to_string(flagged[static_cast<std::size_t>(t)]) +
-                             " flagged workflows");
+                             " entries for " + std::to_string(members) + " workflows");
     }
-    prev = nullptr;
-    order.for_each([&](const QueueKey& key, std::uint32_t slot) {
-      const std::uint32_t id = arena_.id(slot);
+    const QueueKey* prev = nullptr;
+    order.for_each([&](const QueueKey& key) {
+      const std::uint32_t id = key.second;
       if (prev != nullptr && !(*prev < key)) {
-        fail(type + " ordering keys not strictly ascending", id);
+        fail(what + " ordering keys not strictly ascending", id);
       }
       prev = &key;
-      if (arena_.slot_of(id) != slot || !arena_.runnable(slot, t)) {
-        fail(type + " ordering entry not a flagged queued workflow", id);
-      }
-      if (key.first != arena_.pri_key(slot) || key.second != id) {
-        fail(type + " ordering key disagrees with the cached pri_key", id);
+      const std::int64_t* cached = queued(id) ? cached_key(entries_[id]) : nullptr;
+      if (cached == nullptr) fail(what + " ordering entry not a member", id);
+      if (key.first != *cached) {
+        fail(what + " ordering key disagrees with the cached key", id);
       }
       return true;
     });
+  };
+  check_order(ct_, "ct", size_, [](const Entry& e) { return &e.ct_key; });
+  for (const SlotType t : kSlotTypes) {
+    check_order(runnable_[index(t)], to_string(t), flagged[index(t)],
+                [t](const Entry& e) {
+                  return e.runnable[index(t)] ? &e.pri_key : nullptr;
+                });
   }
 }
 

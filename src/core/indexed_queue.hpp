@@ -8,8 +8,8 @@
 //   * FlatTreeOrder<false>  — the textbook balanced BST ("BSTplain"): every
 //                             head access is a root-to-leftmost descent.
 //
-// Each queue keeps three orderings over 32-bit slots of a flat SoA arena
-// (queue_arena.hpp):
+// Each queue keeps one table of per-workflow state indexed by workflow id,
+// and three orderings of (key, id) pairs over it:
 //   * ct            keyed by (next-change-time, id) — every queued workflow;
 //   * runnable[t]   keyed by (-lag, id) — the workflows runnable for slot
 //                   type t, so the front is the most lagging one that can
@@ -21,10 +21,11 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "core/flat_tree.hpp"
-#include "core/queue_arena.hpp"
 #include "core/scheduler_queue.hpp"
 #include "core/skiplist.hpp"
 
@@ -37,19 +38,16 @@ using QueueKey = std::pair<std::int64_t, std::uint32_t>;
 class SkipListOrder {
  public:
   static constexpr const char* kName = "DSL";
-  bool insert(const QueueKey& key, std::uint32_t slot) { return list_.insert(key, slot); }
+  bool insert(const QueueKey& key) { return list_.insert(key, key.second); }
   bool erase(const QueueKey& key) { return list_.erase(key); }
   [[nodiscard]] bool empty() const { return list_.empty(); }
   [[nodiscard]] std::size_t size() const { return list_.size(); }
-  [[nodiscard]] std::pair<QueueKey, std::uint32_t> head() const {
-    const auto [key, slot] = list_.front();
-    return {key, slot};
-  }
+  [[nodiscard]] QueueKey head() const { return list_.front().first; }
   /// Remove the head, whose key the caller just read: O(1).
   void erase_head(const QueueKey&) { list_.pop_front(); }
   template <class Visitor>
   void for_each(Visitor&& visit) const {
-    list_.for_each(visit);
+    list_.for_each([&](const QueueKey& key, std::uint32_t) { return visit(key); });
   }
   /// The skip list has no shape invariant beyond order, which the queue's
   /// own walk checks.
@@ -65,19 +63,18 @@ template <bool kCachedMin>
 class FlatTreeOrder {
  public:
   static constexpr const char* kName = kCachedMin ? "BST" : "BSTplain";
-  bool insert(const QueueKey& key, std::uint32_t slot) { return tree_.insert(key, slot); }
+  bool insert(const QueueKey& key) { return tree_.insert(key, key.second); }
   bool erase(const QueueKey& key) { return tree_.erase(key); }
   [[nodiscard]] bool empty() const { return tree_.empty(); }
   [[nodiscard]] std::size_t size() const { return tree_.size(); }
-  [[nodiscard]] std::pair<QueueKey, std::uint32_t> head() const {
-    const std::uint32_t node = kCachedMin ? tree_.min_node() : tree_.min_descend();
-    return {tree_.key(node), tree_.value(node)};
+  [[nodiscard]] QueueKey head() const {
+    return tree_.key(kCachedMin ? tree_.min_node() : tree_.min_descend());
   }
   /// Remove the head, whose key the caller just read: O(log n).
   void erase_head(const QueueKey& head_key) { tree_.erase(head_key); }
   template <class Visitor>
   void for_each(Visitor&& visit) const {
-    tree_.for_each(visit);
+    tree_.for_each([&](const QueueKey& key, std::uint32_t) { return visit(key); });
   }
   void validate() const { tree_.validate(); }
 
@@ -95,7 +92,7 @@ class IndexedQueue final : public SchedulerQueue {
   std::uint32_t assign(SimTime now, SlotType t,
                        const std::function<bool(std::uint32_t)>& can_use) override;
   void on_progress_lost(std::uint32_t id, std::uint64_t count) override;
-  [[nodiscard]] std::size_t size() const override { return arena_.size(); }
+  [[nodiscard]] std::size_t size() const override { return size_; }
   void top(SlotType t, std::size_t k,
            const std::function<bool(std::uint32_t)>& runnable,
            std::vector<QueueEntry>& out) const override;
@@ -106,6 +103,18 @@ class IndexedQueue final : public SchedulerQueue {
   /// Auditor failure-path tests corrupt cached keys through this peer.
   friend struct QueueTestPeer;
 
+  /// One workflow's state. The cached keys are the workflow's keys in the
+  /// orderings, so an erase can find it after its tracker moved on.
+  struct Entry {
+    std::optional<ProgressTracker> tracker;  ///< empty: the id is not queued
+    SimTime ct_key = 0;
+    std::int64_t pri_key = 0;
+    bool runnable[2] = {false, false};  ///< in slot type t's ordering
+  };
+
+  [[nodiscard]] bool queued(std::uint32_t id) const {
+    return id < entries_.size() && entries_[id].tracker.has_value();
+  }
   [[nodiscard]] Order& runnable_order(SlotType t) {
     return runnable_[static_cast<std::size_t>(t)];
   }
@@ -113,11 +122,12 @@ class IndexedQueue final : public SchedulerQueue {
   /// heads and reposition them. No-op when the orderings are already clean
   /// for `now` and nothing was inserted since.
   void refresh_fired(SimTime now);
-  /// Store the tracker's current lag as the slot's priority key and move
-  /// the slot in every runnable ordering that holds it.
-  void reprioritize(std::uint32_t slot);
+  /// Store the tracker's current lag as the workflow's priority key and
+  /// move it in every runnable ordering that holds it.
+  void reprioritize(std::uint32_t id);
 
-  WfStateArena arena_;
+  std::vector<Entry> entries_;  ///< by workflow id
+  std::size_t size_ = 0;        ///< queued entries
   Order ct_;
   Order runnable_[2];
   /// Instant the ct ordering was last refreshed to; valid while !ct_dirty_.

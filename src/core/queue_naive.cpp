@@ -6,26 +6,38 @@
 namespace woha::core {
 
 void NaiveQueue::insert(std::uint32_t id, ProgressTracker tracker) {
-  if (states_.count(id)) throw std::invalid_argument("NaiveQueue: duplicate id");
-  states_.emplace(id, WfState{id, std::move(tracker)});
+  if (trackers_.size() <= id) trackers_.resize(std::size_t{id} + 1);
+  if (trackers_[id]) throw std::invalid_argument("NaiveQueue: duplicate id");
+  trackers_[id] = std::move(tracker);
+  ++size_;
 }
 
-void NaiveQueue::remove(std::uint32_t id) { states_.erase(id); }
+void NaiveQueue::remove(std::uint32_t id) {
+  if (id >= trackers_.size() || !trackers_[id]) return;
+  trackers_[id].reset();
+  --size_;
+}
+
+std::vector<std::pair<std::int64_t, std::uint32_t>> NaiveQueue::ranked() const {
+  std::vector<std::pair<std::int64_t, std::uint32_t>> order;
+  order.reserve(size_);
+  for (std::uint32_t id = 0; id < trackers_.size(); ++id) {
+    if (trackers_[id]) order.emplace_back(-trackers_[id]->lag(), id);
+  }
+  std::sort(order.begin(), order.end());
+  return order;
+}
 
 std::uint32_t NaiveQueue::assign(SimTime now, SlotType t,
                                  const std::function<bool(std::uint32_t)>& can_use) {
   (void)t;  // can_use answers for the offered type
   // "Update all workflows' progress lags and then reorder them."
-  std::vector<std::pair<std::int64_t, std::uint32_t>> order;  // (-lag, id)
-  order.reserve(states_.size());
-  for (auto& [id, st] : states_) {
-    st.tracker.advance_to(now);
-    order.emplace_back(-st.tracker.lag(), id);
+  for (auto& tracker : trackers_) {
+    if (tracker) tracker->advance_to(now);
   }
-  std::sort(order.begin(), order.end());
-  for (const auto& [neg_lag, id] : order) {
+  for (const auto& [neg_lag, id] : ranked()) {
     if (can_use(id)) {
-      states_.at(id).tracker.count_scheduled();
+      trackers_[id]->count_scheduled();
       return id;
     }
   }
@@ -36,28 +48,20 @@ void NaiveQueue::top(SlotType t, std::size_t k,
                      const std::function<bool(std::uint32_t)>& runnable,
                      std::vector<QueueEntry>& out) const {
   (void)t;  // runnable answers for the offered type
-  // No cached ordering: rank by the trackers' current (last-advanced) state,
-  // exactly what assign() would sort by without the advance_to refresh.
-  std::vector<std::pair<std::int64_t, std::uint32_t>> order;  // (-lag, id)
-  order.reserve(states_.size());
-  for (const auto& [id, st] : states_) {
-    order.emplace_back(-st.tracker.lag(), id);
-  }
-  std::sort(order.begin(), order.end());
-  for (std::size_t i = 0; i < order.size() && out.size() < k; ++i) {
-    if (!runnable(order[i].second)) continue;
-    const WfState& st = states_.at(order[i].second);
-    out.push_back(QueueEntry{st.id, st.tracker.lag(),
-                             st.tracker.current_requirement(),
-                             st.tracker.rho()});
+  // No cached ordering: rank exactly as assign() would without its
+  // advance_to refresh.
+  for (const auto& [neg_lag, id] : ranked()) {
+    if (out.size() >= k) break;
+    if (!runnable(id)) continue;
+    const ProgressTracker& tr = *trackers_[id];
+    out.push_back(QueueEntry{id, tr.lag(), tr.current_requirement(), tr.rho()});
   }
 }
 
 void NaiveQueue::on_progress_lost(std::uint32_t id, std::uint64_t count) {
   // No cached ordering to repair: assign() recomputes from scratch anyway.
-  const auto it = states_.find(id);
-  if (it == states_.end()) return;
-  it->second.tracker.count_lost(count);
+  if (id >= trackers_.size() || !trackers_[id]) return;
+  trackers_[id]->count_lost(count);
 }
 
 }  // namespace woha::core

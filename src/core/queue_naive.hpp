@@ -9,7 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/scheduler_queue.hpp"
@@ -25,16 +26,17 @@ class NaiveQueue final : public SchedulerQueue {
   std::uint32_t assign(SimTime now, SlotType t,
                        const std::function<bool(std::uint32_t)>& can_use) override;
   void on_progress_lost(std::uint32_t id, std::uint64_t count) override;
-  [[nodiscard]] std::size_t size() const override { return states_.size(); }
+  [[nodiscard]] std::size_t size() const override { return size_; }
   void top(SlotType t, std::size_t k, const std::function<bool(std::uint32_t)>& runnable,
            std::vector<QueueEntry>& out) const override;
 
  private:
-  struct WfState {
-    std::uint32_t id;
-    ProgressTracker tracker;
-  };
-  std::unordered_map<std::uint32_t, WfState> states_;
+  /// The queued workflows as (-lag, id), sorted: most lagging first, ties
+  /// by id. Ranks by the trackers' current (last-advanced) state.
+  [[nodiscard]] std::vector<std::pair<std::int64_t, std::uint32_t>> ranked() const;
+
+  std::vector<std::optional<ProgressTracker>> trackers_;  ///< by id; empty: not queued
+  std::size_t size_ = 0;
 };
 
 }  // namespace woha::core

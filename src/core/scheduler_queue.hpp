@@ -34,8 +34,10 @@ class SchedulerQueue {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Add a workflow with its freshly-built tracker. `id` must be new. It
-  /// is runnable for no slot type until set_runnable says so.
+  /// Add a workflow with its freshly-built tracker. `id` must not be
+  /// queued. Queues keep their state in a table indexed by id, so callers
+  /// keep ids dense, as JobTracker's WorkflowIds are. The workflow is
+  /// runnable for no slot type until set_runnable says so.
   virtual void insert(std::uint32_t id, ProgressTracker tracker) = 0;
 
   /// Remove a finished workflow. No-op when absent.

@@ -1,6 +1,7 @@
 #include "hadoop/admission.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "hadoop/job_tracker.hpp"
@@ -19,9 +20,9 @@ const char* to_string(AdmissionPolicy policy) {
 }
 
 void AdmissionConfig::validate() const {
-  if (feasibility_margin <= 0.0) {
+  if (!(std::isfinite(feasibility_margin) && feasibility_margin > 0.0)) {
     throw std::invalid_argument(
-        "AdmissionConfig: feasibility_margin must be positive");
+        "AdmissionConfig: feasibility_margin must be finite and positive");
   }
   if (policy == AdmissionPolicy::kShedLatestDeadlineFirst &&
       max_pending_workflows == 0) {

@@ -21,14 +21,19 @@ Engine::Engine(EngineConfig config, std::unique_ptr<WorkflowScheduler> scheduler
   if (config_.activation_latency < 0) {
     throw std::invalid_argument("Engine: negative activation latency");
   }
-  if (config_.duration_scale <= 0.0) {
-    throw std::invalid_argument("Engine: duration_scale must be positive");
+  // Each check accepts only values in range, so NaN fails every one.
+  if (!(std::isfinite(config_.duration_scale) && config_.duration_scale > 0.0)) {
+    throw std::invalid_argument("Engine: duration_scale must be finite and positive");
   }
-  if (config_.task_failure_prob < 0.0 || config_.task_failure_prob > 1.0) {
+  if (!(std::isfinite(config_.duration_jitter_sigma) &&
+        config_.duration_jitter_sigma >= 0.0)) {
+    throw std::invalid_argument("Engine: duration_jitter_sigma must be finite and >= 0");
+  }
+  if (!(config_.task_failure_prob >= 0.0 && config_.task_failure_prob <= 1.0)) {
     throw std::invalid_argument("Engine: task_failure_prob must be in [0, 1]");
   }
-  if (config_.remote_map_penalty < 1.0) {
-    throw std::invalid_argument("Engine: remote_map_penalty must be >= 1");
+  if (!(std::isfinite(config_.remote_map_penalty) && config_.remote_map_penalty >= 1.0)) {
+    throw std::invalid_argument("Engine: remote_map_penalty must be finite and >= 1");
   }
   if (config_.hdfs_replication == 0) {
     throw std::invalid_argument("Engine: hdfs_replication must be >= 1");

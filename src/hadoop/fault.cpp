@@ -1,6 +1,7 @@
 #include "hadoop/fault.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -8,8 +9,9 @@
 namespace woha::hadoop {
 
 void FaultConfig::validate(std::size_t tracker_count) const {
-  if (tracker_mtbf < 0.0) {
-    throw std::invalid_argument("FaultConfig: tracker_mtbf must be >= 0");
+  // Range checks accept only values in range, so NaN fails them.
+  if (!(std::isfinite(tracker_mtbf) && tracker_mtbf >= 0.0)) {
+    throw std::invalid_argument("FaultConfig: tracker_mtbf must be finite and >= 0");
   }
   if (tracker_restart_delay < 0) {
     throw std::invalid_argument("FaultConfig: negative tracker_restart_delay");
@@ -17,8 +19,9 @@ void FaultConfig::validate(std::size_t tracker_count) const {
   if (expiry_interval <= 0) {
     throw std::invalid_argument("FaultConfig: expiry_interval must be positive");
   }
-  if (speculative_slowness <= 1.0) {
-    throw std::invalid_argument("FaultConfig: speculative_slowness must be > 1");
+  if (!(std::isfinite(speculative_slowness) && speculative_slowness > 1.0)) {
+    throw std::invalid_argument(
+        "FaultConfig: speculative_slowness must be finite and > 1");
   }
   if (speculative_min_runtime < 0) {
     throw std::invalid_argument("FaultConfig: negative speculative_min_runtime");

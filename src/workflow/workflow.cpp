@@ -36,6 +36,12 @@ void validate(const WorkflowSpec& spec) {
   if (spec.relative_deadline < 0) {
     throw std::invalid_argument("workflow '" + spec.name + "' has negative deadline");
   }
+  // deadline() adds the two; kTimeInfinity itself means "no deadline".
+  if (spec.relative_deadline > 0 &&
+      spec.submit_time >= kTimeInfinity - spec.relative_deadline) {
+    throw std::invalid_argument("workflow '" + spec.name +
+                                "' has a deadline past the end of simulated time");
+  }
   // Cycle check via Kahn's algorithm: all jobs must be drained.
   if (topological_order(spec).size() != spec.jobs.size()) {
     throw std::invalid_argument("workflow '" + spec.name + "' contains a cycle");

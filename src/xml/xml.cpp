@@ -221,7 +221,15 @@ class Parser {
     return value;
   }
 
-  std::unique_ptr<Node> parse_element() {
+  /// Deepest element nesting accepted. Each level is one recursion here, so
+  /// the bound keeps hostile input from running off the end of the stack;
+  /// workflow configs nest three deep.
+  static constexpr std::size_t kMaxDepth = 256;
+
+  std::unique_ptr<Node> parse_element(std::size_t depth = 1) {
+    if (depth > kMaxDepth) {
+      fail("elements nest deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
     expect("<");
     auto node = std::make_unique<Node>(parse_name());
     // Attributes.
@@ -251,7 +259,7 @@ class Parser {
         node->set_text(std::string(trim(text)));
         return node;
       } else if (peek() == '<') {
-        node->adopt_child(parse_element());
+        node->adopt_child(parse_element(depth + 1));
       } else {
         const char c = get();
         if (c == '&') {

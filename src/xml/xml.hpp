@@ -90,7 +90,8 @@ class Document {
   std::unique_ptr<Node> root_;
 };
 
-/// Parse a complete document. Throws XmlError on malformed input.
+/// Parse a complete document. Throws XmlError on malformed input, and on
+/// elements nested more than 256 deep.
 [[nodiscard]] Document parse(std::string_view input);
 
 /// Parse a file from disk. Throws XmlError / std::runtime_error.

@@ -14,13 +14,20 @@
 
 namespace woha::core {
 
-// Defined here, befriended by IndexedQueue: bump a tracker's rho without
-// the repositioning every production mutation performs, leaving the cached
-// pri_key stale — exactly the corruption check_structure exists for.
+// Defined here, befriended by IndexedQueue: move a tracker without the
+// re-keying every production mutation performs, leaving a cached key stale —
+// exactly the corruption check_structure exists for.
 struct QueueTestPeer {
+  /// Bump rho: the cached pri_key goes stale.
   template <class Order>
   static void desync_rho(IndexedQueue<Order>& queue, std::uint32_t id) {
-    queue.arena_.tracker(queue.arena_.slot_of(id)).count_scheduled();
+    queue.entries_[id].tracker->count_scheduled();
+  }
+  /// Advance past the next requirement step: the cached ct_key goes stale.
+  template <class Order>
+  static void desync_change_time(IndexedQueue<Order>& queue, std::uint32_t id) {
+    ProgressTracker& tracker = *queue.entries_[id].tracker;
+    tracker.advance_to(tracker.next_change_time());
   }
 };
 
@@ -181,8 +188,10 @@ TEST(InvariantAuditor, EventTimeRegressionThrows) {
   }
 }
 
-template <class Queue>
-void expect_desync_detected() {
+// Queue workflows 7 and 9, corrupt 7 through `corrupt`, and expect
+// check_structure to report `stale` for id 7.
+template <class Queue, class Corrupt>
+void expect_stale_key_detected(const Corrupt& corrupt, const std::string& stale) {
   core::SchedulingPlan plan;
   plan.append_step(minutes(10), 2);
   plan.append_step(minutes(5), 4);
@@ -192,17 +201,28 @@ void expect_desync_detected() {
   queue.insert(9, core::ProgressTracker(&plan, minutes(25)));
   ASSERT_NO_THROW(queue.check_structure());
 
-  core::QueueTestPeer::desync_rho(queue, 7);
+  corrupt(queue);
   try {
     queue.check_structure();
-    FAIL() << "stale pri_key was not detected";
+    FAIL() << stale << " was not detected";
   } catch (const std::logic_error& error) {
-    EXPECT_NE(std::string(error.what()).find("pri_key stale"),
-              std::string::npos)
-        << error.what();
+    EXPECT_NE(std::string(error.what()).find(stale), std::string::npos) << error.what();
     EXPECT_NE(std::string(error.what()).find("id 7"), std::string::npos)
         << error.what();
   }
+}
+
+template <class Queue>
+void expect_desync_detected() {
+  expect_stale_key_detected<Queue>(
+      [](Queue& queue) { core::QueueTestPeer::desync_rho(queue, 7); }, "pri_key stale");
+}
+
+template <class Queue>
+void expect_stale_change_time_detected() {
+  expect_stale_key_detected<Queue>(
+      [](Queue& queue) { core::QueueTestPeer::desync_change_time(queue, 7); },
+      "ct_key stale");
 }
 
 TEST(QueueStructure, DslDetectsStalePriorityKey) {
@@ -212,6 +232,12 @@ TEST(QueueStructure, DslDetectsStalePriorityKey) {
 TEST(QueueStructure, BstDetectsStalePriorityKey) {
   expect_desync_detected<core::BstQueue>();
   expect_desync_detected<core::BstPlainQueue>();
+}
+
+TEST(QueueStructure, EveryIndexedKindDetectsStaleChangeTimeKey) {
+  expect_stale_change_time_detected<core::DslQueue>();
+  expect_stale_change_time_detected<core::BstQueue>();
+  expect_stale_change_time_detected<core::BstPlainQueue>();
 }
 
 TEST(QueueStructure, RunnableOrderingMustMatchTheTracker) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace woha {
 namespace {
 
@@ -61,6 +64,17 @@ TEST(Strings, ParseDurationUnits) {
 TEST(Strings, ParseDurationErrors) {
   EXPECT_THROW((void)parse_duration(""), std::invalid_argument);
   EXPECT_THROW((void)parse_duration("10 parsecs"), std::invalid_argument);
+}
+
+// Converting a double outside the int64 range is undefined; such a duration
+// must be refused, not loaded wrapped (it read as -2^63 ms).
+TEST(Strings, ParseDurationRefusesValuesOutsideInt64) {
+  EXPECT_THROW((void)parse_duration("99999999999999999999h"), std::invalid_argument);
+  EXPECT_THROW((void)parse_duration("-99999999999999999999h"), std::invalid_argument);
+  EXPECT_THROW((void)parse_duration("9223372036854775808"), std::invalid_argument);
+  EXPECT_EQ(parse_duration("2562047h"), 2562047LL * 3'600'000);
+  EXPECT_EQ(parse_duration("-9223372036854775808"),
+            std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(Strings, FormatDuration) {

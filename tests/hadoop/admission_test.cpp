@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <variant>
@@ -60,6 +61,12 @@ TEST(AdmissionConfig, Validation) {
   EXPECT_NO_THROW(config.validate());
   config.feasibility_margin = 0.0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    config.feasibility_margin = bad;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Admission, AdmitAllIsInert) {

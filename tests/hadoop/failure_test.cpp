@@ -2,6 +2,7 @@
 // Hadoop. The workload must still complete, with conserved task accounting.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <variant>
 #include <vector>
 
@@ -168,6 +169,7 @@ TEST(EngineValidation, RejectsEveryBadConfigField) {
   reject([](EngineConfig& c) { c.activation_latency = -1; });
   reject([](EngineConfig& c) { c.duration_scale = 0.0; });
   reject([](EngineConfig& c) { c.duration_scale = -2.0; });
+  reject([](EngineConfig& c) { c.duration_jitter_sigma = -0.1; });
   reject([](EngineConfig& c) { c.task_failure_prob = -0.01; });
   reject([](EngineConfig& c) { c.task_failure_prob = 1.01; });
   reject([](EngineConfig& c) { c.remote_map_penalty = 0.99; });
@@ -175,6 +177,19 @@ TEST(EngineValidation, RejectsEveryBadConfigField) {
   // FaultConfig is validated through the same constructor.
   reject([](EngineConfig& c) { c.faults.tracker_mtbf = -1.0; });
   reject([](EngineConfig& c) { c.faults.expiry_interval = 0; });
+  reject([](EngineConfig& c) { c.faults.speculative_slowness = 1.0; });
+  // NaN fails every comparison, so a check written as "reject if bad" lets
+  // it through; infinity is out of range for every one of these settings.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    reject([bad](EngineConfig& c) { c.duration_scale = bad; });
+    reject([bad](EngineConfig& c) { c.duration_jitter_sigma = bad; });
+    reject([bad](EngineConfig& c) { c.task_failure_prob = bad; });
+    reject([bad](EngineConfig& c) { c.remote_map_penalty = bad; });
+    reject([bad](EngineConfig& c) { c.faults.tracker_mtbf = bad; });
+    reject([bad](EngineConfig& c) { c.faults.speculative_slowness = bad; });
+    reject([bad](EngineConfig& c) { c.admission.feasibility_margin = bad; });
+  }
   reject([](EngineConfig& c) {
     c.faults.events.push_back({99, seconds(10), kTimeInfinity});  // no tracker 99
   });

@@ -124,6 +124,22 @@ TEST(Config, RejectsTaskCountsOutsideUint32) {
   EXPECT_EQ(load("maps='4294967295'").jobs[0].num_maps, 4294967295u);
 }
 
+// Times must fit SimTime, and so must the absolute deadline submit +
+// deadline: these loaded as submit -2^63 ms and as a deadline of -7.6e18 ms.
+TEST(Config, RejectsTimesOutsideSimTime) {
+  const auto load = [](const std::string& attrs) {
+    return load_workflow_string("<workflow " + attrs + "><job name='a'/></workflow>");
+  };
+  EXPECT_THROW((void)load("submit='99999999999999999999h'"), std::invalid_argument);
+  EXPECT_THROW((void)load("deadline='99999999999999999999h'"), std::invalid_argument);
+  EXPECT_THROW((void)load("submit='2000000000000h' deadline='1000000000000h'"),
+               std::invalid_argument);
+  const WorkflowSpec far = load("submit='2000000000000h'");
+  EXPECT_EQ(far.deadline(), kTimeInfinity);
+  EXPECT_EQ(load("submit='1000000000000h' deadline='1000000000000h'").deadline(),
+            2'000'000'000'000LL * 3'600'000);
+}
+
 TEST(Config, UnnamedWorkflowGetsDefaultName) {
   const auto spec = load_workflow_string("<workflow><job name='a'/></workflow>");
   EXPECT_EQ(spec.name, "unnamed-workflow");

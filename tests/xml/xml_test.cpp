@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+
 namespace woha::xml {
 namespace {
 
@@ -72,6 +75,22 @@ TEST(Xml, UnknownEntityThrows) {
 
 TEST(Xml, UnquotedAttributeThrows) {
   EXPECT_THROW((void)parse("<a x=1/>"), XmlError);
+}
+
+// `depth` elements, each nested in the one before.
+std::string nested(std::size_t depth) {
+  std::string doc;
+  for (std::size_t i = 0; i < depth; ++i) doc += "<a>";
+  for (std::size_t i = 0; i < depth; ++i) doc += "</a>";
+  return doc;
+}
+
+// The parser recurses once per nesting level: a 100,000-deep document ran
+// off the end of the stack. Past the bound it is refused instead.
+TEST(Xml, RefusesNestingDeeperThanTheBound) {
+  EXPECT_NO_THROW((void)parse(nested(256)));
+  EXPECT_THROW((void)parse(nested(257)), XmlError);
+  EXPECT_THROW((void)parse(nested(200'000)), XmlError);
 }
 
 TEST(Xml, ErrorsCarryLineNumbers) {
